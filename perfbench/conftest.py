@@ -1,0 +1,5 @@
+"""Let ``python3 -m pytest perfbench`` import reswitch from this checkout's src/."""
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
