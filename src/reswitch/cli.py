@@ -1,6 +1,8 @@
 """Command line interface: instance generation, runs, and serialized results.
 
-Subcommands: generate, solve, round, certify, enumerate, bench. Records
+Subcommands: generate, solve, round, certify, enumerate, experiment,
+bench. Each composes the same pipeline stages (load, optimize or certify,
+draw and evaluate, enumerate) and one record header. Records
 are JSON documents with a deterministic "record" payload (byte-identical
 across replays of the same config and seeds) plus volatile "timing" and
 "timestamp" fields kept outside it; a CSV summary mirrors the scalar
@@ -15,7 +17,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -55,12 +58,27 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
+        """Read a flat JSON object; unknown keys and mistyped values are invalid.
+
+        A value must have its field's JSON type; integers are accepted
+        for float fields, and booleans only for boolean fields.
+        """
         with open(path, "r", encoding="ascii") as fh:
             raw = json.load(fh)
-        fields = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(raw) - fields
+        if not isinstance(raw, dict):
+            raise InvalidInputError("config file must hold a JSON object")
+        types = typing.get_type_hints(ExperimentConfig)
+        unknown = set(raw) - set(types)
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            allowed = typing.get_args(types[key]) or (types[key],)
+            if float in allowed:
+                allowed += (int,)
+            if (isinstance(value, bool) and bool not in allowed
+                    or not isinstance(value, allowed)):
+                raise InvalidInputError(
+                    f"config key {key!r} has {type(value).__name__} value {value!r}")
         return ExperimentConfig(**raw)
 
 
@@ -127,6 +145,10 @@ def default_budget(g: graphs.Graph) -> int:
     return len(g.backbone) + max(1, free // 2) if free else len(g.backbone)
 
 
+# --- pipeline stages ----------------------------------------------------------
+# Every subcommand composes these: load, optimize (or certify a given
+# point), draw and evaluate, enumerate, then one record header.
+
 def _load(cfg: ExperimentConfig) -> tuple[graphs.Graph, np.ndarray, int]:
     if cfg.input_path:
         g, d, q_file = graphs.read_instance(cfg.input_path)
@@ -144,62 +166,89 @@ def _solver_config(cfg: ExperimentConfig) -> solver.SolverConfig:
     return solver.SolverConfig(epsilon=cfg.epsilon, preconditioner=cfg.preconditioner)
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Full pipeline: optimize, certify, round with repeats, optional baseline."""
-    g, d, q = _load(cfg)
-    fw_cfg = frankwolfe.FWConfig(q=q, alpha=cfg.alpha,
-                                 max_iterations=cfg.max_iterations,
-                                 step_rule=cfg.step_rule, solver=_solver_config(cfg))
-    timing = {}
-    t0 = time.perf_counter()
-    s_frac, cert, trace = frankwolfe.run(g, d, fw_cfg)
-    timing["optimize_s"] = time.perf_counter() - t0
+def _fw_config(cfg: ExperimentConfig, q: int) -> frankwolfe.FWConfig:
+    return frankwolfe.FWConfig(q=q, alpha=cfg.alpha, max_iterations=cfg.max_iterations,
+                               step_rule=cfg.step_rule, solver=_solver_config(cfg))
 
+
+def _timed(timing: dict, key: str, fn, *args):
+    """fn(*args), with its wall-clock seconds stored in timing[key]."""
     t0 = time.perf_counter()
-    rounded_values = []
-    repairs_total = 0
+    result = fn(*args)
+    timing[key] = time.perf_counter() - t0
+    return result
+
+
+def _optimize(g: graphs.Graph, d: np.ndarray, q: int, cfg: ExperimentConfig):
+    return frankwolfe.run(g, d, _fw_config(cfg, q))
+
+
+def _draw(g: graphs.Graph, d: np.ndarray, q: int, s: np.ndarray,
+          cfg: ExperimentConfig) -> list[dict]:
+    """Round s cfg.repeats times and evaluate phi of each draw.
+
+    Draw r uses rng seed cfg.seed + r, so draws are reproducible and
+    independent.
+    """
+    scfg = _solver_config(cfg)
+    draws = []
     for r in range(cfg.repeats):
         params = rounding.RoundingParams(delta=cfg.delta,
                                          p_min_constant=cfg.p_min_constant,
                                          repair=cfg.repair,
                                          max_resamples=cfg.max_resamples,
                                          rng_seed=cfg.seed + r)
-        sbar = rounding.floor_probabilities(s_frac, g, params)
+        sbar = rounding.floor_probabilities(s, g, params)
         report = rounding.sample(sbar, g, q, params)
-        repairs_total += len(report.repairs)
-        rounded_values.append(congestion.phi(g, report.sampled.sbin, d,
-                                             _solver_config(cfg)))
-    timing["round_s"] = time.perf_counter() - t0
+        sbin = report.sampled.sbin
+        draws.append({"seed": cfg.seed + r, "repairs": len(report.repairs),
+                      "resamples": report.resamples_used,
+                      "edges_on": float(sbin.sum()),
+                      "phi": congestion.phi(g, sbin, d, scfg)})
+    return draws
 
+
+def _header(kind: str, g: graphs.Graph, q: int, d: np.ndarray | None = None) -> dict:
+    """Fields every record starts with; the digest needs the demand d."""
+    head = {"schema_version": SCHEMA_VERSION, "kind": kind, "n": g.n, "m": g.m, "q": q}
+    if d is not None:
+        head["instance_digest"] = instance_digest(g, d, q)
+    return head
+
+
+def _solution_fields(cert: frankwolfe.Certificate, trace: frankwolfe.FWTrace) -> dict:
+    return {"iterations": len(trace.records), "phi_fractional": cert.phi_value,
+            "certificate": asdict(cert)}
+
+
+def _rounded_fields(draws: list[dict]) -> dict:
+    values = [dr["phi"] for dr in draws]
+    return {"rounded_phi_mean": float(np.mean(values)),
+            "rounded_phi_min": float(np.min(values)),
+            "rounded_phi_max": float(np.max(values)),
+            "rng_algorithm": rounding.RNG_ALGORITHM}
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Full pipeline: optimize, certify, round with repeats, optional baseline."""
+    g, d, q = _load(cfg)
+    timing = {}
+    s_frac, cert, trace = _timed(timing, "optimize_s", _optimize, g, d, q, cfg)
+    draws = _timed(timing, "round_s", _draw, g, d, q, s_frac, cfg)
     record = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "experiment",
-        "instance_digest": instance_digest(g, d, q),
-        "n": g.n, "m": g.m, "q": q,
+        **_header("experiment", g, q, d),
         "alpha": cfg.alpha, "delta": cfg.delta, "seed": cfg.seed,
         "repeats": cfg.repeats,
-        "iterations": len(trace.records),
-        "phi_fractional": cert.phi_value,
-        "certificate": _cert_dict(cert),
-        "rounded_phi_mean": float(np.mean(rounded_values)),
-        "rounded_phi_min": float(np.min(rounded_values)),
-        "rounded_phi_max": float(np.max(rounded_values)),
-        "repairs_total": repairs_total,
-        "rng_algorithm": rounding.RNG_ALGORITHM,
+        **_solution_fields(cert, trace),
+        **_rounded_fields(draws),
+        "repairs_total": sum(dr["repairs"] for dr in draws),
     }
     if cfg.enumerate_baseline:
-        t0 = time.perf_counter()
-        best = enumeration.enumerate_optimal(g, d, q)
-        timing["enumerate_s"] = time.perf_counter() - t0
+        best = _timed(timing, "enumerate_s", enumeration.enumerate_optimal, g, d, q)
         record["best_phi"] = best.best_phi
         record["fractional_over_best"] = cert.phi_value / best.best_phi
         record["rounded_min_over_best"] = record["rounded_phi_min"] / best.best_phi
     return _wrap(record, timing)
-
-
-def _cert_dict(cert: frankwolfe.Certificate) -> dict:
-    return {"gap": cert.gap, "tau": cert.tau, "phi_value": cert.phi_value,
-            "certified": cert.certified, "bound_factor": cert.bound_factor}
 
 
 def _wrap(record: dict, timing: dict) -> dict:
@@ -252,35 +301,27 @@ def _flatten(obj, prefix="") -> dict:
 # --- subcommand implementations --------------------------------------------
 
 def _cmd_generate(args) -> int:
-    g, d = generate_instance(args.n, args.extra, args.seed, args.weight_lo,
-                             args.weight_hi, args.demand, args.multigraph)
-    q = args.q if args.q is not None else default_budget(g)
+    g, d, q = _load(_config_from_args(args))
     graphs.write_instance(args.output, g, d, q)
     print(f"wrote {args.output}: n={g.n} m={g.m} q={q} "
           f"digest={instance_digest(g, d, q)}")
     return 0
 
 
+def _emit(record: dict, timing: dict, cfg: ExperimentConfig) -> int:
+    _write_output(_wrap(record, timing), cfg.output, cfg.format)
+    return 0
+
+
 def _cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     g, d, q = _load(cfg)
-    fw_cfg = frankwolfe.FWConfig(q=q, alpha=cfg.alpha,
-                                 max_iterations=cfg.max_iterations,
-                                 step_rule=cfg.step_rule, solver=_solver_config(cfg))
-    t0 = time.perf_counter()
-    s_frac, cert, trace = frankwolfe.run(g, d, fw_cfg)
-    timing = {"optimize_s": time.perf_counter() - t0}
-    record = {
-        "schema_version": SCHEMA_VERSION, "kind": "solve",
-        "instance_digest": instance_digest(g, d, q),
-        "n": g.n, "m": g.m, "q": q, "alpha": cfg.alpha, "seed": cfg.seed,
-        "iterations": len(trace.records),
-        "phi_fractional": cert.phi_value,
-        "certificate": _cert_dict(cert),
-        "switch_vector": [float(v) for v in s_frac],
-    }
-    _write_output(_wrap(record, timing), cfg.output, cfg.format)
-    return 0
+    timing = {}
+    s_frac, cert, trace = _timed(timing, "optimize_s", _optimize, g, d, q, cfg)
+    record = {**_header("solve", g, q, d), "alpha": cfg.alpha, "seed": cfg.seed,
+              **_solution_fields(cert, trace),
+              "switch_vector": [float(v) for v in s_frac]}
+    return _emit(record, timing, cfg)
 
 
 def _read_solution(path) -> np.ndarray:
@@ -296,72 +337,34 @@ def _cmd_round(args) -> int:
     cfg = _config_from_args(args)
     g, d, q = _load(cfg)
     s = _read_solution(args.solution)
-    t0 = time.perf_counter()
-    values = []
-    reports = []
-    for r in range(cfg.repeats):
-        params = rounding.RoundingParams(delta=cfg.delta,
-                                         p_min_constant=cfg.p_min_constant,
-                                         repair=cfg.repair,
-                                         max_resamples=cfg.max_resamples,
-                                         rng_seed=cfg.seed + r)
-        sbar = rounding.floor_probabilities(s, g, params)
-        rep = rounding.sample(sbar, g, q, params)
-        values.append(congestion.phi(g, rep.sampled.sbin, d, _solver_config(cfg)))
-        reports.append({"seed": cfg.seed + r, "repairs": len(rep.repairs),
-                        "resamples": rep.resamples_used,
-                        "edges_on": float(rep.sampled.sbin.sum()),
-                        "phi": values[-1]})
-    timing = {"round_s": time.perf_counter() - t0}
-    record = {
-        "schema_version": SCHEMA_VERSION, "kind": "round",
-        "instance_digest": instance_digest(g, d, q),
-        "n": g.n, "m": g.m, "q": q, "delta": cfg.delta, "seed": cfg.seed,
-        "repeats": cfg.repeats, "repair": cfg.repair,
-        "rng_algorithm": rounding.RNG_ALGORITHM,
-        "rounded_phi_mean": float(np.mean(values)),
-        "rounded_phi_min": float(np.min(values)),
-        "rounded_phi_max": float(np.max(values)),
-        "draws": reports,
-    }
-    _write_output(_wrap(record, timing), cfg.output, cfg.format)
-    return 0
+    timing = {}
+    draws = _timed(timing, "round_s", _draw, g, d, q, s, cfg)
+    record = {**_header("round", g, q, d), "delta": cfg.delta, "seed": cfg.seed,
+              "repeats": cfg.repeats, "repair": cfg.repair,
+              **_rounded_fields(draws), "draws": draws}
+    return _emit(record, timing, cfg)
 
 
 def _cmd_certify(args) -> int:
     cfg = _config_from_args(args)
     g, d, q = _load(cfg)
     s = _read_solution(args.solution) if args.solution else g.backbone_indicator()
-    fw_cfg = frankwolfe.FWConfig(q=q, alpha=cfg.alpha, solver=_solver_config(cfg))
-    t0 = time.perf_counter()
-    cert = frankwolfe.certificate(g, s, d, fw_cfg)
-    timing = {"certify_s": time.perf_counter() - t0}
-    record = {
-        "schema_version": SCHEMA_VERSION, "kind": "certify",
-        "instance_digest": instance_digest(g, d, q),
-        "n": g.n, "m": g.m, "q": q, "alpha": cfg.alpha,
-        "certificate": _cert_dict(cert),
-    }
-    _write_output(_wrap(record, timing), cfg.output, cfg.format)
-    return 0
+    timing = {}
+    cert = _timed(timing, "certify_s", frankwolfe.certificate, g, s, d, _fw_config(cfg, q))
+    record = {**_header("certify", g, q, d), "alpha": cfg.alpha,
+              "certificate": asdict(cert)}
+    return _emit(record, timing, cfg)
 
 
 def _cmd_enumerate(args) -> int:
     cfg = _config_from_args(args)
     g, d, q = _load(cfg)
-    t0 = time.perf_counter()
-    result = enumeration.enumerate_optimal(g, d, q)
-    timing = {"enumerate_s": time.perf_counter() - t0}
-    record = {
-        "schema_version": SCHEMA_VERSION, "kind": "enumerate",
-        "instance_digest": instance_digest(g, d, q),
-        "n": g.n, "m": g.m, "q": q,
-        "best_phi": result.best_phi,
-        "evaluated_count": result.evaluated_count,
-        "best_switch_vector": [float(v) for v in result.best_config.sbin],
-    }
-    _write_output(_wrap(record, timing), cfg.output, cfg.format)
-    return 0
+    timing = {}
+    result = _timed(timing, "enumerate_s", enumeration.enumerate_optimal, g, d, q)
+    record = {**_header("enumerate", g, q, d), "best_phi": result.best_phi,
+              "evaluated_count": result.evaluated_count,
+              "best_switch_vector": [float(v) for v in result.best_config.sbin]}
+    return _emit(record, timing, cfg)
 
 
 def _cmd_experiment(args) -> int:
@@ -374,37 +377,25 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = []
+    base = replace(_config_from_args(args), max_iterations=args.iters, multigraph=True)
+    docs = []
     for part in args.sizes.split(","):
         n_s, m_s = part.split(":")
-        sizes.append((int(n_s), int(m_s)))
-    docs = []
-    for n, m in sizes:
-        extra = m - (n - 1)
-        if extra < 0:
+        n, m = int(n_s), int(m_s)
+        if m < n - 1:
             raise InvalidInputError(f"size {n}:{m} has fewer edges than a tree")
-        g, d = generate_instance(n, extra, args.seed, multigraph=True)
-        q = default_budget(g)
-        scfg = solver.SolverConfig(epsilon=args.epsilon, preconditioner=args.preconditioner)
-        fw_cfg = frankwolfe.FWConfig(q=q, alpha=args.alpha,
-                                     max_iterations=args.iters,
-                                     solver=scfg)
-        t0 = time.perf_counter()
-        s_frac, cert, trace = frankwolfe.run(g, d, fw_cfg)
-        total = time.perf_counter() - t0
+        cfg = replace(base, n=n, extra=m - (n - 1))
+        g, d, q = _load(cfg)
+        timing = {}
+        _, cert, trace = _timed(timing, "total_s", _optimize, g, d, q, cfg)
         walls = [r.wall_time for r in trace.records]
-        steps = np.diff(walls) if len(walls) > 1 else np.array([total])
-        record = {
-            "schema_version": SCHEMA_VERSION, "kind": "bench",
-            "n": g.n, "m": g.m, "q": q, "alpha": args.alpha, "seed": args.seed,
-            "iterations": len(trace.records),
-            "certified": cert.certified,
-            "phi": cert.phi_value,
-            "per_iteration_s": float(np.median(steps)),
-        }
-        docs.append(_wrap(record, {"total_s": total}))
-        per_it = record["per_iteration_s"]
-        print(f"n={g.n} m={g.m}: {per_it:.4f} s/iteration, "
+        steps = np.diff(walls) if len(walls) > 1 else np.array([timing["total_s"]])
+        timing["per_iteration_s"] = float(np.median(steps))
+        record = {**_header("bench", g, q), "alpha": cfg.alpha, "seed": cfg.seed,
+                  "iterations": len(trace.records), "certified": cert.certified,
+                  "phi": cert.phi_value}
+        docs.append(_wrap(record, timing))
+        print(f"n={g.n} m={g.m}: {timing['per_iteration_s']:.4f} s/iteration, "
               f"{len(trace.records)} iterations, certified={cert.certified}")
     if args.output:
         _write_output(docs, args.output, args.format)

@@ -112,8 +112,9 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig,
         ) -> tuple[np.ndarray, Certificate, FWTrace]:
     """Optimize from the backbone indicator; stop on certificate or budget.
 
-    Returns the final (or best seen, under the classic step rule)
-    fractional switch vector, its certificate, and the iteration trace.
+    Returns the certified iterate or, when max_iterations runs out, the
+    lowest-phi iterate seen (the last accepted step included), with its
+    certificate, and the iteration trace of at most max_iterations records.
     The budget ||s_t||_1 <= q and backbone pinning hold at every iterate.
     """
     d = graphs.check_demand(g, d)
@@ -154,6 +155,11 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig,
             continue
         s, diff = s_try, diff_try
 
+    # The budget ran out: the last accepted step was solved but not yet
+    # compared, so certify it from that solve before choosing.
+    if diff.phi < best_phi:
+        best_phi, best_s = diff.phi, s
+        best_gap = fw_gap(diff.grad, s, lmo_top_q(diff.grad, g, cfg.q))
     return best_s, _certificate(best_gap, cfg.alpha, best_phi), FWTrace(tuple(records))
 
 

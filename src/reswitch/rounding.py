@@ -6,10 +6,12 @@ independent Bernoulli draw from a seeded PCG64 generator. Three repair
 modes handle budget overshoot: trim_and_fill enforces ||s~||_1 = min(q, m)
 deterministically, resample redraws up to a retry cap, and shrinkage
 rescales off-backbone probabilities so the budget is exceeded with
-probability at most delta. The spectral sandwich
-(1-eps) L_sbar <= L_s~ <= (1+eps) L_sbar on the zero-mean subspace can be
-verified explicitly at small scale, with eps from the matrix
-concentration bound sqrt(3) * sqrt(2 max_e w_e log((n-1)/delta) / lambda2).
+probability at most delta. Drawing computes no spectral quantity: a
+caller that wants the sandwich (1-eps) L_sbar <= L_s~ <= (1+eps) L_sbar on
+the zero-mean subspace takes eps once per sbar from sandwich_epsilon (the
+matrix concentration bound
+sqrt(3) * sqrt(2 max_e w_e log((n-1)/delta) / lambda2)) and verifies each
+draw with sandwich_check at dense scale.
 """
 from __future__ import annotations
 
@@ -51,8 +53,6 @@ class RoundingReport:
     sampled: graphs.Configuration
     resamples_used: int
     repairs: tuple[tuple[int, str], ...]
-    epsilon_bound: float
-    sandwich_checked: bool | None
     rng_algorithm: str = RNG_ALGORITHM
 
 
@@ -91,13 +91,11 @@ def shrinkage(s: np.ndarray, g: graphs.Graph, q: int, delta: float) -> np.ndarra
     return out
 
 
-def sample(sbar: np.ndarray, g: graphs.Graph, q: int, params: RoundingParams,
-           check_sandwich: bool = False, dense_threshold: int = 2000) -> RoundingReport:
+def sample(sbar: np.ndarray, g: graphs.Graph, q: int,
+           params: RoundingParams) -> RoundingReport:
     """Draw an integral configuration from the floored probabilities.
 
-    Deterministic given (inputs, seed). The sandwich check is only run on
-    request, at dense scale, and only when the epsilon bound is below 1
-    (otherwise it is vacuous and reported as None).
+    Deterministic given (inputs, seed).
     """
     sbar = np.asarray(sbar, dtype=float)
     if sbar.shape != (g.m,):
@@ -124,16 +122,9 @@ def sample(sbar: np.ndarray, g: graphs.Graph, q: int, params: RoundingParams,
             draw[g.backbone_mask] = True
             resamples += 1
 
-    epsilon = float("nan")
-    checked = None
-    if g.n <= dense_threshold:
-        epsilon = sandwich_epsilon(g, sbar, params.delta, dense_threshold)
-        if check_sandwich and epsilon < 1.0:
-            checked = sandwich_check(g, sbar, draw.astype(float), epsilon)
     config = graphs.Configuration(sbin=draw.astype(float))
     return RoundingReport(sbar=sbar, sampled=config, resamples_used=resamples,
-                          repairs=tuple(repairs), epsilon_bound=epsilon,
-                          sandwich_checked=checked)
+                          repairs=tuple(repairs))
 
 
 def _trim_and_fill(draw: np.ndarray, sbar: np.ndarray, g: graphs.Graph,
@@ -158,14 +149,13 @@ def _trim_and_fill(draw: np.ndarray, sbar: np.ndarray, g: graphs.Graph,
     return draw, repairs
 
 
-def sandwich_epsilon(g: graphs.Graph, sbar: np.ndarray, delta: float,
-                     dense_threshold: int = 2000) -> float:
+def sandwich_epsilon(g: graphs.Graph, sbar: np.ndarray, delta: float) -> float:
     """Concentration epsilon for one Bernoulli draw from sbar.
 
-    May exceed 1, in which case the spectral sandwich is vacuous.
+    May exceed 1, in which case the spectral sandwich is vacuous and there
+    is nothing to check.
     """
-    lam2 = graphs.algebraic_connectivity(g, graphs.check_switch(g, sbar),
-                                         dense_threshold=dense_threshold)
+    lam2 = graphs.algebraic_connectivity(g, graphs.check_switch(g, sbar))
     R = 2.0 * float(g.w.max())
     return float(np.sqrt(3.0) * np.sqrt(R * np.log((g.n - 1) / delta) / lam2))
 

@@ -181,7 +181,7 @@ def test_criterion_08_rounding_statistics():
     counts = np.zeros(g.m)
     for seed in range(draws):
         rep = rounding.sample(sbar, g, g.m, rounding.RoundingParams(
-            delta=0.1, repair="resample", rng_seed=seed), dense_threshold=0)
+            delta=0.1, repair="resample", rng_seed=seed))
         counts += rep.sampled.sbin
     freq = counts / draws
     sigma = np.sqrt(sbar * (1.0 - sbar) / draws)
@@ -190,7 +190,7 @@ def test_criterion_08_rounding_statistics():
     trim_ok = True
     for seed in range(draws):
         rep = rounding.sample(sbar, g, q, rounding.RoundingParams(
-            delta=0.1, rng_seed=seed), dense_threshold=0)
+            delta=0.1, rng_seed=seed))
         if rep.sampled.sbin.sum() > q:
             trim_ok = False
             break
@@ -211,8 +211,8 @@ def test_criterion_08_rounding_statistics():
     sandwich_draws = 1000
     for seed in range(sandwich_draws):
         rep = rounding.sample(sbar_s, gs, gs.m, rounding.RoundingParams(
-            delta=delta, repair="resample", rng_seed=seed), check_sandwich=True)
-        if rep.sandwich_checked is False:
+            delta=delta, repair="resample", rng_seed=seed))
+        if not rounding.sandwich_check(gs, sbar_s, rep.sampled.sbin, eps):
             fails += 1
     slack = 3.0 * np.sqrt(delta * (1 - delta) / sandwich_draws)
     sandwich_ok = eps < 1.0 and fails / sandwich_draws <= delta + slack
@@ -242,8 +242,7 @@ def test_criterion_09_shrinkage_budget_violations():
             over = 0
             for seed in range(draws):
                 rep = rounding.sample(sbar, g, q, rounding.RoundingParams(
-                    delta=delta, repair="shrinkage", rng_seed=seed),
-                    dense_threshold=0)
+                    delta=delta, repair="shrinkage", rng_seed=seed))
                 over += rep.sampled.sbin.sum() > q
             rate = over / draws
             margin = delta + 3.0 * np.sqrt(delta * (1 - delta) / draws)

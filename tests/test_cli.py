@@ -138,9 +138,11 @@ def test_missing_input_exits_2(tmp_path, capsys):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 8, "extras": 3}))
-    assert cli.main(["experiment", "--config", str(cfg)]) == 2
-    assert "extras" in capsys.readouterr().err
+    for raw, culprit in [({"n": 8, "extras": 3}, "extras"),
+                         ({"n": 10, "extra": 5, "alpha": "0.1"}, "alpha")]:
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["experiment", "--config", str(cfg)]) == 2
+        assert culprit in capsys.readouterr().err
 
 
 def test_enumeration_cap_exits_4(tmp_path, capsys):
@@ -196,6 +198,23 @@ def test_experiment_records_replay_bitwise():
         json.dumps(b["record"], sort_keys=True)
 
 
+def test_experiment_matches_solve_then_round(tmp_path):
+    inst = gen(tmp_path, n=12, extra=8, seed=7)
+    sol = run_json(["solve", "--input", str(inst), "--alpha", "0.2", "--seed", "3"],
+                   tmp_path / "sol.json")["record"]
+    rnd = run_json(["round", "--input", str(inst), "--solution", str(tmp_path / "sol.json"),
+                    "--repeats", "3", "--seed", "3"], tmp_path / "round.json")["record"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"input_path": str(inst), "alpha": 0.2, "seed": 3,
+                                    "repeats": 3}))
+    exp = run_json(["experiment", "--config", str(cfg_path)], tmp_path / "exp.json")["record"]
+    for key in ("phi_fractional", "certificate", "iterations"):
+        assert exp[key] == sol[key]
+    for key in ("rounded_phi_mean", "rounded_phi_min", "rounded_phi_max"):
+        assert exp[key] == rnd[key]
+    assert exp["repairs_total"] == sum(dr["repairs"] for dr in rnd["draws"])
+
+
 def test_experiment_command_end_to_end(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     out_path = tmp_path / "out.json"
@@ -225,7 +244,8 @@ def test_bench_reports_per_iteration_times(tmp_path, capsys):
     assert len(lines) == 2
     docs = json.loads(out.read_text())
     assert [d["record"]["m"] for d in docs] == [45, 60]
-    assert all(d["record"]["per_iteration_s"] >= 0.0 for d in docs)
+    assert all(d["timing"]["per_iteration_s"] >= 0.0 for d in docs)
+    assert all("per_iteration_s" not in d["record"] for d in docs)
 
 
 def test_config_file_round_trip(tmp_path):

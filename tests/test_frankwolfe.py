@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from reswitch import congestion, frankwolfe, graphs
+from reswitch import cli, congestion, frankwolfe, graphs
 from reswitch.errors import InvalidInputError
 
 
@@ -148,6 +148,19 @@ def test_classic_rule_returns_best_seen():
     if not cert.certified:
         assert cert.phi_value <= min(rec.phi for rec in trace.records) + 1e-12
         assert abs(congestion.phi(g, s, d) - cert.phi_value) < 1e-9
+
+
+def test_run_out_of_iterations_keeps_the_last_accepted_step():
+    # One step takes phi from 3.108 (backbone) to 0.480; the step's solve
+    # must not be discarded when the iteration budget ends right after it.
+    g, d = cli.generate_instance(40, 60, seed=5, demand="gauss")
+    cfg = frankwolfe.FWConfig(q=cli.default_budget(g), alpha=0.1, max_iterations=1)
+    s, cert, trace = frankwolfe.run(g, d, cfg)
+    assert len(trace.records) == 1
+    assert cert.phi_value < 0.5 < trace.records[0].phi
+    again = frankwolfe.certificate(g, s, d, cfg)
+    assert (cert.phi_value, cert.gap) == pytest.approx((again.phi_value, again.gap),
+                                                       rel=1e-12)
 
 
 def test_run_is_deterministic():

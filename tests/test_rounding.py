@@ -168,7 +168,7 @@ def test_resample_mode_retries_until_feasible():
     sbar[~g.backbone_mask] = 0.35
     params = rounding.RoundingParams(delta=0.1, repair="resample",
                                      max_resamples=200, rng_seed=3)
-    report = rounding.sample(sbar, g, g.n, params, dense_threshold=0)
+    report = rounding.sample(sbar, g, g.n, params)
     assert report.sampled.sbin.sum() <= g.n
     assert report.repairs == ()
 
@@ -179,7 +179,7 @@ def test_resample_exhaustion_carries_last_draw():
     params = rounding.RoundingParams(delta=0.1, repair="resample",
                                      max_resamples=2, rng_seed=4)
     with pytest.raises(ResampleExhaustedError) as info:
-        rounding.sample(sbar, g, g.n, params, dense_threshold=0)
+        rounding.sample(sbar, g, g.n, params)
     assert info.value.last_draw is not None
     assert info.value.last_draw.sum() > g.n
 
@@ -199,8 +199,7 @@ def test_sample_frequencies_match_probabilities():
     counts = np.zeros(g.m)
     params_base = dict(delta=0.1, repair="resample", max_resamples=0)
     for seed in range(draws):
-        rep = rounding.sample(sbar, g, g.m, rounding.RoundingParams(rng_seed=seed, **params_base),
-                              dense_threshold=0)
+        rep = rounding.sample(sbar, g, g.m, rounding.RoundingParams(rng_seed=seed, **params_base))
         counts += rep.sampled.sbin
     freq = counts / draws
     sigma = np.sqrt(sbar * (1 - sbar) / draws)
@@ -219,7 +218,7 @@ def test_shrinkage_mode_rarely_overshoots():
     draws = 1000
     for seed in range(draws):
         rep = rounding.sample(sbar, g, q, rounding.RoundingParams(
-            delta=delta, repair="shrinkage", rng_seed=seed), dense_threshold=0)
+            delta=delta, repair="shrinkage", rng_seed=seed))
         over += rep.sampled.sbin.sum() > q
     assert over / draws <= delta + 3 * np.sqrt(delta * (1 - delta) / draws)
 
@@ -262,16 +261,32 @@ def test_sandwich_check_tracks_leverage():
 def test_sample_runs_sandwich_on_request():
     g = complete_graph(30)
     sbar = np.ones(g.m)
-    report = rounding.sample(sbar, g, g.m, rounding.RoundingParams(delta=0.3, rng_seed=0),
-                             check_sandwich=True)
-    assert report.epsilon_bound < 1.0
-    assert report.sandwich_checked is True
+    params = rounding.RoundingParams(delta=0.3, rng_seed=0)
+    report = rounding.sample(sbar, g, g.m, params)
+    eps = rounding.sandwich_epsilon(g, sbar, params.delta)
+    assert eps < 1.0
+    assert rounding.sandwich_check(g, sbar, report.sampled.sbin, eps) is True
 
 
 def test_sample_skips_vacuous_sandwich():
     g, _ = instance(22, n=8, extra=3)  # sparse, so the bound lands above 1
     sbar = g.backbone_indicator()
-    report = rounding.sample(sbar, g, g.n, rounding.RoundingParams(delta=0.01, rng_seed=0),
-                             check_sandwich=True)
-    assert report.epsilon_bound >= 1.0
-    assert report.sandwich_checked is None
+    params = rounding.RoundingParams(delta=0.01, rng_seed=0)
+    report = rounding.sample(sbar, g, g.n, params)
+    assert report.sampled.sbin.sum() == g.n
+    # A bound of 1 or more is vacuous, so a caller has nothing to check.
+    assert rounding.sandwich_epsilon(g, sbar, params.delta) >= 1.0
+
+
+def test_sample_computes_no_spectrum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample computed lambda_2")
+
+    monkeypatch.setattr(graphs, "algebraic_connectivity", refuse)
+    g, _ = instance(23, n=8, extra=6)
+    sbar = g.backbone_indicator()
+    sbar[~g.backbone_mask] = 0.5
+    for repair in rounding.REPAIR_MODES:
+        report = rounding.sample(sbar, g, g.m, rounding.RoundingParams(
+            delta=0.1, repair=repair, rng_seed=1))
+        assert np.all(report.sampled.sbin[g.backbone_mask] == 1.0)
