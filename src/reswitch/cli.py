@@ -94,7 +94,7 @@ def generate_instance(n: int, extra: int, seed: int, weight_lo: float = 0.5,
     normalized to unit 2-norm either way.
     """
     if n < 2:
-        raise InvalidInputError("need at least 2 nodes")
+        raise InvalidInputError(f"need at least 2 nodes, got n={n}")
     if extra < 0:
         raise InvalidInputError("extra edge count must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -154,8 +154,6 @@ def _load(cfg: ExperimentConfig) -> tuple[graphs.Graph, np.ndarray, int]:
         g, d, q_file = graphs.read_instance(cfg.input_path)
         q = cfg.q if cfg.q is not None else q_file
     else:
-        if cfg.n < 2:
-            raise InvalidInputError("config needs input_path or a generator size n >= 2")
         g, d = generate_instance(cfg.n, cfg.extra, cfg.seed, cfg.weight_lo,
                                  cfg.weight_hi, cfg.demand, cfg.multigraph)
         q = cfg.q if cfg.q is not None else default_budget(g)
@@ -177,10 +175,6 @@ def _timed(timing: dict, key: str, fn, *args):
     result = fn(*args)
     timing[key] = time.perf_counter() - t0
     return result
-
-
-def _optimize(g: graphs.Graph, d: np.ndarray, q: int, cfg: ExperimentConfig):
-    return frankwolfe.run(g, d, _fw_config(cfg, q))
 
 
 def _draw(g: graphs.Graph, d: np.ndarray, q: int, s: np.ndarray,
@@ -233,7 +227,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Full pipeline: optimize, certify, round with repeats, optional baseline."""
     g, d, q = _load(cfg)
     timing = {}
-    s_frac, cert, trace = _timed(timing, "optimize_s", _optimize, g, d, q, cfg)
+    s_frac, cert, trace = _timed(timing, "optimize_s", frankwolfe.run, g, d,
+                                     _fw_config(cfg, q))
     draws = _timed(timing, "round_s", _draw, g, d, q, s_frac, cfg)
     record = {
         **_header("experiment", g, q, d),
@@ -308,20 +303,17 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _emit(record: dict, timing: dict, cfg: ExperimentConfig) -> int:
-    _write_output(_wrap(record, timing), cfg.output, cfg.format)
-    return 0
-
-
 def _cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     g, d, q = _load(cfg)
     timing = {}
-    s_frac, cert, trace = _timed(timing, "optimize_s", _optimize, g, d, q, cfg)
+    s_frac, cert, trace = _timed(timing, "optimize_s", frankwolfe.run, g, d,
+                                     _fw_config(cfg, q))
     record = {**_header("solve", g, q, d), "alpha": cfg.alpha, "seed": cfg.seed,
               **_solution_fields(cert, trace),
               "switch_vector": [float(v) for v in s_frac]}
-    return _emit(record, timing, cfg)
+    _write_output(_wrap(record, timing), cfg.output, cfg.format)
+    return 0
 
 
 def _read_solution(path) -> np.ndarray:
@@ -342,7 +334,8 @@ def _cmd_round(args) -> int:
     record = {**_header("round", g, q, d), "delta": cfg.delta, "seed": cfg.seed,
               "repeats": cfg.repeats, "repair": cfg.repair,
               **_rounded_fields(draws), "draws": draws}
-    return _emit(record, timing, cfg)
+    _write_output(_wrap(record, timing), cfg.output, cfg.format)
+    return 0
 
 
 def _cmd_certify(args) -> int:
@@ -353,7 +346,8 @@ def _cmd_certify(args) -> int:
     cert = _timed(timing, "certify_s", frankwolfe.certificate, g, s, d, _fw_config(cfg, q))
     record = {**_header("certify", g, q, d), "alpha": cfg.alpha,
               "certificate": asdict(cert)}
-    return _emit(record, timing, cfg)
+    _write_output(_wrap(record, timing), cfg.output, cfg.format)
+    return 0
 
 
 def _cmd_enumerate(args) -> int:
@@ -364,7 +358,8 @@ def _cmd_enumerate(args) -> int:
     record = {**_header("enumerate", g, q, d), "best_phi": result.best_phi,
               "evaluated_count": result.evaluated_count,
               "best_switch_vector": [float(v) for v in result.best_config.sbin]}
-    return _emit(record, timing, cfg)
+    _write_output(_wrap(record, timing), cfg.output, cfg.format)
+    return 0
 
 
 def _cmd_experiment(args) -> int:
@@ -387,7 +382,8 @@ def _cmd_bench(args) -> int:
         cfg = replace(base, n=n, extra=m - (n - 1))
         g, d, q = _load(cfg)
         timing = {}
-        _, cert, trace = _timed(timing, "total_s", _optimize, g, d, q, cfg)
+        _, cert, trace = _timed(timing, "total_s", frankwolfe.run, g, d,
+                                _fw_config(cfg, q))
         walls = [r.wall_time for r in trace.records]
         steps = np.diff(walls) if len(walls) > 1 else np.array([timing["total_s"]])
         timing["per_iteration_s"] = float(np.median(steps))
