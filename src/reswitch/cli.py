@@ -98,31 +98,35 @@ def generate_instance(n: int, extra: int, seed: int, weight_lo: float = 0.5,
     if extra < 0:
         raise InvalidInputError("extra edge count must be nonnegative")
     rng = np.random.default_rng(seed)
-    pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
-    tree_set = set(pairs)
+    # Node v attaches to parent[v], a uniform earlier node: one draw per node.
+    parent = np.concatenate([[-1], rng.integers(0, np.arange(1, n))])
+    ei, ej = parent[1:], np.arange(1, n)
     if not multigraph:
         capacity = n * (n - 1) // 2 - (n - 1)
         if extra > capacity:
             raise InvalidInputError(
                 f"{extra} extra edges exceed simple-graph capacity {capacity}; "
                 "pass multigraph to allow parallel edges")
-    chosen: set[tuple[int, int]] = set()
-    added = 0
-    while added < extra:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        if (u, v) in tree_set or (not multigraph and (u, v) in chosen):
-            continue
-        chosen.add((u, v))
-        pairs.append((u, v))
-        added += 1
-    w = rng.uniform(weight_lo, weight_hi, len(pairs))
-    g = graphs.make_graph(n, [(i, j, wk) for (i, j), wk in zip(pairs, w)],
-                          backbone=range(n - 1))
+    chosen = np.zeros(0, dtype=np.int64)  # keys u * n + v of the extra pairs so far
+    while len(ei) < n - 1 + extra:
+        # Draw spare candidate pairs and keep them in draw order up to the need-th
+        # acceptable one; then rewind the generator and redraw just those, so it
+        # ends where drawing one candidate at a time would leave it.
+        need, state = n - 1 + extra - len(ei), rng.bit_generator.state
+        u, v = np.sort(rng.integers(0, n, size=(2 * need + 8, 2)), axis=1).T
+        keep = (u != v) & (u != parent[v])
+        if not multigraph:
+            first = np.zeros(len(u), dtype=bool)
+            first[np.unique(u * n + v, return_index=True)[1]] = True
+            keep &= first & ~np.isin(u * n + v, chosen)
+        used = min(np.searchsorted(np.cumsum(keep), need) + 1, len(keep))
+        rng.bit_generator.state = state
+        rng.integers(0, n, size=(used, 2))
+        u, v = u[:used][keep[:used]], v[:used][keep[:used]]
+        chosen = np.concatenate([chosen, u * n + v])
+        ei, ej = np.concatenate([ei, u]), np.concatenate([ej, v])
+    w = rng.uniform(weight_lo, weight_hi, len(ei))
+    g = graphs.make_graph(n, np.column_stack([ei, ej, w]), backbone=range(n - 1))
     if demand == "pair":
         a, b = rng.choice(n, size=2, replace=False)
         d = np.zeros(n)
@@ -141,8 +145,8 @@ def instance_digest(g: graphs.Graph, d: np.ndarray, q: int) -> str:
 
 
 def default_budget(g: graphs.Graph) -> int:
-    free = g.m - len(g.backbone)
-    return len(g.backbone) + max(1, free // 2) if free else len(g.backbone)
+    t_size = np.count_nonzero(g.backbone_mask)
+    return t_size + max(1, (g.m - t_size) // 2) if g.m > t_size else t_size
 
 
 # --- pipeline stages ----------------------------------------------------------
@@ -184,6 +188,8 @@ def _draw(g: graphs.Graph, d: np.ndarray, q: int, s: np.ndarray,
     Draw r uses rng seed cfg.seed + r, so draws are reproducible and
     independent.
     """
+    if cfg.repeats < 1:
+        raise InvalidInputError(f"repeats must be at least 1, got {cfg.repeats}")
     scfg = _solver_config(cfg)
     draws = []
     for r in range(cfg.repeats):
@@ -375,8 +381,10 @@ def _cmd_bench(args) -> int:
     base = replace(_config_from_args(args), max_iterations=args.iters, multigraph=True)
     docs = []
     for part in args.sizes.split(","):
-        n_s, m_s = part.split(":")
-        n, m = int(n_s), int(m_s)
+        try:
+            n, m = (int(v) for v in part.split(":"))
+        except ValueError as exc:
+            raise InvalidInputError(f"size {part!r} is not an n:m pair of integers") from exc
         if m < n - 1:
             raise InvalidInputError(f"size {n}:{m} has fewer edges than a tree")
         cfg = replace(base, n=n, extra=m - (n - 1))

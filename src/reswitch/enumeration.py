@@ -34,8 +34,8 @@ def free_edges(g: graphs.Graph) -> np.ndarray:
 
 def config_from_mask(g: graphs.Graph, mask: int) -> np.ndarray:
     s = g.backbone_indicator()
-    for k, e in enumerate(free_edges(g)):
-        s[e] = float((mask >> k) & 1)
+    free = free_edges(g)
+    s[free] = (mask >> np.arange(len(free))) & 1
     return s
 
 
@@ -48,7 +48,7 @@ def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int,
     when the free-edge count is at most 16.
     """
     d = graphs.check_demand(g, d)
-    t_size = len(g.backbone)
+    t_size = np.count_nonzero(g.backbone_mask)
     if q < t_size:
         raise InvalidInputError(f"budget q={q} is below the backbone size {t_size}")
     if g.n > dense_threshold:
@@ -60,11 +60,10 @@ def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int,
 
     LT = graphs.assemble_laplacian_dense(g, g.backbone_indicator())
     J = np.full((g.n, g.n), 1.0 / g.n)
+    k, i, j, w = np.arange(F), g.ei[free], g.ej[free], g.w[free]
     elem = np.zeros((F, g.n, g.n))
-    for k, e in enumerate(free):
-        i, j, w = g.edges[e]
-        elem[k, i, i] = elem[k, j, j] = w
-        elem[k, i, j] = elem[k, j, i] = -w
+    elem[k, i, i] = elem[k, j, j] = w
+    elem[k, i, j] = elem[k, j, i] = -w
 
     head = q - t_size
     best_phi = np.inf

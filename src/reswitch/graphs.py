@@ -1,7 +1,7 @@
 """Weighted multigraph with a designated always-on backbone edge set.
 
 The graph is the static data of a budgeted switching problem: each edge
-carries a positive conductance w_e, a connected spanning subset of edges
+carries a finite positive conductance w_e, a connected spanning set of edges
 (the backbone) is permanently closed, and the remaining edges may be
 opened or closed. The central object is the switched Laplacian
 
@@ -12,6 +12,7 @@ all per-edge vectors are indexed by input edge order.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,35 +24,44 @@ from .errors import InvalidInputError
 from . import solver
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable multigraph; edges are (i, j, w) tuples with 0-based i < j."""
+    """Immutable multigraph as read-only per-edge arrays in input edge order.
+
+    Edge k joins nodes ei[k] < ej[k] (0-based) with weight w[k];
+    backbone_mask[k] marks it permanently closed.
+    """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
-    backbone: frozenset[int]
+    ei: np.ndarray
+    ej: np.ndarray
+    w: np.ndarray
+    backbone_mask: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", int(self.n))
+        # Read-only copies, so the cached views below cannot go stale.
+        for name, dtype in (("ei", np.int64), ("ej", np.int64), ("w", float),
+                            ("backbone_mask", bool)):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+            getattr(self, name).setflags(write=False)
+        shapes = {a.shape for a in (self.ei, self.ej, self.w, self.backbone_mask)}
+        if len(shapes) != 1 or self.w.ndim != 1:
+            raise InvalidInputError(f"edge arrays must be 1-d of one length, got {shapes}")
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.w)
 
     @cached_property
-    def ei(self) -> np.ndarray:
-        return np.array([e[0] for e in self.edges], dtype=np.int64)
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """(i, j, w) tuples of Python numbers, for reference code."""
+        return tuple(zip(self.ei.tolist(), self.ej.tolist(), self.w.tolist()))
 
     @cached_property
-    def ej(self) -> np.ndarray:
-        return np.array([e[1] for e in self.edges], dtype=np.int64)
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return np.array([e[2] for e in self.edges], dtype=float)
-
-    @cached_property
-    def backbone_mask(self) -> np.ndarray:
-        mask = np.zeros(self.m, dtype=bool)
-        mask[list(self.backbone)] = True
-        return mask
+    def backbone(self) -> frozenset[int]:
+        """Backbone edge indices, for reference code."""
+        return frozenset(np.flatnonzero(self.backbone_mask).tolist())
 
     @cached_property
     def incidence(self) -> sp.csr_matrix:
@@ -75,14 +85,21 @@ class Configuration:
 
 
 def make_graph(n: int, edges, backbone) -> Graph:
-    """Build a Graph, normalizing endpoint order, and reject invalid data."""
-    norm = []
-    for (i, j, w) in edges:
-        i, j = int(i), int(j)
-        if i > j:
-            i, j = j, i
-        norm.append((i, j, float(w)))
-    g = Graph(n=int(n), edges=tuple(norm), backbone=frozenset(int(k) for k in backbone))
+    """Build a Graph from (i, j, w) triples and backbone edge indices.
+
+    Endpoints are put in order i < j; invalid data raises InvalidInputError.
+    """
+    tri = np.array(list(edges), dtype=float).reshape(-1, 3)
+    idx = np.fromiter(backbone, dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= len(tri))]
+    if bad.size:
+        raise InvalidInputError("; ".join(f"backbone index {k} out of range" for k in bad))
+    return _checked_graph(n, tri[:, 0].astype(np.int64), tri[:, 1].astype(np.int64),
+                          tri[:, 2], np.bincount(idx, minlength=len(tri)) > 0)
+
+
+def _checked_graph(n, i, j, w, backbone_mask) -> Graph:
+    g = Graph(n, np.minimum(i, j), np.maximum(i, j), w, backbone_mask)
     problems = validate(g)
     if problems:
         raise InvalidInputError("; ".join(problems))
@@ -91,39 +108,23 @@ def make_graph(n: int, edges, backbone) -> Graph:
 
 def validate(g: Graph) -> list[str]:
     """Return a list of invariant violations; empty list means valid."""
-    out = []
-    for k, (i, j, w) in enumerate(g.edges):
-        if not (0 <= i < g.n and 0 <= j < g.n):
-            out.append(f"edge {k} endpoint out of range")
-        elif i == j:
-            out.append(f"self-loop at edge {k}")
-        elif i > j:
-            out.append(f"edge {k} endpoints not ordered i < j")
-        if not (w > 0):
-            out.append(f"nonpositive weight at edge {k}")
-    for k in g.backbone:
-        if not (0 <= k < g.m):
-            out.append(f"backbone index {k} out of range")
-    if out:
+    bad_end = (np.minimum(g.ei, g.ej) < 0) | (np.maximum(g.ei, g.ej) >= g.n)
+    nonfinite = ~np.isfinite(g.w)
+    out = [f"edge {k} endpoint out of range" for k in np.flatnonzero(bad_end)]
+    out += [f"self-loop at edge {k}" for k in np.flatnonzero(~bad_end & (g.ei == g.ej))]
+    out += [f"edge {k} endpoints not ordered i < j"
+            for k in np.flatnonzero(~bad_end & (g.ei > g.ej))]
+    out += [f"nonpositive weight at edge {k}" for k in np.flatnonzero(~nonfinite & (g.w <= 0))]
+    out += [f"non-finite weight at edge {k}" for k in np.flatnonzero(nonfinite)]
+    if out or g.n == 0:
         return out
-    if g.n > 0:
-        adj = _backbone_adjacency(g)
-        ncomp, labels = connected_components(adj, directed=False)
-        if ncomp != 1:
-            seen = set()
-            for node in range(g.n):
-                if labels[node] != labels[0] and labels[node] not in seen:
-                    seen.add(labels[node])
-                    out.append(f"backbone does not span node {node}")
-    return out
-
-
-def _backbone_adjacency(g: Graph) -> sp.csr_matrix:
-    idx = sorted(g.backbone)
-    ei = g.ei[idx] if idx else np.zeros(0, dtype=np.int64)
-    ej = g.ej[idx] if idx else np.zeros(0, dtype=np.int64)
-    data = np.ones(len(idx))
-    return sp.csr_matrix((data, (ei, ej)), shape=(g.n, g.n))
+    bb = g.backbone_mask
+    adj = sp.csr_matrix((np.ones(np.count_nonzero(bb)), (g.ei[bb], g.ej[bb])),
+                        shape=(g.n, g.n))
+    _, labels = connected_components(adj, directed=False)
+    # The first node of each component that node 0 does not reach.
+    first = np.sort(np.unique(labels, return_index=True)[1])[1:]
+    return [f"backbone does not span node {node}" for node in first]
 
 
 def check_switch(g: Graph, s: np.ndarray) -> np.ndarray:
@@ -133,16 +134,18 @@ def check_switch(g: Graph, s: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"switch vector has shape {s.shape}, expected ({g.m},)")
     if np.any(s < -1e-12) or np.any(s > 1 + 1e-12):
         raise InvalidInputError("switch entries must lie in [0, 1]")
-    if g.backbone and not np.all(s[list(g.backbone)] == 1.0):
+    if not np.all(s[g.backbone_mask] == 1.0):
         raise InvalidInputError("backbone switch entries must equal 1")
     return s
 
 
 def check_demand(g: Graph, d: np.ndarray) -> np.ndarray:
-    """Validate a demand vector: length n and zero sum (d perpendicular to 1)."""
+    """Validate a demand vector: length n, finite, zero sum (d perpendicular to 1)."""
     d = np.asarray(d, dtype=float)
     if d.shape != (g.n,):
         raise InvalidInputError(f"demand vector has shape {d.shape}, expected ({g.n},)")
+    if not np.all(np.isfinite(d)):
+        raise InvalidInputError("demand entries must be finite")
     nrm = np.linalg.norm(d)
     if abs(d.sum()) > 1e-12 * max(nrm, 1e-300):
         raise InvalidInputError("demand entries must sum to zero")
@@ -229,11 +232,7 @@ def algebraic_connectivity(g: Graph, s: np.ndarray, dense_threshold: int = 2000)
 
 def read_instance(path) -> tuple[Graph, np.ndarray, int]:
     with open(path, "r", encoding="ascii") as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+        tokens = re.sub(r"#.*", "", fh.read()).split()
     if len(tokens) < 3:
         raise InvalidInputError("instance file truncated: missing header")
     try:
@@ -242,23 +241,18 @@ def read_instance(path) -> tuple[Graph, np.ndarray, int]:
         if len(tokens) != need:
             raise InvalidInputError(
                 f"instance file has {len(tokens)} fields, expected {need}")
-        edges = []
-        backbone = []
-        pos = 3
-        for k in range(m):
-            i, j = int(tokens[pos]) - 1, int(tokens[pos + 1]) - 1
-            w = float(tokens[pos + 2])
-            b = int(tokens[pos + 3])
-            if b not in (0, 1):
-                raise InvalidInputError(f"backbone flag at edge {k} must be 0 or 1")
-            edges.append((i, j, w))
-            if b:
-                backbone.append(k)
-            pos += 4
-        d = np.array([float(t) for t in tokens[pos:pos + n]])
+        end = 3 + 4 * m
+        i = np.array(tokens[3:end:4], dtype=np.int64) - 1
+        j = np.array(tokens[4:end:4], dtype=np.int64) - 1
+        w = np.array(tokens[5:end:4], dtype=float)
+        b = np.array(tokens[6:end:4], dtype=np.int64)
+        d = np.array(tokens[end:], dtype=float)
+        bad = np.flatnonzero((b != 0) & (b != 1))
+        if bad.size:
+            raise InvalidInputError(f"backbone flag at edge {bad[0]} must be 0 or 1")
     except ValueError as exc:
         raise InvalidInputError(f"instance file parse error: {exc}") from exc
-    g = make_graph(n, edges, backbone)
+    g = _checked_graph(n, i, j, w, b == 1)
     return g, check_demand(g, d), q
 
 
@@ -269,9 +263,7 @@ def write_instance(path, g: Graph, d: np.ndarray, q: int) -> None:
 
 def instance_text(g: Graph, d: np.ndarray, q: int) -> str:
     """Canonical serialization used for digests (no comments, repr floats)."""
-    lines = [f"{g.n} {g.m} {int(q)}"]
-    for k, (i, j, w) in enumerate(g.edges):
-        b = 1 if k in g.backbone else 0
-        lines.append(f"{i + 1} {j + 1} {float(w)!r} {b}")
-    lines.extend(f"{float(v)!r}" for v in np.asarray(d, dtype=float))
-    return "\n".join(lines) + "\n"
+    edges = map("{} {} {!r} {}".format, (g.ei + 1).tolist(), (g.ej + 1).tolist(),
+                g.w.tolist(), g.backbone_mask.astype(np.int64).tolist())
+    demand = map(repr, np.asarray(d, dtype=float).tolist())
+    return "\n".join([f"{g.n} {g.m} {int(q)}", *edges, *demand]) + "\n"

@@ -74,7 +74,7 @@ def shrinkage(s: np.ndarray, g: graphs.Graph, q: int, delta: float) -> np.ndarra
     q - |T| - gamma, with gamma = sqrt(2 (q - |T|) log(1/delta)).
     """
     s = graphs.check_switch(g, s)
-    t_size = len(g.backbone)
+    t_size = np.count_nonzero(g.backbone_mask)
     if q <= t_size:
         raise InvalidInputError(f"shrinkage needs q > |T| (q={q}, |T|={t_size})")
     head = q - t_size

@@ -176,3 +176,29 @@ def random_fractional(rng, g: Graph, lo: float = 0.05, hi: float = 1.0):
     s = rng.uniform(lo, hi, size=g.m)
     s[list(g.backbone)] = 1.0
     return s
+
+
+def generate_instance_loop(n: int, extra: int, seed: int, weight_lo: float = 0.5,
+                           weight_hi: float = 2.0, demand: str = "pair",
+                           multigraph: bool = False):
+    """cli.generate_instance drawing one candidate pair at a time."""
+    rng = np.random.default_rng(seed)
+    pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    tree_set = set(pairs)
+    chosen = set()
+    while len(pairs) < n - 1 + extra:
+        u, v = sorted((int(rng.integers(0, n)), int(rng.integers(0, n))))
+        if u == v or (u, v) in tree_set or (not multigraph and (u, v) in chosen):
+            continue
+        chosen.add((u, v))
+        pairs.append((u, v))
+    w = rng.uniform(weight_lo, weight_hi, len(pairs))
+    g = make_graph(n, [(i, j, wk) for (i, j), wk in zip(pairs, w)], range(n - 1))
+    if demand == "pair":
+        a, b = rng.choice(n, size=2, replace=False)
+        d = np.zeros(n)
+        d[int(a)], d[int(b)] = 1.0, -1.0
+    else:
+        d = rng.standard_normal(n)
+        d -= d.mean()
+    return g, d / np.linalg.norm(d)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from reswitch import cli, graphs
 from reswitch.errors import InvalidInputError
 
@@ -67,6 +68,33 @@ def test_default_budget_splits_free_edges():
     assert cli.default_budget(g) == 9 + 4
     tree, _ = cli.generate_instance(10, 0, seed=0)
     assert cli.default_budget(tree) == 9
+
+
+@pytest.mark.parametrize("args, kwargs, digest", [
+    ((12, 8), dict(seed=7),
+     "b620626af2807686f1fe3cb847b6988b01027bcf01e11b4b2def2e68c7d1ddcb"),
+    ((200, 300), dict(seed=3, demand="gauss"),
+     "8660f86abe356660ca646e88a18a45d5d1c4d61759e579ef690e708878f7a398"),
+    ((3000, 6000), dict(seed=1, multigraph=True),
+     "d9af7a3af17882a4bd6da190f70c589ed72cf6b099332510b52fb525fcc0bbf9"),
+])
+def test_generated_instances_are_pinned(tmp_path, args, kwargs, digest):
+    g, d = cli.generate_instance(*args, **kwargs)
+    q = cli.default_budget(g)
+    assert cli.instance_digest(g, d, q) == digest
+    graphs.write_instance(tmp_path / "inst.txt", g, d, q)
+    assert cli.instance_digest(*graphs.read_instance(tmp_path / "inst.txt")) == digest
+
+
+@pytest.mark.parametrize("n, extra, multigraph", [
+    (2, 0, False), (12, 8, False), (40, 700, False), (30, 406, False),  # 406: complete graph
+    (25, 60, True), (300, 900, True)])
+def test_generator_matches_one_pair_at_a_time_reference(n, extra, multigraph):
+    for seed, demand in [(0, "pair"), (17, "gauss")]:
+        g, d = cli.generate_instance(n, extra, seed, demand=demand, multigraph=multigraph)
+        g_ref, d_ref = oracles.generate_instance_loop(n, extra, seed, demand=demand,
+                                                      multigraph=multigraph)
+        assert graphs.instance_text(g, d, 1) == graphs.instance_text(g_ref, d_ref, 1)
 
 
 def test_digest_tracks_budget():
@@ -139,10 +167,31 @@ def test_missing_input_exits_2(tmp_path, capsys):
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for raw, culprit in [({"n": 8, "extras": 3}, "extras"),
-                         ({"n": 10, "extra": 5, "alpha": "0.1"}, "alpha")]:
+                         ({"n": 10, "extra": 5, "alpha": "0.1"}, "alpha"),
+                         ({"n": 10, "extra": 5, "repeats": 0}, "repeats")]:
         cfg.write_text(json.dumps(raw))
         assert cli.main(["experiment", "--config", str(cfg)]) == 2
         assert culprit in capsys.readouterr().err
+
+
+def test_round_zero_repeats_exits_2(tmp_path, capsys):
+    inst = gen(tmp_path, n=8, extra=4, seed=1)
+    run_json(["solve", "--input", str(inst)], tmp_path / "sol.json")
+    assert cli.main(["round", "--input", str(inst), "--solution",
+                     str(tmp_path / "sol.json"), "--repeats", "0"]) == 2
+    assert "repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edges, demand", [
+    ("1 2 1.0 1\n2 3 1.0 1\n1 3 inf 0", "0.5 0.0 -0.5"),   # off-backbone weight
+    ("1 2 1.0 1\n2 3 1.0 1\n1 3 1.0 0", "0.5 nan -0.5"),   # demand entry
+    ("1 2 inf 1\n2 3 1.0 1\n1 3 1.0 0", "0.5 0.0 -0.5"),   # backbone weight
+])
+def test_non_finite_input_exits_2(tmp_path, capsys, edges, demand):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(f"3 3 3\n{edges}\n{demand}\n")
+    assert cli.main(["solve", "--input", str(inst)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_enumeration_cap_exits_4(tmp_path, capsys):
@@ -246,6 +295,12 @@ def test_bench_reports_per_iteration_times(tmp_path, capsys):
     assert [d["record"]["m"] for d in docs] == [45, 60]
     assert all(d["timing"]["per_iteration_s"] >= 0.0 for d in docs)
     assert all("per_iteration_s" not in d["record"] for d in docs)
+
+
+@pytest.mark.parametrize("sizes", ["30x45", "30:abc"])
+def test_bench_rejects_malformed_sizes(capsys, sizes):
+    assert cli.main(["bench", "--sizes", sizes]) == 2
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_config_file_round_trip(tmp_path):

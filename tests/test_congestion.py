@@ -89,8 +89,8 @@ def test_homogeneity_identity():
 
 def test_phi_scales_inversely():
     # degree -1 homogeneity, on a backbone-free graph so c*s stays feasible
-    g = graphs.Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)),
-                     backbone=frozenset())
+    g = graphs.Graph(n=3, ei=[0, 1, 0], ej=[1, 2, 2], w=[1.0, 1.0, 1.0],
+                     backbone_mask=[False, False, False])
     d = np.array([1.0, 0.0, -1.0])
     s = np.array([1.0, 0.8, 0.6])
     base = congestion.phi(g, s, d)

@@ -9,8 +9,8 @@ from reswitch.errors import InvalidInputError
 
 
 def no_backbone_path(m):
-    edges = tuple((k, k + 1, 1.0) for k in range(m))
-    return graphs.Graph(n=m + 1, edges=edges, backbone=frozenset())
+    return graphs.Graph(n=m + 1, ei=np.arange(m), ej=np.arange(1, m + 1), w=np.ones(m),
+                        backbone_mask=np.zeros(m, dtype=bool))
 
 
 def instance(seed, n=8, extra=6, **kw):

@@ -29,28 +29,52 @@ def test_validate_accepts_triangle():
 
 
 def test_validate_flags_endpoint_out_of_range():
-    g = graphs.Graph(n=2, edges=((0, 5, 1.0),), backbone=frozenset([0]))
+    g = graphs.Graph(n=2, ei=[0], ej=[5], w=[1.0], backbone_mask=[True])
     assert any("out of range" in p for p in graphs.validate(g))
 
 
 def test_validate_flags_self_loop():
-    g = graphs.Graph(n=2, edges=((1, 1, 1.0), (0, 1, 1.0)), backbone=frozenset([1]))
+    g = graphs.Graph(n=2, ei=[1, 0], ej=[1, 1], w=[1.0, 1.0], backbone_mask=[False, True])
     assert any("self-loop" in p for p in graphs.validate(g))
 
 
 def test_validate_flags_nonpositive_weight():
-    g = graphs.Graph(n=2, edges=((0, 1, 0.0),), backbone=frozenset([0]))
+    g = graphs.Graph(n=2, ei=[0], ej=[1], w=[0.0], backbone_mask=[True])
     assert any("weight" in p for p in graphs.validate(g))
 
 
+@pytest.mark.parametrize("w", [np.inf, np.nan])
+def test_validate_flags_non_finite_weight(w):
+    g = graphs.Graph(n=3, ei=[0, 1, 0], ej=[1, 2, 2], w=[1.0, 1.0, w],
+                     backbone_mask=[True, True, False])
+    assert graphs.validate(g) == ["non-finite weight at edge 2"]
+
+
 def test_validate_flags_nonspanning_backbone():
-    g = graphs.Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)), backbone=frozenset([0]))
+    g = graphs.Graph(n=3, ei=[0, 1], ej=[1, 2], w=[1.0, 1.0], backbone_mask=[True, False])
     assert any("span" in p for p in graphs.validate(g))
+    # one message per unreached component, naming its lowest node
+    g = graphs.Graph(n=5, ei=[3, 0, 2], ej=[4, 1, 3], w=[1.0] * 3,
+                     backbone_mask=[True, True, False])
+    assert graphs.validate(g) == ["backbone does not span node 2",
+                                  "backbone does not span node 3"]
 
 
 def test_make_graph_rejects_invalid():
     with pytest.raises(InvalidInputError):
         graphs.make_graph(3, [(0, 1, 1.0)], [0])  # backbone misses node 2
+    with pytest.raises(InvalidInputError, match="backbone index 1 out of range"):
+        graphs.make_graph(2, [(0, 1, 1.0)], [0, 1])
+
+
+def test_graph_arrays_are_read_only():
+    g = triangle()
+    with pytest.raises(ValueError):
+        g.w[0] = 2.0
+    for arr in (g.ei, g.ej, g.w, g.backbone_mask):
+        assert not arr.flags.writeable
+    with pytest.raises(InvalidInputError):
+        graphs.Graph(n=2, ei=[0], ej=[1], w=[1.0, 1.0], backbone_mask=[True])
 
 
 def test_check_switch_accepts_fractional():
@@ -81,6 +105,8 @@ def test_check_demand_requires_zero_sum():
         graphs.check_demand(g, [1.0, 0.0, -0.5])
     with pytest.raises(InvalidInputError):
         graphs.check_demand(g, [1.0, -1.0])
+    with pytest.raises(InvalidInputError, match="finite"):
+        graphs.check_demand(g, [1.0, np.nan, -1.0])
 
 
 # --- Laplacian assembly ----------------------------------------------------
@@ -205,7 +231,7 @@ def test_algebraic_connectivity_complete_graph():
 
 def test_algebraic_connectivity_zero_when_disconnected():
     # test-only graph without a backbone so a switch can cut it
-    g = graphs.Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)), backbone=frozenset())
+    g = graphs.Graph(n=3, ei=[0, 1], ej=[1, 2], w=[1.0, 1.0], backbone_mask=[False, False])
     assert abs(graphs.algebraic_connectivity(g, np.array([1.0, 0.0]))) < 1e-12
 
 
@@ -252,6 +278,18 @@ def test_read_instance_rejects_bad_backbone_flag(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 1 1\n1 2 1.0 2\n0.5\n-0.5\n")
     with pytest.raises(InvalidInputError):
+        graphs.read_instance(path)
+
+
+@pytest.mark.parametrize("edge_lines, message", [
+    ("1 2 1.0 1\n2 3 1.0 2", "backbone flag at edge 1"),
+    ("1 2 1.0 1\n2 1.5 1.0 1", "parse error"),
+    ("1 2 x 1\n2 3 1.0 1", "parse error"),
+])
+def test_read_instance_rejects_malformed_tokens(tmp_path, edge_lines, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"3 2 2\n{edge_lines}\n0.5\n0.0\n-0.5\n")
+    with pytest.raises(InvalidInputError, match=message):
         graphs.read_instance(path)
 
 
