@@ -101,12 +101,13 @@ def generate_instance(n: int, extra: int, seed: int, weight_lo: float = 0.5,
     # Node v attaches to parent[v], a uniform earlier node: one draw per node.
     parent = np.concatenate([[-1], rng.integers(0, np.arange(1, n))])
     ei, ej = parent[1:], np.arange(1, n)
-    if not multigraph:
-        capacity = n * (n - 1) // 2 - (n - 1)
-        if extra > capacity:
-            raise InvalidInputError(
-                f"{extra} extra edges exceed simple-graph capacity {capacity}; "
-                "pass multigraph to allow parallel edges")
+    # Extra edges join node pairs off the tree. A multigraph may repeat
+    # them, but at n = 2 there is none to repeat.
+    capacity = n * (n - 1) // 2 - (n - 1)
+    if extra > capacity and (not multigraph or capacity == 0):
+        raise InvalidInputError(
+            f"{extra} extra edges exceed the {capacity} node pairs off the tree"
+            + ("" if multigraph else "; pass multigraph to allow parallel edges"))
     chosen = np.zeros(0, dtype=np.int64)  # keys u * n + v of the extra pairs so far
     while len(ei) < n - 1 + extra:
         # Draw spare candidate pairs and keep them in draw order up to the need-th

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs, solver
-from .errors import CapExceededError
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,17 +44,18 @@ def make_context(g: graphs.Graph, cfg: solver.SolverConfig) -> solver.SolveConte
     return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb], cfg)
 
 
-def _voltages(g, s, d, cfg, context, warm=True):
+def _voltages(g, s, d, cfg, context):
     cfg = cfg or solver.SolverConfig()
     s = graphs.check_switch(g, s)
     d = graphs.check_demand(g, d)
+    # At or below the threshold solve takes its exact dense path; assembling
+    # dense here costs less than densifying a sparse matrix there.
     if g.n <= cfg.dense_threshold:
         L = graphs.assemble_laplacian_dense(g, s)
-        return solver.exact_pinv_apply(L, d)
-    L = graphs.assemble_laplacian(g, s)
-    x0 = context.x_warm if (warm and context is not None) else None
-    res = solver.solve(L, d, cfg, context=context, x0=x0)
-    return res.x
+    else:
+        L = graphs.assemble_laplacian(g, s)
+    x0 = context.x_warm if context is not None else None
+    return solver.solve(L, d, cfg, context=context, x0=x0).x
 
 
 def phi(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
@@ -76,10 +76,9 @@ def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
                       zeta=np.sqrt(g.w) * delta, phi=float(d @ x), x=x)
 
 
-def exact_gradient(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
-                   dense_threshold: int = 2000) -> np.ndarray:
+def exact_gradient(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Machine-precision gradient via the dense pseudoinverse."""
-    _require_dense(g, dense_threshold)
+    solver.require_dense(g.n)
     s = graphs.check_switch(g, s)
     d = graphs.check_demand(g, d)
     L = graphs.assemble_laplacian_dense(g, s)
@@ -88,15 +87,14 @@ def exact_gradient(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
     return -g.w * delta ** 2
 
 
-def hessian_dense(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
-                  dense_threshold: int = 2000) -> HessianInfo:
+def hessian_dense(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> HessianInfo:
     """Exact Hessian of phi at s, built from the rank-structured factorization.
 
     opnorm_bound is the generic operator-norm bound 2 * phi(s); gsc_M is
     the self-concordance constant 3 ||w . rho_T||_2 with rho_T the edge
     resistances measured in the backbone subgraph.
     """
-    _require_dense(g, dense_threshold)
+    solver.require_dense(g.n)
     s = graphs.check_switch(g, s)
     d = graphs.check_demand(g, d)
     L = graphs.assemble_laplacian_dense(g, s)
@@ -130,27 +128,20 @@ def homogeneity_residual(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
     return resid / diff.phi if diff.phi > 0 else resid
 
 
-def total_effective_resistance(g: graphs.Graph, s: np.ndarray,
-                               dense_threshold: int = 2000) -> float:
+def total_effective_resistance(g: graphs.Graph, s: np.ndarray) -> float:
     """Kirchhoff index R(s) = n * trace(L_s^+), a connectivity diagnostic."""
-    _require_dense(g, dense_threshold)
+    solver.require_dense(g.n)
     s = graphs.check_switch(g, s)
     L = graphs.assemble_laplacian_dense(g, s)
     return g.n * float(np.trace(solver.pinv_laplacian(L)))
 
 
-def total_effective_resistance_gradient(g: graphs.Graph, s: np.ndarray,
-                                        dense_threshold: int = 2000) -> np.ndarray:
+def total_effective_resistance_gradient(g: graphs.Graph, s: np.ndarray) -> np.ndarray:
     """Gradient of R(s): entry e is -n * w_e * a_e^T L_s^{+2} a_e."""
-    _require_dense(g, dense_threshold)
+    solver.require_dense(g.n)
     s = graphs.check_switch(g, s)
     L = graphs.assemble_laplacian_dense(g, s)
     Lp = solver.pinv_laplacian(L)
     cols = Lp[:, g.ei] - Lp[:, g.ej]
     return -g.n * g.w * np.einsum("ij,ij->j", cols, cols)
 
-
-def _require_dense(g: graphs.Graph, dense_threshold: int) -> None:
-    if g.n > dense_threshold:
-        raise CapExceededError(
-            f"dense-only operation: n={g.n} exceeds threshold {dense_threshold}")

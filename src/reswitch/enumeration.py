@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs, solver
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError
 
 FREE_EDGE_CAP = 22
 KEEP_VALUES_CAP = 16
+BATCH = 1 << 14  # configurations solved per stacked dense solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,27 +40,21 @@ def config_from_mask(g: graphs.Graph, mask: int) -> np.ndarray:
     return s
 
 
-def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int,
-                      dense_threshold: int = 2000,
-                      batch: int = 1 << 14) -> EnumerationResult:
+def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int) -> EnumerationResult:
     """Exact minimizer of phi over binary s with backbone kept and ||s||_1 <= q.
 
     Ties break toward the smallest bitmask. all_values is retained only
     when the free-edge count is at most 16.
     """
     d = graphs.check_demand(g, d)
-    t_size = np.count_nonzero(g.backbone_mask)
-    if q < t_size:
-        raise InvalidInputError(f"budget q={q} is below the backbone size {t_size}")
-    if g.n > dense_threshold:
-        raise CapExceededError(f"enumeration needs n <= {dense_threshold}, got {g.n}")
+    t_size = graphs.check_budget(g, q)
+    solver.require_dense(g.n)
     free = free_edges(g)
     F = len(free)
     if F > FREE_EDGE_CAP:
         raise CapExceededError(f"{F} free edges exceed the enumeration cap {FREE_EDGE_CAP}")
 
     LT = graphs.assemble_laplacian_dense(g, g.backbone_indicator())
-    J = np.full((g.n, g.n), 1.0 / g.n)
     k, i, j, w = np.arange(F), g.ei[free], g.ej[free], g.w[free]
     elem = np.zeros((F, g.n, g.n))
     elem[k, i, i] = elem[k, j, j] = w
@@ -72,15 +67,14 @@ def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int,
     values: dict[int, float] | None = {} if F <= KEEP_VALUES_CAP else None
     shifts = np.arange(F, dtype=np.uint64)
 
-    for lo in range(0, 1 << F, batch):
-        masks = np.arange(lo, min(lo + batch, 1 << F), dtype=np.uint64)
+    for lo in range(0, 1 << F, BATCH):
+        masks = np.arange(lo, min(lo + BATCH, 1 << F), dtype=np.uint64)
         bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(float)
         keep = bits.sum(axis=1) <= head
         if not keep.any():
             continue
         masks, bits = masks[keep], bits[keep]
-        L = LT[None, :, :] + np.tensordot(bits, elem, axes=1) + J[None, :, :]
-        X = np.linalg.solve(L, d[:, None])[:, :, 0]
+        X = solver.exact_pinv_apply(LT[None, :, :] + np.tensordot(bits, elem, axes=1), d)
         phis = X @ d
         evaluated += len(masks)
         if values is not None:

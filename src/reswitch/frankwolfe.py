@@ -72,9 +72,7 @@ def lmo_top_q(grad: np.ndarray, g: graphs.Graph, q: int) -> np.ndarray:
     gradient entries; ties, including zero entries, break toward lower
     edge index. The result has exactly min(q, m) ones.
     """
-    t_size = np.count_nonzero(g.backbone_mask)
-    if q < t_size:
-        raise InvalidInputError(f"budget q={q} is below the backbone size {t_size}")
+    t_size = graphs.check_budget(g, q)
     grad = np.asarray(grad, dtype=float)
     off = np.flatnonzero(~g.backbone_mask)
     k = min(q, g.m) - t_size
@@ -118,9 +116,7 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig,
     The budget ||s_t||_1 <= q and backbone pinning hold at every iterate.
     """
     d = graphs.check_demand(g, d)
-    t_size = np.count_nonzero(g.backbone_mask)
-    if cfg.q < t_size:
-        raise InvalidInputError(f"budget q={cfg.q} is below the backbone size {t_size}")
+    graphs.check_budget(g, cfg.q)
     if context is None:
         context = congestion.make_context(g, cfg.solver)
     bb = g.backbone_mask

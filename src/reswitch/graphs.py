@@ -152,6 +152,14 @@ def check_demand(g: Graph, d: np.ndarray) -> np.ndarray:
     return d
 
 
+def check_budget(g: Graph, q: int) -> int:
+    """Validate an edge budget, which must cover the always-on backbone; return |T|."""
+    t_size = int(np.count_nonzero(g.backbone_mask))
+    if q < t_size:
+        raise InvalidInputError(f"budget q={q} is below the backbone size {t_size}")
+    return t_size
+
+
 def assemble_laplacian(g: Graph, s: np.ndarray) -> sp.csr_matrix:
     """Switched Laplacian L_s = sum_e s_e w_e a_e a_e^T as sparse CSR."""
     s = check_switch(g, s)
@@ -174,46 +182,29 @@ def assemble_laplacian_dense(g: Graph, s: np.ndarray) -> np.ndarray:
     return L
 
 
-def effective_resistances(g: Graph, s: np.ndarray,
-                          cfg: solver.SolverConfig | None = None,
-                          dense_threshold: int = 2000) -> np.ndarray:
-    """Per-edge effective resistance rho_e = a_e^T L_s^+ a_e.
-
-    Uses the dense pseudoinverse below dense_threshold, otherwise one
-    iterative solve per edge.
-    """
-    s = check_switch(g, s)
-    if g.n <= dense_threshold:
-        L = assemble_laplacian_dense(g, s)
-        Lp = solver.pinv_laplacian(L)
-        return Lp[g.ei, g.ei] + Lp[g.ej, g.ej] - 2.0 * Lp[g.ei, g.ej]
-    cfg = cfg or solver.SolverConfig()
-    L = assemble_laplacian(g, s)
-    ctx = solver.context_from_edges(g.n, g.ei[g.backbone_mask], g.ej[g.backbone_mask],
-                                    (s * g.w)[g.backbone_mask], cfg)
-    rho = np.empty(g.m)
-    for k in range(g.m):
-        a = np.zeros(g.n)
-        a[g.ei[k]] = 1.0
-        a[g.ej[k]] = -1.0
-        res = solver.solve(L, a, cfg, context=ctx)
-        rho[k] = a @ res.x
-    return rho
+def effective_resistances(g: Graph, s: np.ndarray) -> np.ndarray:
+    """Per-edge effective resistance rho_e = a_e^T L_s^+ a_e (dense-only)."""
+    solver.require_dense(g.n)
+    Lp = solver.pinv_laplacian(assemble_laplacian_dense(g, s))
+    return Lp[g.ei, g.ei] + Lp[g.ej, g.ej] - 2.0 * Lp[g.ei, g.ej]
 
 
-def leverages(g: Graph, s: np.ndarray, **kw) -> np.ndarray:
+def leverages(g: Graph, s: np.ndarray) -> np.ndarray:
     """Leverage scores l_e = s_e * w_e * rho_e(s), each in [0,1].
 
     For connected binary s the active leverages sum to n-1 (Foster).
     """
     s = check_switch(g, s)
-    return s * g.w * effective_resistances(g, s, **kw)
+    return s * g.w * effective_resistances(g, s)
 
 
-def algebraic_connectivity(g: Graph, s: np.ndarray, dense_threshold: int = 2000) -> float:
-    """Second-smallest eigenvalue of L_s; positive iff the graph is connected."""
+def algebraic_connectivity(g: Graph, s: np.ndarray) -> float:
+    """Second-smallest eigenvalue of L_s; positive iff the graph is connected.
+
+    Dense up to solver.DENSE_CAP nodes, LOBPCG above.
+    """
     s = check_switch(g, s)
-    if g.n <= dense_threshold:
+    if g.n <= solver.DENSE_CAP:
         L = assemble_laplacian_dense(g, s)
         return float(np.linalg.eigvalsh(L)[1])
     L = assemble_laplacian(g, s)

@@ -39,11 +39,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
-from .errors import InvalidInputError, NumericalError, StructuralError
+from .errors import CapExceededError, InvalidInputError, NumericalError, StructuralError
 
 PRECONDITIONERS = ("backbone_tree", "jacobi", "none", "amg", "auto")
 AMG_AUTO_THRESHOLD = 3000
 BOUND_INTERVAL = 16
+# Largest node count for the dense-only operations (resistances, Hessian,
+# Kirchhoff index, enumeration): an n x n dense matrix and its O(n^3) solve.
+DENSE_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -80,25 +83,48 @@ def _as_dense(L) -> np.ndarray:
     return L.toarray() if sp.issparse(L) else np.asarray(L, dtype=float)
 
 
-def pinv_laplacian(L) -> np.ndarray:
-    """Exact pseudoinverse of a connected Laplacian via inv(L + J/n) - J/n."""
-    Ld = _as_dense(L)
-    n = Ld.shape[0]
-    J = np.full((n, n), 1.0 / n)
+def require_dense(n: int) -> None:
+    """Refuse a dense-only operation on more than DENSE_CAP nodes."""
+    if n > DENSE_CAP:
+        raise CapExceededError(f"dense-only operation: n={n} exceeds the dense cap {DENSE_CAP}")
+
+
+def _shifted_solve(L: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Zero-mean X with L X = D, for a connected Laplacian L or a stack of them.
+
+    The columns of D (n x r, or broadcast against a stack) must sum to
+    zero. Adding 1/n to every entry of L adds the eigenvalue 1 on the ones
+    vector and leaves L unchanged on the zero-mean subspace, so L + 1/n is
+    nonsingular exactly when L is a connected Laplacian, and one dense
+    solve with it gives L^+ D up to a multiple of the ones vector.
+    """
+    B = L + 1.0 / L.shape[-1]
     try:
-        inv = np.linalg.inv(Ld + J)
+        X = np.linalg.solve(B, D)
     except np.linalg.LinAlgError as exc:
         raise StructuralError("matrix is not a connected graph Laplacian") from exc
-    probe = project_zero_mean(np.arange(n, dtype=float)) if n > 1 else np.zeros(1)
-    if np.linalg.norm(Ld @ (inv @ probe) - probe) > 1e-6 * max(np.linalg.norm(probe), 1.0):
+    # ||B x - d|| <= 1e-8 ||d|| for every column, compared squared.
+    R = B @ X - D
+    if not ((R * R).sum(axis=-2) <= 1e-16 * (D * D).sum(axis=-2)).all():
         raise StructuralError("matrix is not a connected graph Laplacian")
-    return inv - J
+    return X - X.sum(axis=-2, keepdims=True) / X.shape[-2]
+
+
+def pinv_laplacian(L) -> np.ndarray:
+    """Exact pseudoinverse of a connected Laplacian: the zero-mean X with L X = I - 1/n."""
+    Ld = _as_dense(L)
+    n = Ld.shape[0]
+    return _shifted_solve(Ld, np.eye(n) - 1.0 / n)
 
 
 def exact_pinv_apply(L, d: np.ndarray) -> np.ndarray:
-    """Machine-precision L^+ d for a connected Laplacian (dense path)."""
+    """Machine-precision L^+ d for a connected Laplacian (dense path).
+
+    L may also be a stack (k, n, n) of Laplacians; the result is then the
+    (k, n) stack of their L^+ d.
+    """
     Ld = _as_dense(L)
-    n = Ld.shape[0]
+    n = Ld.shape[-1]
     d = np.asarray(d, dtype=float)
     if d.shape != (n,):
         raise InvalidInputError("demand length does not match matrix size")
@@ -106,15 +132,8 @@ def exact_pinv_apply(L, d: np.ndarray) -> np.ndarray:
     if abs(d.sum()) > 1e-12 * max(nrm, 1e-300):
         raise InvalidInputError("demand must be orthogonal to the ones vector")
     if nrm == 0.0:
-        return np.zeros(n)
-    B = Ld + np.full((n, n), 1.0 / n)
-    try:
-        x = np.linalg.solve(B, d)
-    except np.linalg.LinAlgError as exc:
-        raise StructuralError("matrix is not a connected graph Laplacian") from exc
-    if np.linalg.norm(B @ x - d) > 1e-8 * nrm:
-        raise StructuralError("matrix is not a connected graph Laplacian")
-    return project_zero_mean(x)
+        return np.zeros(Ld.shape[:-1])
+    return _shifted_solve(Ld, d[:, None])[..., 0]
 
 
 class TreeFactor:
@@ -260,6 +279,11 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
     """
     cfg = cfg or SolverConfig()
     n = L.shape[0]
+    if n <= cfg.dense_threshold:
+        x = exact_pinv_apply(L, d)  # checks d as below
+        if context is not None:
+            context.x_warm = x
+        return SolveResult(x, 0, 0.0, True)
     d = np.asarray(d, dtype=float)
     if d.shape != (n,):
         raise InvalidInputError("demand length does not match matrix size")
@@ -267,11 +291,6 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
         raise InvalidInputError("demand must be orthogonal to the ones vector")
     if not np.any(d):
         return SolveResult(np.zeros(n), 0, 0.0, True)
-    if n <= cfg.dense_threshold:
-        x = exact_pinv_apply(L, d)
-        if context is not None:
-            context.x_warm = x
-        return SolveResult(x, 0, 0.0, True)
 
     if context is None:
         context = context_from_laplacian(L, cfg)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 from reswitch.graphs import Graph, make_graph
 
@@ -82,6 +83,20 @@ def hessian_entrywise(g: Graph, s, d) -> np.ndarray:
             rho = Lp[ik, il] - Lp[ik, jl] - Lp[jk, il] + Lp[jk, jl]
             H[k, l] = 2.0 * dk * dl * wk * wl * rho
     return H
+
+
+def sandwich_pencil_eigenvalues(g: Graph, sbar, sampled) -> np.ndarray:
+    """Eigenvalues of the pencil (L_sampled, L_sbar) on the zero-mean subspace.
+
+    Both Laplacians are restricted to an explicit orthonormal basis of the
+    vectors orthogonal to the ones vector.
+    """
+    full = np.eye(g.n) - np.full((g.n, g.n), 1.0 / g.n)
+    vals, vecs = np.linalg.eigh(full)
+    U = vecs[:, vals > 0.5]
+    L0 = laplacian(g.n, g.edges, sbar)
+    L1 = laplacian(g.n, g.edges, sampled)
+    return scipy.linalg.eigh(U.T @ L1 @ U, U.T @ L0 @ U, eigvals_only=True)
 
 
 def kirchhoff_index(g: Graph, s) -> float:

@@ -58,9 +58,10 @@ def test_generate_multigraph_allows_parallels():
 
 
 def test_generate_rejects_impossible_extra(tmp_path):
-    rc = cli.main(["generate", "--n", "3", "--extra", "10",
-                   "--output", str(tmp_path / "x.txt")])
-    assert rc == 2
+    # n = 2 has no node pair off the tree, not even for a multigraph.
+    for argv in (["--n", "3", "--extra", "10"], ["--n", "2", "--extra", "1", "--multigraph"]):
+        rc = cli.main(["generate", *argv, "--output", str(tmp_path / "x.txt")])
+        assert rc == 2
 
 
 def test_default_budget_splits_free_edges():
@@ -155,6 +156,15 @@ def test_round_respects_budget_with_custom_q(tmp_path):
                    tmp_path / "r.json")
     assert doc["record"]["q"] == 11
     assert all(dr["edges_on"] == 11 for dr in doc["record"]["draws"])
+
+
+def test_round_rejects_budget_below_backbone(tmp_path, capsys):
+    inst = gen(tmp_path, n=8, extra=4, seed=1)  # 7 backbone edges
+    run_json(["solve", "--input", str(inst)], tmp_path / "sol.json")
+    rc = cli.main(["round", "--input", str(inst), "--solution", str(tmp_path / "sol.json"),
+                   "--q", "3"])
+    assert rc == 2
+    assert "below the backbone size 7" in capsys.readouterr().err
 
 
 # --- exit codes --------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from reswitch import congestion, graphs, solver
+from reswitch import congestion, enumeration, graphs, solver
 from reswitch.errors import CapExceededError
 
 
@@ -185,9 +185,24 @@ def test_kirchhoff_gradient_is_nonpositive():
     assert np.all(congestion.total_effective_resistance_gradient(g, s) <= 0.0)
 
 
-def test_dense_only_operations_respect_cap():
+DENSE_ONLY = {
+    "effective_resistances": lambda g, s, d: graphs.effective_resistances(g, s),
+    "leverages": lambda g, s, d: graphs.leverages(g, s),
+    "exact_gradient": congestion.exact_gradient,
+    "hessian_dense": congestion.hessian_dense,
+    "total_effective_resistance":
+        lambda g, s, d: congestion.total_effective_resistance(g, s),
+    "total_effective_resistance_gradient":
+        lambda g, s, d: congestion.total_effective_resistance_gradient(g, s),
+    "enumerate_optimal": lambda g, s, d: enumeration.enumerate_optimal(g, d, g.m),
+}
+
+
+@pytest.mark.parametrize("op", DENSE_ONLY.values(), ids=DENSE_ONLY.keys())
+def test_dense_only_operations_respect_cap(monkeypatch, op):
     g, s, d = instance(24)
-    with pytest.raises(CapExceededError):
-        congestion.hessian_dense(g, s, d, dense_threshold=2)
-    with pytest.raises(CapExceededError):
-        congestion.total_effective_resistance(g, s, dense_threshold=2)
+    monkeypatch.setattr(solver, "DENSE_CAP", g.n)
+    op(g, s, d)
+    monkeypatch.setattr(solver, "DENSE_CAP", g.n - 1)
+    with pytest.raises(CapExceededError, match="dense cap"):
+        op(g, s, d)

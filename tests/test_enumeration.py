@@ -102,12 +102,6 @@ def test_free_edge_cap():
         enumeration.enumerate_optimal(g, np.array([1.0, -1.0]), g.m)
 
 
-def test_dense_threshold_cap():
-    g, d = instance(8)
-    with pytest.raises(CapExceededError):
-        enumeration.enumerate_optimal(g, d, g.n, dense_threshold=2)
-
-
 def test_budget_below_backbone_rejected():
     g, d = instance(9)
     with pytest.raises(InvalidInputError):

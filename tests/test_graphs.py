@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from reswitch import graphs
+from reswitch import graphs, solver
 from reswitch.errors import InvalidInputError
 
 
@@ -185,15 +185,6 @@ def test_resistances_match_reference():
     assert_allclose(rho, want, rtol=1e-10, atol=1e-12)
 
 
-def test_resistances_iterative_path_matches_dense():
-    rng = np.random.default_rng(7)
-    g, _ = oracles.random_instance(rng, 12, 9)
-    s = oracles.random_fractional(rng, g)
-    dense = graphs.effective_resistances(g, s)
-    iterative = graphs.effective_resistances(g, s, dense_threshold=0)
-    assert_allclose(iterative, dense, rtol=1e-6)
-
-
 def test_foster_sum_for_connected_configurations():
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -235,12 +226,13 @@ def test_algebraic_connectivity_zero_when_disconnected():
     assert abs(graphs.algebraic_connectivity(g, np.array([1.0, 0.0]))) < 1e-12
 
 
-def test_algebraic_connectivity_sparse_path_agrees():
+def test_algebraic_connectivity_sparse_path_agrees(monkeypatch):
     rng = np.random.default_rng(11)
     g, _ = oracles.random_instance(rng, 60, 40)
     s = np.ones(g.m)
     dense = graphs.algebraic_connectivity(g, s)
-    sparse = graphs.algebraic_connectivity(g, s, dense_threshold=10)
+    monkeypatch.setattr(solver, "DENSE_CAP", 10)
+    sparse = graphs.algebraic_connectivity(g, s)
     assert abs(sparse - dense) < 1e-4 * dense
 
 

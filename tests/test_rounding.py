@@ -184,6 +184,15 @@ def test_resample_exhaustion_carries_last_draw():
     assert info.value.last_draw.sum() > g.n
 
 
+@pytest.mark.parametrize("repair", rounding.REPAIR_MODES)
+def test_sample_rejects_budget_below_backbone(repair):
+    g, _ = instance(12)
+    t_size = np.count_nonzero(g.backbone_mask)
+    params = rounding.RoundingParams(delta=0.1, repair=repair)
+    with pytest.raises(InvalidInputError, match="below the backbone size"):
+        rounding.sample(np.ones(g.m), g, t_size - 1, params)
+
+
 def test_sample_rejects_wrong_length():
     g, _ = instance(17)
     with pytest.raises(InvalidInputError):
@@ -256,6 +265,20 @@ def test_sandwich_check_tracks_leverage():
     sampled = np.array([1.0, 1.0, 0.0])
     assert rounding.sandwich_check(g, sbar, sampled, 2 / 3 + 1e-6)
     assert not rounding.sandwich_check(g, sbar, sampled, 2 / 3 - 1e-6)
+
+
+def test_sandwich_check_matches_zero_mean_basis_reference():
+    # The verdict flips where the reference pencil's extreme eigenvalue
+    # leaves [1 - eps, 1 + eps], on random fractional points and draws.
+    rng = np.random.default_rng(24)
+    for k in range(20):
+        g, _ = instance(40 + k, n=6 + k)
+        sbar = oracles.random_fractional(rng, g)
+        sampled = (rng.random(g.m) < sbar).astype(float)
+        vals = oracles.sandwich_pencil_eigenvalues(g, sbar, sampled)
+        gap = max(1.0 - vals.min(), vals.max() - 1.0)
+        assert rounding.sandwich_check(g, sbar, sampled, gap + 1e-7)
+        assert not rounding.sandwich_check(g, sbar, sampled, gap - 1e-7)
 
 
 def test_sample_runs_sandwich_on_request():

@@ -90,6 +90,23 @@ def test_exact_pinv_apply_zero_demand():
     assert_allclose(solver.exact_pinv_apply(L, np.zeros(2)), np.zeros(2))
 
 
+def test_exact_pinv_apply_on_a_stack_matches_per_matrix_calls():
+    g, _, d = instance(3, n=15, extra=10)
+    rng = np.random.default_rng(3)
+    Ls = np.stack([graphs.assemble_laplacian_dense(g, oracles.random_fractional(rng, g))
+                   for _ in range(6)])
+    X = solver.exact_pinv_apply(Ls, d)
+    assert X.shape == (6, g.n)
+    for L, x in zip(Ls, X):
+        assert_allclose(x, solver.exact_pinv_apply(L, d), rtol=1e-14, atol=1e-15)
+    assert_allclose(solver.exact_pinv_apply(Ls, np.zeros(g.n)), np.zeros((6, g.n)))
+    # Cutting node 0 off one member disconnects it, which fails the stack.
+    Ls[4, 0, 1:] = Ls[4, 1:, 0] = 0.0
+    Ls[4][np.diag_indices(g.n)] -= Ls[4].sum(axis=1)
+    with pytest.raises(StructuralError):
+        solver.exact_pinv_apply(Ls, d)
+
+
 # --- tree factorization ------------------------------------------------------
 
 def test_tree_factor_matches_pinv():
