@@ -39,9 +39,14 @@ class HessianInfo:
 
 
 def make_context(g: graphs.Graph, cfg: solver.SolverConfig) -> solver.SolveContext:
-    """Solve context keyed to the graph's backbone (preconditioner, warm start)."""
+    """Solve context keyed to the graph's backbone (preconditioner, warm start).
+
+    Every edge of g is in the pattern the context may solve, so auto's fill
+    probe runs on all of them.
+    """
     bb = g.backbone_mask
-    return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb], cfg)
+    return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb], cfg,
+                                     pattern=(g.ei, g.ej))
 
 
 def _voltages(g, s, d, cfg, context):

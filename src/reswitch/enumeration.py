@@ -17,7 +17,9 @@ from .errors import CapExceededError
 
 FREE_EDGE_CAP = 22
 KEEP_VALUES_CAP = 16
-BATCH = 1 << 14  # configurations solved per stacked dense solve
+# Bytes of stacked n x n Laplacians per batched dense solve: a batch holds
+# BATCH_BYTES // (8 n^2) configurations, so its memory does not grow with n.
+BATCH_BYTES = 8 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +68,10 @@ def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int) -> EnumerationResu
     evaluated = 0
     values: dict[int, float] | None = {} if F <= KEEP_VALUES_CAP else None
     shifts = np.arange(F, dtype=np.uint64)
+    batch = max(1, BATCH_BYTES // (8 * g.n * g.n))
 
-    for lo in range(0, 1 << F, BATCH):
-        masks = np.arange(lo, min(lo + BATCH, 1 << F), dtype=np.uint64)
+    for lo in range(0, 1 << F, batch):
+        masks = np.arange(lo, min(lo + batch, 1 << F), dtype=np.uint64)
         bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(float)
         keep = bits.sum(axis=1) <= head
         if not keep.any():

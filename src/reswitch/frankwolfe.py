@@ -78,9 +78,7 @@ def lmo_top_q(grad: np.ndarray, g: graphs.Graph, q: int) -> np.ndarray:
     k = min(q, g.m) - t_size
     v = np.zeros(g.m)
     v[g.backbone_mask] = 1.0
-    if k > 0 and len(off):
-        order = np.lexsort((off, grad[off]))
-        v[off[order[:k]]] = 1.0
+    v[off[graphs.smallest_k(grad[off], k)]] = 1.0
     return v
 
 

@@ -160,6 +160,23 @@ def check_budget(g: Graph, q: int) -> int:
     return t_size
 
 
+def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest entries of values, ties toward lower position.
+
+    The same set as the first k of np.lexsort((positions, values)), found in
+    O(len) by a partition to the k-th value, and returned in ascending order.
+    """
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    if k >= len(values):
+        return np.arange(len(values))
+    kth = np.partition(values, k - 1)[k - 1]
+    pick = values < kth
+    ties = np.flatnonzero(values == kth)
+    pick[ties[: k - np.count_nonzero(pick)]] = True
+    return np.flatnonzero(pick)
+
+
 def assemble_laplacian(g: Graph, s: np.ndarray) -> sp.csr_matrix:
     """Switched Laplacian L_s = sum_e s_e w_e a_e a_e^T as sparse CSR."""
     s = check_switch(g, s)

@@ -137,17 +137,21 @@ def _trim_and_fill(draw: np.ndarray, sbar: np.ndarray, g: graphs.Graph,
     count = int(draw.sum())
     if count > target:
         on = np.flatnonzero(draw & ~g.backbone_mask)
-        order = np.lexsort((on, sbar[on]))
-        for k in on[order[: count - target]]:
+        for k in _in_order(on, sbar[on], count - target):
             draw[k] = False
             repairs.append((int(k), "removed"))
     elif count < target:
         offe = np.flatnonzero(~draw)
-        order = np.lexsort((offe, -sbar[offe]))
-        for k in offe[order[: target - count]]:
+        for k in _in_order(offe, -sbar[offe], target - count):
             draw[k] = True
             repairs.append((int(k), "added"))
     return draw, repairs
+
+
+def _in_order(edges: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+    """The k edges of lowest key (ties toward lower index), in that order."""
+    pick = graphs.smallest_k(keys, k)
+    return edges[pick[np.lexsort((pick, keys[pick]))]]
 
 
 def sandwich_epsilon(g: graphs.Graph, sbar: np.ndarray, delta: float) -> float:

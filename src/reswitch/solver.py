@@ -12,15 +12,19 @@ Combined with the lower bound 2 d^T x - x^T L x <= d^T L^+ d this yields a
 deterministic certificate, whatever preconditioner drives the iteration.
 
 Preconditioners: backbone_tree (default; the grounded backbone factor),
-jacobi, none, amg (smoothed aggregation via pyamg), and auto. Below
-AMG_AUTO_THRESHOLD nodes auto is backbone_tree. At or above it, auto is amg
-when pyamg is installed and otherwise jacobi, except on a Laplacian with the
-backbone's own sparsity pattern (the switch vector at the backbone indicator,
-where optimization starts): there L_s = L_T, the backbone factor is exact and
-CG takes one iteration. Tree-preconditioned CG needs hundreds to thousands of
-iterations once the switch vector moves off the backbone, Jacobi needs tens
-on expander-like graphs. Exact dense solves are used below a configurable
-node-count threshold and as the test oracle.
+jacobi, none, direct (a sparse LU of the grounded L_s itself, built once per
+solve) and auto. Below AUTO_THRESHOLD nodes auto is backbone_tree. At or
+above it, auto is direct when a fill probe finds the widest pattern the
+context will solve low-fill, and jacobi otherwise: the probe compares the
+envelope of a reverse Cuthill-McKee order with FILL_BUDGET nonzeros per edge.
+Planar, grid-like graphs pass it and their factor is cheap; expander-like
+graphs fail it, and there Jacobi needs only tens of iterations. On a
+Laplacian with the backbone's own sparsity pattern (the switch vector at the
+backbone indicator, where optimization starts) auto uses the backbone factor,
+which is exact there: L_s = L_T. Under direct or an exact backbone factor CG
+takes one iteration, and the solution still has to pass the stopping bound
+below, so a poor factor can cost time but never accuracy. Exact dense solves
+are used below a configurable node-count threshold and as the test oracle.
 
 Under the tree preconditioner the bound r^T L_T^+ r is the CG quantity
 r^T z and costs nothing. Under any other it costs a backbone solve, so it is
@@ -37,12 +41,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+from scipy.sparse.csgraph import (connected_components, minimum_spanning_tree,
+                                  reverse_cuthill_mckee)
 
 from .errors import CapExceededError, InvalidInputError, NumericalError, StructuralError
 
-PRECONDITIONERS = ("backbone_tree", "jacobi", "none", "amg", "auto")
-AMG_AUTO_THRESHOLD = 3000
+PRECONDITIONERS = ("backbone_tree", "jacobi", "none", "direct", "auto")
+AUTO_THRESHOLD = 3000
+# Reverse Cuthill-McKee envelope per edge up to which auto solves directly.
+# Grids of 80 x 80 to 300 x 300 come to 27-101 (their minimum-degree factors,
+# which the solves use, to 17.5-28 nonzeros per edge); CLI expanders of 3000
+# nodes and more come to 264 and up.
+FILL_BUDGET = 128
 BOUND_INTERVAL = 16
 # Largest node count for the dense-only operations (resistances, Hessian,
 # Kirchhoff index, enumeration): an n x n dense matrix and its O(n^3) solve.
@@ -136,6 +146,51 @@ def exact_pinv_apply(L, d: np.ndarray) -> np.ndarray:
     return _shifted_solve(Ld, d[:, None])[..., 0]
 
 
+def _grounded_factor(L):
+    """r -> L^+ r for a connected Laplacian L, by one sparse LU of L[1:, 1:].
+
+    Grounding node 0 leaves a symmetric positive definite matrix, so the
+    factor needs no pivoting; a minimum-degree order on its symmetric
+    pattern keeps the fill low. r must be orthogonal to 1; the result has
+    zero mean.
+    """
+    n = L.shape[0]
+    if n == 1:
+        return lambda r: np.zeros(1)
+    try:
+        lu = spla.splu(sp.csc_matrix(L)[1:, 1:], permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                       options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise StructuralError("matrix is not a connected graph Laplacian") from exc
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        x = np.empty(n)
+        x[0] = 0.0
+        x[1:] = lu.solve(r[1:])
+        return project_zero_mean(x)
+    return apply
+
+
+def _low_fill(n: int, ei: np.ndarray, ej: np.ndarray) -> bool:
+    """O(m) fill probe: is the graph's Cuthill-McKee envelope within FILL_BUDGET?
+
+    The graph has n nodes and edges (ei, ej); the budget is per edge. In the
+    reverse Cuthill-McKee order the envelope counts, row by row of the
+    Laplacian, the entries between the first nonzero and the diagonal; a
+    factor in that order fills no more than that.
+    """
+    ones = np.ones(len(ei), dtype=np.int32)
+    A = sp.csr_matrix((ones, (ei, ej)), shape=(n, n))
+    order = reverse_cuthill_mckee(A + A.T, symmetric_mode=True)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    pi, pj = pos[ei], pos[ej]
+    first = np.arange(n)
+    np.minimum.at(first, np.maximum(pi, pj), np.minimum(pi, pj))
+    return int((np.arange(n) - first).sum()) <= FILL_BUDGET * len(ei)
+
+
 class TreeFactor:
     """Grounded factorization of a connected subgraph Laplacian L_T.
 
@@ -154,15 +209,7 @@ class TreeFactor:
         data = np.concatenate([w, w, -w, -w])
         LT = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
         self.nnz = int(np.count_nonzero(LT.data))
-        self._lu = spla.splu(LT[1:, 1:]) if n > 1 else None
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            return np.zeros(1)
-        x = np.empty(self.n)
-        x[0] = 0.0
-        x[1:] = self._lu.solve(r[1:])
-        return project_zero_mean(x)
+        self.apply = _grounded_factor(LT)
 
     def quadform(self, r: np.ndarray) -> float:
         """r^T L_T^+ r, the stopping-bound numerator."""
@@ -170,34 +217,29 @@ class TreeFactor:
 
 
 class SolveContext:
-    """Caller-owned cache: backbone factor, AMG hierarchy, warm-start voltages.
+    """Caller-owned cache: backbone factor, resolved mode, warm-start voltages.
 
-    mode is the resolved preconditioner. When auto resolves to jacobi (large
-    instance, no pyamg), a Laplacian with the backbone's sparsity pattern is
-    still preconditioned by the backbone factor, which is exact there. The
-    AMG hierarchy is reused across calls while it keeps working; it is
-    rebuilt lazily when iteration counts degrade past 3x the first solve
-    (the matrix drifts as the switch vector moves).
+    mode is the resolved preconditioner. pattern, the edges (ei, ej) of the
+    widest Laplacian the context will solve, feeds auto's fill probe at or
+    above AUTO_THRESHOLD nodes; without it auto resolves to jacobi there.
+    When auto resolves to jacobi or direct, a Laplacian with the backbone's
+    sparsity pattern is still preconditioned by the backbone factor, which
+    is exact there.
     """
 
-    def __init__(self, tree: TreeFactor, cfg: SolverConfig):
+    def __init__(self, tree: TreeFactor, cfg: SolverConfig, pattern=None):
         self.tree = tree
-        n = tree.n
         mode = cfg.preconditioner
         self._tree_on_backbone = False
         if mode == "auto":
-            if n < AMG_AUTO_THRESHOLD:
+            if tree.n < AUTO_THRESHOLD:
                 mode = "backbone_tree"
-            elif _pyamg() is not None:
-                mode = "amg"
             else:
-                mode, self._tree_on_backbone = "jacobi", True
-        if mode == "amg" and _pyamg() is None:
-            raise InvalidInputError("preconditioner 'amg' requires pyamg")
+                self._tree_on_backbone = True
+                low = pattern is not None and _low_fill(tree.n, *pattern)
+                mode = "direct" if low else "jacobi"
         self.mode = mode
         self.x_warm: np.ndarray | None = None
-        self._ml = None
-        self._baseline: int | None = None
 
     def on_tree(self, L) -> bool:
         """Whether a solve on L is preconditioned by the backbone factor."""
@@ -212,43 +254,24 @@ class SolveContext:
             return self.tree.apply
         if self.mode == "none":
             return lambda r: r
-        if self.mode == "jacobi":
-            diag = L.diagonal() if sp.issparse(L) else np.diag(L).copy()
-            if np.any(diag <= 0):
-                raise StructuralError("Laplacian has an isolated node")
-            return lambda r: r / diag
-        if self._ml is None:
-            pyamg = _pyamg()
-            smoother = ("gauss_seidel", {"sweep": "symmetric"})
-            self._ml = pyamg.smoothed_aggregation_solver(
-                sp.csr_matrix(L), B=np.ones((L.shape[0], 1)),
-                presmoother=smoother, postsmoother=smoother)
-        op = self._ml.aspreconditioner(cycle="V")
-        return lambda r: op @ r
-
-    def note_iterations(self, iterations: int) -> None:
-        if self.mode != "amg":
-            return
-        if self._baseline is None:
-            self._baseline = max(iterations, 1)
-        elif iterations > 3 * self._baseline:
-            self._ml = None
-            self._baseline = None
+        if self.mode == "direct":
+            return _grounded_factor(L)
+        diag = L.diagonal() if sp.issparse(L) else np.diag(L).copy()
+        if np.any(diag <= 0):
+            raise StructuralError("Laplacian has an isolated node")
+        return lambda r: r / diag
 
 
-def _pyamg():
-    try:
-        import pyamg
-    except ImportError:
-        return None
-    return pyamg
+def context_from_edges(n: int, ei, ej, w, cfg: SolverConfig,
+                       pattern=None) -> SolveContext:
+    """Build a solve context from explicit backbone edge arrays.
 
-
-def context_from_edges(n: int, ei, ej, w, cfg: SolverConfig) -> SolveContext:
-    """Build a solve context from explicit backbone edge arrays."""
+    pattern is the (ei, ej) edge arrays of the widest Laplacian to be
+    solved, for auto's fill probe (see SolveContext).
+    """
     tree = TreeFactor(n, np.asarray(ei, dtype=np.int64), np.asarray(ej, dtype=np.int64),
                       np.asarray(w, dtype=float))
-    return SolveContext(tree, cfg)
+    return SolveContext(tree, cfg, pattern)
 
 
 def context_from_laplacian(L, cfg: SolverConfig) -> SolveContext:
@@ -264,7 +287,7 @@ def context_from_laplacian(L, cfg: SolverConfig) -> SolveContext:
         raise StructuralError("Laplacian sparsity pattern is disconnected")
     w = np.asarray(Ls[mst.row, mst.col]).ravel() * -1.0
     tree = TreeFactor(n, mst.row.astype(np.int64), mst.col.astype(np.int64), w)
-    return SolveContext(tree, cfg)
+    return SolveContext(tree, cfg, (off.row, off.col))
 
 
 def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
@@ -367,6 +390,5 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
             f"solve did not converge in {cfg.max_iterations} iterations "
             f"(certified relative energy error {achieved:.3e})",
             achieved_residual=achieved)
-    context.note_iterations(iterations)
     context.x_warm = x
     return SolveResult(x, iterations, achieved, True)

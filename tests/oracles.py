@@ -217,3 +217,34 @@ def generate_instance_loop(n: int, extra: int, seed: int, weight_lo: float = 0.5
         d = rng.standard_normal(n)
         d -= d.mean()
     return g, d / np.linalg.norm(d)
+
+
+def grid_comb(rows: int, cols: int, seed: int):
+    """rows x cols grid whose backbone is a comb; returns (Graph, unit demand).
+
+    The backbone is every horizontal edge plus the vertical edges of the
+    first column; the other vertical edges switch. Weights are uniform on
+    [0.5, 2] and the demand is Gaussian. Planar and power-network-like.
+    """
+    rng = np.random.default_rng(seed)
+    edges, backbone = [], []
+    for r in range(rows):
+        for c in range(cols - 1):
+            backbone.append(len(edges))
+            edges.append((r * cols + c, r * cols + c + 1))
+    for r in range(rows - 1):
+        for c in range(cols):
+            if c == 0:
+                backbone.append(len(edges))
+            edges.append((r * cols + c, (r + 1) * cols + c))
+    w = rng.uniform(0.5, 2.0, len(edges))
+    g = make_graph(rows * cols, [(i, j, wk) for (i, j), wk in zip(edges, w)], backbone)
+    d = rng.standard_normal(g.n)
+    d -= d.mean()
+    return g, d / np.linalg.norm(d)
+
+
+def lexsort_smallest(values, k: int) -> np.ndarray:
+    """Positions of the k smallest values, ordered by (value, position)."""
+    values = np.asarray(values)
+    return np.lexsort((np.arange(len(values)), values))[:max(k, 0)]

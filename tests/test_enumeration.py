@@ -48,6 +48,22 @@ def test_ties_break_toward_smallest_mask():
     assert_array_equal(res.best_config.sbin, [1.0, 1.0, 0.0])
 
 
+def test_batch_size_changes_no_result(monkeypatch):
+    # One configuration per batch against every configuration in one batch:
+    # the same values, the same optimum, and ties still go to the smallest mask.
+    g = graphs.make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (0, 2, 1.0),
+                              (0, 2, 1.0)], [0, 1])
+    d = np.array([1.0, 0.0, -1.0])
+    whole = enumeration.enumerate_optimal(g, d, 4)
+    monkeypatch.setattr(enumeration, "BATCH_BYTES", 1)
+    single = enumeration.enumerate_optimal(g, d, 4)
+    assert single.all_values == whole.all_values
+    assert single.best_phi == whole.best_phi
+    assert single.evaluated_count == whole.evaluated_count
+    assert_array_equal(single.best_config.sbin, whole.best_config.sbin)
+    assert_array_equal(whole.best_config.sbin, [1.0, 1.0, 1.0, 1.0, 0.0])
+
+
 def test_matches_brute_force_reference():
     for seed in range(4):
         g, d = instance(seed, n=6, extra=5, demand="gauss")

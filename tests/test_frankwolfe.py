@@ -54,6 +54,34 @@ def test_lmo_keeps_backbone_and_budget():
                        [1.0, 1.0, 1.0])  # q past m closes everything
 
 
+def selection_cases():
+    """Vectors with zeros of both signs and repeated values, with k in 0, 1,
+    a middle count and all."""
+    rng = np.random.default_rng(41)
+    for size in (1, 2, 7, 40, 300):
+        for vals in (rng.normal(size=size),
+                     -rng.integers(0, 4, size=size).astype(float),
+                     np.where(rng.random(size) < 0.5, -0.0, 0.0),
+                     -(rng.normal(size=size).round(1) ** 2)):
+            for k in sorted({0, 1, size // 3, size}):
+                yield vals, k
+
+
+def test_selection_matches_lexsort_reference():
+    for vals, k in selection_cases():
+        assert_array_equal(graphs.smallest_k(vals, k),
+                           np.sort(oracles.lexsort_smallest(vals, k)))
+
+
+def test_lmo_matches_lexsort_reference():
+    for grad, k in selection_cases():
+        m = len(grad)
+        g = no_backbone_path(m)
+        expected = np.zeros(m)
+        expected[oracles.lexsort_smallest(grad, k)] = 1.0
+        assert_array_equal(frankwolfe.lmo_top_q(grad, g, k), expected)
+
+
 def test_lmo_rejects_budget_below_backbone():
     g = graphs.make_graph(3, [(0, 1, 1.0), (1, 2, 1.0)], [0, 1])
     with pytest.raises(InvalidInputError):

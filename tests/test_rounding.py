@@ -162,6 +162,29 @@ def test_trim_removes_lowest_probability_edges_first():
         set(np.flatnonzero(report.sampled.sbin * ~g.backbone_mask))
 
 
+def test_trim_and_fill_match_lexsort_reference():
+    # Repairs come in (probability, edge index) order, as a full lexsort of
+    # the candidates gives them; repeated probabilities exercise the ties.
+    rng = np.random.default_rng(17)
+    for seed in range(12):
+        g, _ = instance(seed, n=12, extra=20)
+        sbar = rng.choice([0.0, 0.2, 0.5, 0.9], size=g.m)
+        sbar[g.backbone_mask] = 1.0
+        draw = rng.random(g.m) < 0.5
+        draw[g.backbone_mask] = True
+        for q in (g.n - 1, g.n, g.n + 4, g.m):
+            count = int(draw.sum())
+            on = np.flatnonzero(draw & ~g.backbone_mask)
+            off = np.flatnonzero(~draw)
+            expected = ([(int(e), "removed") for e in
+                         on[oracles.lexsort_smallest(sbar[on], count - q)]] +
+                        [(int(e), "added") for e in
+                         off[oracles.lexsort_smallest(-sbar[off], q - count)]])
+            fixed, repairs = rounding._trim_and_fill(draw, sbar, g, q)
+            assert repairs == expected
+            assert fixed.sum() == min(q, g.m)
+
+
 def test_resample_mode_retries_until_feasible():
     g, _ = instance(15, n=8, extra=8)
     sbar = g.backbone_indicator()

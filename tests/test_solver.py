@@ -1,17 +1,15 @@
-import importlib.util
+import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
-from reswitch import graphs, solver
+from reswitch import cli, congestion, frankwolfe, graphs, solver
 from reswitch.errors import InvalidInputError, NumericalError, StructuralError
-
-needs_pyamg = pytest.mark.skipif(importlib.util.find_spec("pyamg") is None,
-                                 reason="pyamg is not installed")
 
 
 def instance(seed=0, n=40, extra=30):
@@ -161,8 +159,7 @@ def test_solve_zero_demand():
     assert res.converged and not res.x.any()
 
 
-@pytest.mark.parametrize("pre", ["backbone_tree", "jacobi", "none",
-                                 pytest.param("amg", marks=needs_pyamg)])
+@pytest.mark.parametrize("pre", ["backbone_tree", "jacobi", "none", "direct"])
 def test_solve_contract_per_preconditioner(pre):
     g, s, d = instance(6, n=60, extra=50)
     L = graphs.assemble_laplacian(g, s)
@@ -175,6 +172,8 @@ def test_solve_contract_per_preconditioner(pre):
     assert res.converged
     assert err <= 1e-6
     assert res.achieved_residual >= err - 1e-12  # the certificate is an upper bound
+    if pre == "direct":
+        assert res.iterations == 1  # the factor is exact; CG confirms it
 
 
 def backbone_context(g, cfg):
@@ -183,10 +182,10 @@ def backbone_context(g, cfg):
 
 
 def test_auto_fallback_contract_cold_then_warm(monkeypatch):
-    # Without pyamg, auto at scale solves on the backbone factor at the
-    # backbone indicator, where it is exact, and elsewhere with Jacobi.
-    monkeypatch.setattr(solver, "_pyamg", lambda: None)
-    monkeypatch.setattr(solver, "AMG_AUTO_THRESHOLD", 10)
+    # Without a pattern to probe, auto at scale solves on the backbone
+    # factor at the backbone indicator, where it is exact, and elsewhere
+    # with Jacobi.
+    monkeypatch.setattr(solver, "AUTO_THRESHOLD", 10)
     g, s, d = instance(15, n=80, extra=70)
     cfg = solver.SolverConfig(epsilon=1e-6, preconditioner="auto", dense_threshold=0)
     ctx = backbone_context(g, cfg)
@@ -276,19 +275,8 @@ def test_auto_mode_prefers_tree_on_small_graphs():
     assert ctx.mode == "backbone_tree"
 
 
-@needs_pyamg
-def test_auto_mode_switches_to_amg_at_scale(monkeypatch):
-    monkeypatch.setattr(solver, "AMG_AUTO_THRESHOLD", 10)
-    g, s, _ = instance(12, n=30, extra=10)
-    cfg = solver.SolverConfig(preconditioner="auto")
-    ctx = solver.context_from_edges(g.n, g.ei[g.backbone_mask], g.ej[g.backbone_mask],
-                                    g.w[g.backbone_mask], cfg)
-    assert ctx.mode == "amg"
-
-
-def test_auto_mode_falls_back_to_jacobi_without_pyamg(monkeypatch):
-    monkeypatch.setattr(solver, "_pyamg", lambda: None)
-    monkeypatch.setattr(solver, "AMG_AUTO_THRESHOLD", 10)
+def test_auto_mode_is_jacobi_without_a_pattern(monkeypatch):
+    monkeypatch.setattr(solver, "AUTO_THRESHOLD", 10)
     g, s, _ = instance(12, n=30, extra=10)
     L_tree = graphs.assemble_laplacian(g, g.backbone_indicator())
     L_s = graphs.assemble_laplacian(g, s)
@@ -298,13 +286,58 @@ def test_auto_mode_falls_back_to_jacobi_without_pyamg(monkeypatch):
     assert explicit.mode == "jacobi" and not explicit.on_tree(L_tree)
 
 
-def test_amg_mode_requires_pyamg(monkeypatch):
-    monkeypatch.setattr(solver, "_pyamg", lambda: None)
-    g, s, _ = instance(13, n=10, extra=4)
-    cfg = solver.SolverConfig(preconditioner="amg")
+def test_amg_is_an_unknown_preconditioner(tmp_path, capsys):
     with pytest.raises(InvalidInputError):
-        solver.context_from_edges(g.n, g.ei[g.backbone_mask], g.ej[g.backbone_mask],
-                                  g.w[g.backbone_mask], cfg)
+        solver.SolverConfig(preconditioner="amg")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 10, "extra": 5, "preconditioner": "amg"}))
+    assert cli.main(["experiment", "--config", str(cfg)]) == 2
+    assert "amg" in capsys.readouterr().err
+    inst = tmp_path / "inst.txt"
+    assert cli.main(["generate", "--n", "10", "--extra", "5", "--output", str(inst)]) == 0
+    with pytest.raises(SystemExit) as info:
+        cli.main(["solve", "--input", str(inst), "--preconditioner", "amg"])
+    assert info.value.code == 2
+
+
+def test_auto_mode_resolves_by_fill_probe():
+    # A grid factors with little fill and auto solves it directly, except at
+    # the backbone's own pattern; an expander of the CLI family does not,
+    # and stays on Jacobi.
+    cfg = solver.SolverConfig(preconditioner="auto")
+    g, _ = oracles.grid_comb(80, 80, seed=1)
+    ctx = congestion.make_context(g, cfg)
+    L = graphs.assemble_laplacian(g, np.ones(g.m))
+    assert ctx.mode == "direct" and not ctx.on_tree(L)
+    assert ctx.on_tree(graphs.assemble_laplacian(g, g.backbone_indicator()))
+    assert solver.context_from_laplacian(L, cfg).mode == "direct"
+    g, _ = cli.generate_instance(3000, 6000, seed=1, demand="gauss", multigraph=True)
+    assert congestion.make_context(g, cfg).mode == "jacobi"
+    L = graphs.assemble_laplacian(g, np.ones(g.m))
+    assert solver.context_from_laplacian(L, cfg).mode == "jacobi"
+
+
+def test_auto_direct_certifies_a_300_by_300_grid():
+    # Jacobi CG does not reach epsilon = 1e-8 in 5000 iterations here; one
+    # direct factor per solve does, and its certified residual still bounds
+    # the true energy error.
+    g, d = oracles.grid_comb(300, 300, seed=1)
+    q = int(g.backbone_mask.sum()) + int((~g.backbone_mask).sum()) // 2
+    cfg = frankwolfe.FWConfig(q=q, alpha=0.05,
+                              solver=solver.SolverConfig(preconditioner="auto"))
+    ctx = congestion.make_context(g, cfg.solver)
+    s, cert, _ = frankwolfe.run(g, d, cfg, ctx)
+    assert ctx.mode == "direct" and cert.certified
+    L = graphs.assemble_laplacian(g, s)
+    res = solver.solve(L, d, cfg.solver, context=ctx)
+    assert res.converged and res.iterations <= 1
+    x_star = np.zeros(g.n)
+    x_star[1:] = spla.splu(L.tocsc()[1:, 1:]).solve(d[1:])
+    x_star -= x_star.mean()
+    e = res.x - x_star
+    err = np.sqrt(float(e @ (L @ e)) / float(x_star @ (L @ x_star)))
+    assert res.achieved_residual <= cfg.solver.epsilon
+    assert res.achieved_residual >= err - 1e-12
 
 
 def test_jacobi_rejects_isolated_node():
@@ -313,3 +346,12 @@ def test_jacobi_rejects_isolated_node():
     bad = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(StructuralError):
         ctx.preconditioner(bad)
+
+
+def test_direct_rejects_disconnected_laplacian():
+    tree = solver.TreeFactor(4, np.array([0, 1, 2]), np.array([1, 2, 3]), np.ones(3))
+    ctx = solver.SolveContext(tree, solver.SolverConfig(preconditioner="direct"))
+    two_pieces = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0], [-1.0, 1.0, 0, 0],
+                                         [0, 0, 1.0, -1.0], [0, 0, -1.0, 1.0]]))
+    with pytest.raises(StructuralError):
+        ctx.preconditioner(two_pieces)
