@@ -49,9 +49,7 @@ class ExperimentConfig:
     max_resamples: int = 100
     repeats: int = 1
     max_iterations: int = 500
-    step_rule: str = "monotone_guard"
     epsilon: float = 1e-8
-    preconditioner: str = "auto"
     enumerate_baseline: bool = False
     output: str | None = None
     format: str = "json"
@@ -166,12 +164,12 @@ def _load(cfg: ExperimentConfig) -> tuple[graphs.Graph, np.ndarray, int]:
 
 
 def _solver_config(cfg: ExperimentConfig) -> solver.SolverConfig:
-    return solver.SolverConfig(epsilon=cfg.epsilon, preconditioner=cfg.preconditioner)
+    return solver.SolverConfig(epsilon=cfg.epsilon)
 
 
 def _fw_config(cfg: ExperimentConfig, q: int) -> frankwolfe.FWConfig:
     return frankwolfe.FWConfig(q=q, alpha=cfg.alpha, max_iterations=cfg.max_iterations,
-                               step_rule=cfg.step_rule, solver=_solver_config(cfg))
+                               solver=_solver_config(cfg))
 
 
 def _timed(timing: dict, key: str, fn, *args):
@@ -430,8 +428,6 @@ def _add_common(p: argparse.ArgumentParser, *names) -> None:
         "repeats": lambda: p.add_argument("--repeats", type=int, default=1),
         "solver": lambda: (
             p.add_argument("--epsilon", type=float, default=1e-8),
-            p.add_argument("--preconditioner", choices=solver.PRECONDITIONERS,
-                           default="auto"),
             p.add_argument("--max-iterations", dest="max_iterations", type=int,
                            default=500)),
     }
@@ -486,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma list of n:m pairs")
     p.add_argument("--iters", type=int, default=3)
     p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--preconditioner", choices=solver.PRECONDITIONERS, default="auto")
     _add_common(p, "output", "format", "seed", "alpha")
     p.set_defaults(func=_cmd_bench)
     return ap

@@ -38,14 +38,16 @@ class HessianInfo:
     gsc_M: float
 
 
-def make_context(g: graphs.Graph, cfg: solver.SolverConfig) -> solver.SolveContext:
+def make_context(g: graphs.Graph,
+                 cfg: solver.SolverConfig | None = None) -> solver.SolveContext:
     """Solve context keyed to the graph's backbone (preconditioner, warm start).
 
-    Every edge of g is in the pattern the context may solve, so auto's fill
-    probe runs on all of them.
+    Every edge of g is in the pattern the context may solve, so the fill
+    probe runs on all of them. The graph alone picks the mode; cfg is
+    accepted and not used.
     """
     bb = g.backbone_mask
-    return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb], cfg,
+    return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb],
                                      pattern=(g.ei, g.ej))
 
 

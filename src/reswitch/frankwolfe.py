@@ -7,9 +7,10 @@ entries. The gap <grad, s - v*> certifies approximation quality: once it
 falls below tau * phi(s) with tau = alpha/(1+alpha), the iterate is
 within a (1+alpha) factor of the constrained optimum.
 
-The default step rule follows the 2/(t+2) schedule but re-evaluates the
-objective and skips any step that would increase it, so the value trace
-is non-increasing while the classic convergence analysis still applies.
+Steps follow the 2/(t+2) schedule, but each step's objective is evaluated
+first and a step that would increase it is skipped (the monotone guard),
+so the value trace is non-increasing while the classic convergence
+analysis still applies.
 """
 from __future__ import annotations
 
@@ -21,7 +22,9 @@ import numpy as np
 from . import congestion, graphs, solver
 from .errors import InvalidInputError
 
-STEP_RULES = ("classic_2_over_t2", "monotone_guard")
+# Round-off allowed in ||s||_1 <= q: run holds every iterate to it, and
+# certificate refuses a point beyond it.
+BUDGET_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -29,14 +32,11 @@ class FWConfig:
     q: int
     alpha: float
     max_iterations: int = 500
-    step_rule: str = "monotone_guard"
     solver: solver.SolverConfig = field(default_factory=solver.SolverConfig)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise InvalidInputError("alpha must lie in (0, 1)")
-        if self.step_rule not in STEP_RULES:
-            raise InvalidInputError(f"unknown step rule {self.step_rule!r}")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
 
@@ -89,7 +89,15 @@ def fw_gap(grad: np.ndarray, s: np.ndarray, v_star: np.ndarray) -> float:
 
 def certificate(g: graphs.Graph, s: np.ndarray, d: np.ndarray, cfg: FWConfig,
                 context: solver.SolveContext | None = None) -> Certificate:
-    """Evaluate the gap certificate at an arbitrary feasible point."""
+    """Evaluate the gap certificate at an arbitrary feasible point.
+
+    A point that closes more than q edges is not feasible, and its gap
+    bounds nothing, so it raises InvalidInputError.
+    """
+    s = graphs.check_switch(g, s)
+    if s.sum() > cfg.q + BUDGET_SLACK:
+        raise InvalidInputError(
+            f"switch vector closes {s.sum():.12g} edges, above the budget q={cfg.q}")
     diff = congestion.approx_diff(g, s, d, cfg.solver, context)
     v = lmo_top_q(diff.grad, g, cfg.q)
     gap = fw_gap(diff.grad, s, v)
@@ -116,13 +124,15 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig,
     d = graphs.check_demand(g, d)
     graphs.check_budget(g, cfg.q)
     if context is None:
-        context = congestion.make_context(g, cfg.solver)
+        context = congestion.make_context(g)
     bb = g.backbone_mask
 
     start = time.perf_counter()
     s = g.backbone_indicator()
     diff = congestion.approx_diff(g, s, d, cfg.solver, context)
     records = []
+    # The guard keeps phi non-increasing, so the best iterate is the last
+    # one, except that a tie goes to the earliest iterate with that phi.
     best_phi = np.inf
     best_s = s
     best_gap = np.inf
@@ -143,9 +153,9 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig,
         s_try = (1.0 - eta) * s + eta * v
         s_try[bb] = 1.0
         np.clip(s_try, 0.0, 1.0, out=s_try)
-        assert s_try.sum() <= cfg.q + 1e-9
+        assert s_try.sum() <= cfg.q + BUDGET_SLACK
         diff_try = congestion.approx_diff(g, s_try, d, cfg.solver, context)
-        if cfg.step_rule == "monotone_guard" and diff_try.phi > diff.phi:
+        if diff_try.phi > diff.phi:
             continue
         s, diff = s_try, diff_try
 

@@ -218,18 +218,11 @@ def leverages(g: Graph, s: np.ndarray) -> np.ndarray:
 def algebraic_connectivity(g: Graph, s: np.ndarray) -> float:
     """Second-smallest eigenvalue of L_s; positive iff the graph is connected.
 
-    Dense up to solver.DENSE_CAP nodes, LOBPCG above.
+    A dense eigensolve, so at most solver.DENSE_CAP nodes.
     """
+    solver.require_dense(g.n)
     s = check_switch(g, s)
-    if g.n <= solver.DENSE_CAP:
-        L = assemble_laplacian_dense(g, s)
-        return float(np.linalg.eigvalsh(L)[1])
-    L = assemble_laplacian(g, s)
-    rng = np.random.default_rng(0)
-    x0 = rng.standard_normal((g.n, 1))
-    ones = np.ones((g.n, 1))
-    vals, _ = sp.linalg.lobpcg(L, x0, Y=ones, largest=False, tol=1e-8, maxiter=500)
-    return float(vals[0])
+    return float(np.linalg.eigvalsh(assemble_laplacian_dense(g, s))[1])
 
 
 # --- instance file format -------------------------------------------------

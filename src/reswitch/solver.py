@@ -11,20 +11,22 @@ and L_T^+ r is one sparse triangular solve on the (grounded) backbone.
 Combined with the lower bound 2 d^T x - x^T L x <= d^T L^+ d this yields a
 deterministic certificate, whatever preconditioner drives the iteration.
 
-Preconditioners: backbone_tree (default; the grounded backbone factor),
-jacobi, none, direct (a sparse LU of the grounded L_s itself, built once per
-solve) and auto. Below AUTO_THRESHOLD nodes auto is backbone_tree. At or
-above it, auto is direct when a fill probe finds the widest pattern the
-context will solve low-fill, and jacobi otherwise: the probe compares the
-envelope of a reverse Cuthill-McKee order with FILL_BUDGET nonzeros per edge.
-Planar, grid-like graphs pass it and their factor is cheap; expander-like
-graphs fail it, and there Jacobi needs only tens of iterations. On a
-Laplacian with the backbone's own sparsity pattern (the switch vector at the
-backbone indicator, where optimization starts) auto uses the backbone factor,
-which is exact there: L_s = L_T. Under direct or an exact backbone factor CG
-takes one iteration, and the solution still has to pass the stopping bound
-below, so a poor factor can cost time but never accuracy. Exact dense solves
-are used below a configurable node-count threshold and as the test oracle.
+The input picks the path, and no option overrides it. solve takes the
+exact dense path up to SolverConfig.dense_threshold nodes. Above it, the
+solve context picks the preconditioner: the grounded backbone factor
+(backbone_tree) below AUTO_THRESHOLD nodes; at or above it, direct (a sparse
+LU of the grounded L_s itself, built once per solve) when a fill probe finds
+the widest pattern the context will solve low-fill, and jacobi otherwise.
+The probe compares the envelope of a reverse Cuthill-McKee order with
+FILL_BUDGET nonzeros per edge. Planar, grid-like graphs pass it and their
+factor is cheap; expander-like graphs fail it, and there Jacobi needs only
+tens of iterations. On a Laplacian with the backbone's own sparsity pattern
+(the switch vector at the backbone indicator, where optimization starts)
+the backbone factor is used whatever the mode, since it is exact there:
+L_s = L_T. Under direct or an exact backbone factor CG takes one iteration,
+and the solution still has to pass the stopping bound below, so a poor
+factor can cost time but never accuracy. The exact dense path is also the
+test oracle.
 
 Under the tree preconditioner the bound r^T L_T^+ r is the CG quantity
 r^T z and costs nothing. Under any other it costs a backbone solve, so it is
@@ -46,9 +48,8 @@ from scipy.sparse.csgraph import (connected_components, minimum_spanning_tree,
 
 from .errors import CapExceededError, InvalidInputError, NumericalError, StructuralError
 
-PRECONDITIONERS = ("backbone_tree", "jacobi", "none", "direct", "auto")
 AUTO_THRESHOLD = 3000
-# Reverse Cuthill-McKee envelope per edge up to which auto solves directly.
+# Reverse Cuthill-McKee envelope per edge up to which a context solves directly.
 # Grids of 80 x 80 to 300 x 300 come to 27-101 (their minimum-degree factors,
 # which the solves use, to 17.5-28 nonzeros per edge); CLI expanders of 3000
 # nodes and more come to 264 and up.
@@ -63,7 +64,8 @@ DENSE_CAP = 2000
 class SolverConfig:
     epsilon: float = 1e-8
     max_iterations: int = 5000
-    preconditioner: str = "backbone_tree"
+    # Only "auto" is accepted: the input picks the path (module docstring).
+    preconditioner: str = "auto"
     dense_threshold: int = 64
 
     def __post_init__(self):
@@ -71,7 +73,7 @@ class SolverConfig:
             raise InvalidInputError("epsilon must lie in (0, 1)")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
-        if self.preconditioner not in PRECONDITIONERS:
+        if self.preconditioner != "auto":
             raise InvalidInputError(f"unknown preconditioner {self.preconditioner!r}")
 
 
@@ -219,41 +221,31 @@ class TreeFactor:
 class SolveContext:
     """Caller-owned cache: backbone factor, resolved mode, warm-start voltages.
 
-    mode is the resolved preconditioner. pattern, the edges (ei, ej) of the
-    widest Laplacian the context will solve, feeds auto's fill probe at or
-    above AUTO_THRESHOLD nodes; without it auto resolves to jacobi there.
-    When auto resolves to jacobi or direct, a Laplacian with the backbone's
-    sparsity pattern is still preconditioned by the backbone factor, which
-    is exact there.
+    mode is the preconditioner the input picks (module docstring). pattern,
+    the edges (ei, ej) of the widest Laplacian the context will solve,
+    feeds the fill probe at or above AUTO_THRESHOLD nodes; without it the
+    mode there is jacobi. Whatever the mode, a Laplacian with the backbone's
+    sparsity pattern is preconditioned by the backbone factor, which is
+    exact there.
     """
 
-    def __init__(self, tree: TreeFactor, cfg: SolverConfig, pattern=None):
+    def __init__(self, tree: TreeFactor, pattern=None):
         self.tree = tree
-        mode = cfg.preconditioner
-        self._tree_on_backbone = False
-        if mode == "auto":
-            if tree.n < AUTO_THRESHOLD:
-                mode = "backbone_tree"
-            else:
-                self._tree_on_backbone = True
-                low = pattern is not None and _low_fill(tree.n, *pattern)
-                mode = "direct" if low else "jacobi"
-        self.mode = mode
+        if tree.n < AUTO_THRESHOLD:
+            self.mode = "backbone_tree"
+        elif pattern is not None and _low_fill(tree.n, *pattern):
+            self.mode = "direct"
+        else:
+            self.mode = "jacobi"
         self.x_warm: np.ndarray | None = None
 
     def on_tree(self, L) -> bool:
         """Whether a solve on L is preconditioned by the backbone factor."""
-        if self.mode == "backbone_tree":
-            return True
-        if not self._tree_on_backbone:
-            return False
-        return np.count_nonzero(L.data if sp.issparse(L) else L) == self.tree.nnz
+        return (self.mode == "backbone_tree"
+                or np.count_nonzero(L.data if sp.issparse(L) else L) == self.tree.nnz)
 
     def preconditioner(self, L):
-        if self.mode == "backbone_tree":
-            return self.tree.apply
-        if self.mode == "none":
-            return lambda r: r
+        """r -> M^-1 r for a solve on L off the backbone factor (see on_tree)."""
         if self.mode == "direct":
             return _grounded_factor(L)
         diag = L.diagonal() if sp.issparse(L) else np.diag(L).copy()
@@ -262,19 +254,18 @@ class SolveContext:
         return lambda r: r / diag
 
 
-def context_from_edges(n: int, ei, ej, w, cfg: SolverConfig,
-                       pattern=None) -> SolveContext:
+def context_from_edges(n: int, ei, ej, w, pattern=None) -> SolveContext:
     """Build a solve context from explicit backbone edge arrays.
 
     pattern is the (ei, ej) edge arrays of the widest Laplacian to be
-    solved, for auto's fill probe (see SolveContext).
+    solved, for the fill probe (see SolveContext).
     """
     tree = TreeFactor(n, np.asarray(ei, dtype=np.int64), np.asarray(ej, dtype=np.int64),
                       np.asarray(w, dtype=float))
-    return SolveContext(tree, cfg, pattern)
+    return SolveContext(tree, pattern)
 
 
-def context_from_laplacian(L, cfg: SolverConfig) -> SolveContext:
+def context_from_laplacian(L) -> SolveContext:
     """Extract a max-weight spanning tree from L for the stopping bound."""
     Ls = sp.csr_matrix(L) if not sp.issparse(L) else L.tocsr()
     n = Ls.shape[0]
@@ -287,7 +278,7 @@ def context_from_laplacian(L, cfg: SolverConfig) -> SolveContext:
         raise StructuralError("Laplacian sparsity pattern is disconnected")
     w = np.asarray(Ls[mst.row, mst.col]).ravel() * -1.0
     tree = TreeFactor(n, mst.row.astype(np.int64), mst.col.astype(np.int64), w)
-    return SolveContext(tree, cfg, (off.row, off.col))
+    return SolveContext(tree, (off.row, off.col))
 
 
 def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
@@ -316,7 +307,7 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
         return SolveResult(np.zeros(n), 0, 0.0, True)
 
     if context is None:
-        context = context_from_laplacian(L, cfg)
+        context = context_from_laplacian(L)
     tree = context.tree
     tree_is_M = context.on_tree(L)
     M = tree.apply if tree_is_M else context.preconditioner(L)

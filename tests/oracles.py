@@ -244,6 +244,25 @@ def grid_comb(rows: int, cols: int, seed: int):
     return g, d / np.linalg.norm(d)
 
 
+def chord_ring(n: int, seed: int):
+    """Path backbone 0-1-...-(n-1), a switchable ring-closing edge and n // 10
+    chords between distinct other node pairs; returns (Graph, unit demand).
+
+    Weights are uniform on [0.5, 2] and the demand is Gaussian.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = [(k, k + 1) for k in range(n - 1)] + [(0, n - 1)]
+    while len(pairs) < n + n // 10:
+        u, v = sorted(int(x) for x in rng.integers(0, n, 2))
+        if u != v and (u, v) not in pairs:
+            pairs.append((u, v))
+    w = rng.uniform(0.5, 2.0, len(pairs))
+    g = make_graph(n, [(i, j, wk) for (i, j), wk in zip(pairs, w)], range(n - 1))
+    d = rng.standard_normal(n)
+    d -= d.mean()
+    return g, d / np.linalg.norm(d)
+
+
 def lexsort_smallest(values, k: int) -> np.ndarray:
     """Positions of the k smallest values, ordered by (value, position)."""
     values = np.asarray(values)

@@ -283,7 +283,7 @@ def test_criterion_11_solver_contract():
                                       max_iterations=20000)
             ctx = solver.context_from_edges(
                 g.n, g.ei[g.backbone_mask], g.ej[g.backbone_mask],
-                (s * g.w)[g.backbone_mask], cfg)
+                (s * g.w)[g.backbone_mask])
             res = solver.solve(L, d, cfg, context=ctx)
             e = res.x - x_star
             rel = np.sqrt(max(float(e @ (Ld @ e)), 0.0) / den)
@@ -302,9 +302,7 @@ def test_criterion_12_performance_scaling():
     timings = {}
     for n, m in ((6667, 20000), (66667, 200000)):
         g, d = cli.generate_instance(n, m - (n - 1), seed=112, multigraph=True)
-        cfg = frankwolfe.FWConfig(
-            q=cli.default_budget(g), alpha=0.001, max_iterations=4,
-            solver=solver.SolverConfig(preconditioner="auto"))
+        cfg = frankwolfe.FWConfig(q=cli.default_budget(g), alpha=0.001, max_iterations=4)
         runs = []
         for _ in range(3):
             _, _, trace = frankwolfe.run(g, d, cfg)
@@ -313,9 +311,7 @@ def test_criterion_12_performance_scaling():
     ratio = timings[200000] / timings[20000]
 
     g, d = cli.generate_instance(50000, 150000 - 49999, seed=113, multigraph=True)
-    cfg = frankwolfe.FWConfig(
-        q=cli.default_budget(g), alpha=0.1,
-        solver=solver.SolverConfig(preconditioner="auto"))
+    cfg = frankwolfe.FWConfig(q=cli.default_budget(g), alpha=0.1)
     t0 = time.perf_counter()
     _, cert, _ = frankwolfe.run(g, d, cfg)
     certified_time = time.perf_counter() - t0

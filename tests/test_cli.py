@@ -148,6 +148,25 @@ def test_certify_defaults_to_backbone(tmp_path):
     assert doc["record"]["certificate"]["gap"] <= 1e-12
 
 
+def test_certify_rejects_an_over_budget_point(tmp_path, capsys):
+    inst = gen(tmp_path, n=40, extra=60, seed=5)  # m = 99, q = 69
+    sol = tmp_path / "all_on.json"
+    sol.write_text(json.dumps({"record": {"switch_vector": [1.0] * 99}}))
+    assert cli.main(["certify", "--input", str(inst), "--solution", str(sol)]) == 2
+    assert "above the budget q=69" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--input", "i.txt"],
+                                  ["round", "--input", "i.txt", "--solution", "s.json"],
+                                  ["certify", "--input", "i.txt"],
+                                  ["bench", "--sizes", "30:45"]], ids=lambda a: a[0])
+def test_no_subcommand_takes_a_preconditioner(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--preconditioner", "auto"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --preconditioner auto" in capsys.readouterr().err
+
+
 def test_round_respects_budget_with_custom_q(tmp_path):
     inst = gen(tmp_path, n=10, extra=8, seed=4)
     run_json(["solve", "--input", str(inst)], tmp_path / "sol.json")
@@ -178,7 +197,11 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for raw, culprit in [({"n": 8, "extras": 3}, "extras"),
                          ({"n": 10, "extra": 5, "alpha": "0.1"}, "alpha"),
-                         ({"n": 10, "extra": 5, "repeats": 0}, "repeats")]:
+                         ({"n": 10, "extra": 5, "repeats": 0}, "repeats"),
+                         # The solver path and the step rule are not options.
+                         ({"n": 10, "extra": 5, "preconditioner": "auto"}, "preconditioner"),
+                         ({"n": 10, "extra": 5, "step_rule": "monotone_guard"},
+                          "step_rule")]:
         cfg.write_text(json.dumps(raw))
         assert cli.main(["experiment", "--config", str(cfg)]) == 2
         assert culprit in capsys.readouterr().err
@@ -250,7 +273,7 @@ def test_csv_output_matches_json_record(tmp_path):
 
 def test_experiment_records_replay_bitwise():
     cfg = cli.ExperimentConfig(n=11, extra=7, seed=9, q=13, alpha=0.2, repeats=3,
-                               enumerate_baseline=True, preconditioner="backbone_tree")
+                               enumerate_baseline=True)
     a = cli.run_experiment(cfg)
     b = cli.run_experiment(cfg)
     assert json.dumps(a["record"], sort_keys=True) == \
@@ -279,7 +302,7 @@ def test_experiment_command_end_to_end(tmp_path):
     out_path = tmp_path / "out.json"
     cfg_path.write_text(json.dumps({
         "n": 10, "extra": 7, "seed": 2, "alpha": 0.25, "repeats": 2,
-        "enumerate_baseline": True, "preconditioner": "backbone_tree",
+        "enumerate_baseline": True,
     }))
     assert cli.main(["experiment", "--config", str(cfg_path),
                      "--output", str(out_path)]) == 0
@@ -295,8 +318,7 @@ def test_experiment_command_end_to_end(tmp_path):
 
 def test_bench_reports_per_iteration_times(tmp_path, capsys):
     out = tmp_path / "bench.json"
-    rc = cli.main(["bench", "--sizes", "30:45,40:60", "--iters", "2",
-                   "--preconditioner", "backbone_tree", "--alpha", "0.001",
+    rc = cli.main(["bench", "--sizes", "30:45,40:60", "--iters", "2", "--alpha", "0.001",
                    "--output", str(out)])
     assert rc == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if "s/iteration" in l]

@@ -188,6 +188,7 @@ def test_kirchhoff_gradient_is_nonpositive():
 DENSE_ONLY = {
     "effective_resistances": lambda g, s, d: graphs.effective_resistances(g, s),
     "leverages": lambda g, s, d: graphs.leverages(g, s),
+    "algebraic_connectivity": lambda g, s, d: graphs.algebraic_connectivity(g, s),
     "exact_gradient": congestion.exact_gradient,
     "hessian_dense": congestion.hessian_dense,
     "total_effective_resistance":

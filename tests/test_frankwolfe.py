@@ -26,8 +26,6 @@ def test_fw_config_validation():
     with pytest.raises(InvalidInputError):
         frankwolfe.FWConfig(q=3, alpha=1.0)
     with pytest.raises(InvalidInputError):
-        frankwolfe.FWConfig(q=3, alpha=0.1, step_rule="armijo")
-    with pytest.raises(InvalidInputError):
         frankwolfe.FWConfig(q=3, alpha=0.1, max_iterations=0)
 
 
@@ -168,16 +166,6 @@ def test_monotone_guard_trace_never_increases():
     assert all(b <= a + 1e-12 for a, b in zip(phis, phis[1:]))
 
 
-def test_classic_rule_returns_best_seen():
-    g, d = instance(10, n=9, extra=7)
-    cfg = frankwolfe.FWConfig(q=g.n, alpha=1e-6, max_iterations=25,
-                              step_rule="classic_2_over_t2")
-    s, cert, trace = frankwolfe.run(g, d, cfg)
-    if not cert.certified:
-        assert cert.phi_value <= min(rec.phi for rec in trace.records) + 1e-12
-        assert abs(congestion.phi(g, s, d) - cert.phi_value) < 1e-9
-
-
 def test_run_out_of_iterations_keeps_the_last_accepted_step():
     # One step takes phi from 3.108 (backbone) to 0.480; the step's solve
     # must not be discarded when the iteration budget ends right after it.
@@ -199,6 +187,18 @@ def test_run_is_deterministic():
     assert_array_equal(s1, s2)
     assert c1.gap == c2.gap and c1.phi_value == c2.phi_value
     assert len(t1.records) == len(t2.records)
+
+
+def test_certificate_rejects_an_over_budget_point():
+    g, d = cli.generate_instance(40, 60, seed=5)
+    q = cli.default_budget(g)  # 69 of 99 edges
+    cfg = frankwolfe.FWConfig(q=q, alpha=0.1)
+    with pytest.raises(InvalidInputError, match="above the budget"):
+        frankwolfe.certificate(g, np.ones(g.m), d, cfg)
+    # A point within the round-off slack that run allows its iterates is evaluated.
+    s = frankwolfe.lmo_top_q(np.zeros(g.m), g, q)
+    s[np.flatnonzero(s == 0.0)[0]] = frankwolfe.BUDGET_SLACK / 2
+    frankwolfe.certificate(g, s, d, cfg)
 
 
 def test_certificate_trivial_at_tight_budget():

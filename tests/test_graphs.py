@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from reswitch import graphs, solver
+from reswitch import graphs
 from reswitch.errors import InvalidInputError
 
 
@@ -224,16 +224,6 @@ def test_algebraic_connectivity_zero_when_disconnected():
     # test-only graph without a backbone so a switch can cut it
     g = graphs.Graph(n=3, ei=[0, 1], ej=[1, 2], w=[1.0, 1.0], backbone_mask=[False, False])
     assert abs(graphs.algebraic_connectivity(g, np.array([1.0, 0.0]))) < 1e-12
-
-
-def test_algebraic_connectivity_sparse_path_agrees(monkeypatch):
-    rng = np.random.default_rng(11)
-    g, _ = oracles.random_instance(rng, 60, 40)
-    s = np.ones(g.m)
-    dense = graphs.algebraic_connectivity(g, s)
-    monkeypatch.setattr(solver, "DENSE_CAP", 10)
-    sparse = graphs.algebraic_connectivity(g, s)
-    assert abs(sparse - dense) < 1e-4 * dense
 
 
 # --- instance files ---------------------------------------------------------

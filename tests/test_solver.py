@@ -129,7 +129,7 @@ def test_context_from_laplacian_picks_heavy_tree():
     # so the tree resistance between nodes 0 and 1 is 1/10 + 1/2
     g = graphs.make_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 10.0)], [0, 1])
     L = graphs.assemble_laplacian(g, np.ones(3))
-    ctx = solver.context_from_laplacian(L, solver.SolverConfig())
+    ctx = solver.context_from_laplacian(L)
     r = np.array([1.0, -1.0, 0.0])
     assert abs(ctx.tree.quadform(r) - 0.6) < 1e-12
 
@@ -138,7 +138,7 @@ def test_context_from_laplacian_rejects_disconnected():
     L = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0], [-1.0, 1.0, 0, 0],
                                 [0, 0, 1.0, -1.0], [0, 0, -1.0, 1.0]]))
     with pytest.raises(StructuralError):
-        solver.context_from_laplacian(L, solver.SolverConfig())
+        solver.context_from_laplacian(L)
 
 
 # --- iterative solve ---------------------------------------------------------
@@ -159,36 +159,53 @@ def test_solve_zero_demand():
     assert res.converged and not res.x.any()
 
 
-@pytest.mark.parametrize("pre", ["backbone_tree", "jacobi", "none", "direct"])
-def test_solve_contract_per_preconditioner(pre):
-    g, s, d = instance(6, n=60, extra=50)
-    L = graphs.assemble_laplacian(g, s)
-    cfg = solver.SolverConfig(epsilon=1e-6, preconditioner=pre, dense_threshold=0)
-    ctx = solver.context_from_edges(g.n, g.ei[g.backbone_mask], g.ej[g.backbone_mask],
-                                    (s * g.w)[g.backbone_mask], cfg)
-    res = solver.solve(L, d, cfg, context=ctx)
-    x_star = oracles.pinv(oracles.laplacian(g.n, g.edges, s)) @ d
-    err = rel_energy_error(L.toarray(), res.x, x_star)
-    assert res.converged
-    assert err <= 1e-6
-    assert res.achieved_residual >= err - 1e-12  # the certificate is an upper bound
-    if pre == "direct":
-        assert res.iterations == 1  # the factor is exact; CG confirms it
+# Small members of the benchmark's graph families that take the CG path.
+FAMILIES = {
+    "grid-comb": lambda: oracles.grid_comb(8, 8, seed=1),
+    "chord-ring": lambda: oracles.chord_ring(80, seed=1),
+    "cli-expander": lambda: cli.generate_instance(80, 160, seed=1, demand="gauss",
+                                                  multigraph=True),
+}
+# (AUTO_THRESHOLD, FILL_BUDGET) under which the policy picks each mode on
+# graphs of that size: every graph is below the threshold, or above it
+# with every envelope over a zero budget or under a vast one.
+POLICY = {"backbone_tree": (10 ** 9, 0), "jacobi": (10, 0), "direct": (10, 10 ** 9)}
 
 
-def backbone_context(g, cfg):
+@pytest.mark.parametrize("mode", POLICY)
+def test_solve_contract_per_preconditioner(monkeypatch, mode):
+    monkeypatch.setattr(solver, "AUTO_THRESHOLD", POLICY[mode][0])
+    monkeypatch.setattr(solver, "FILL_BUDGET", POLICY[mode][1])
+    cfg = solver.SolverConfig(epsilon=1e-6, dense_threshold=0)
+    for family, make in FAMILIES.items():
+        g, d = make()
+        s = oracles.random_fractional(np.random.default_rng(6), g)
+        L = graphs.assemble_laplacian(g, s)
+        ctx = congestion.make_context(g, cfg)
+        assert ctx.mode == mode, family
+        assert ctx.on_tree(L) == (mode == "backbone_tree"), family
+        res = solver.solve(L, d, cfg, context=ctx)
+        x_star = oracles.pinv(oracles.laplacian(g.n, g.edges, s)) @ d
+        err = rel_energy_error(L.toarray(), res.x, x_star)
+        assert res.converged and err <= 1e-6, family
+        assert res.achieved_residual >= err - 1e-12, family  # the bound is an upper bound
+        if mode == "direct":
+            assert res.iterations == 1, family  # the factor is exact; CG confirms it
+
+
+def backbone_context(g):
     return solver.context_from_edges(g.n, g.ei[g.backbone_mask], g.ej[g.backbone_mask],
-                                     g.w[g.backbone_mask], cfg)
+                                     g.w[g.backbone_mask])
 
 
 def test_auto_fallback_contract_cold_then_warm(monkeypatch):
-    # Without a pattern to probe, auto at scale solves on the backbone
-    # factor at the backbone indicator, where it is exact, and elsewhere
-    # with Jacobi.
+    # Without a pattern to probe, the context at scale solves on the
+    # backbone factor at the backbone indicator, where it is exact, and
+    # elsewhere with Jacobi.
     monkeypatch.setattr(solver, "AUTO_THRESHOLD", 10)
     g, s, d = instance(15, n=80, extra=70)
-    cfg = solver.SolverConfig(epsilon=1e-6, preconditioner="auto", dense_threshold=0)
-    ctx = backbone_context(g, cfg)
+    cfg = solver.SolverConfig(epsilon=1e-6, dense_threshold=0)
+    ctx = backbone_context(g)
     for point, most in ((g.backbone_indicator(), 1), (s, cfg.max_iterations)):
         L = graphs.assemble_laplacian(g, point)
         res = solver.solve(L, d, cfg, context=ctx, x0=ctx.x_warm)
@@ -199,10 +216,12 @@ def test_auto_fallback_contract_cold_then_warm(monkeypatch):
         assert res.achieved_residual >= err - 1e-12
 
 
-def test_solve_evaluates_tree_bound_lazily():
+def test_solve_evaluates_tree_bound_lazily(monkeypatch):
+    monkeypatch.setattr(solver, "AUTO_THRESHOLD", 10)
     g, s, d = instance(16, n=200, extra=300)
-    cfg = solver.SolverConfig(epsilon=1e-8, preconditioner="jacobi", dense_threshold=0)
-    ctx = backbone_context(g, cfg)
+    cfg = solver.SolverConfig(epsilon=1e-8, dense_threshold=0)
+    ctx = backbone_context(g)
+    assert ctx.mode == "jacobi"
     calls = []
     quadform = ctx.tree.quadform
     ctx.tree.quadform = lambda r: calls.append(1) or quadform(r)
@@ -223,7 +242,7 @@ def test_solve_warm_start_reuses_context():
     L = graphs.assemble_laplacian(g, s)
     cfg = solver.SolverConfig(epsilon=1e-8, dense_threshold=0)
     ctx = solver.context_from_edges(g.n, g.ei[g.backbone_mask], g.ej[g.backbone_mask],
-                                    (s * g.w)[g.backbone_mask], cfg)
+                                    (s * g.w)[g.backbone_mask])
     first = solver.solve(L, d, cfg, context=ctx)
     again = solver.solve(L, d, cfg, context=ctx, x0=ctx.x_warm)
     assert again.iterations <= first.iterations
@@ -231,22 +250,26 @@ def test_solve_warm_start_reuses_context():
     assert rel_energy_error(L.toarray(), again.x, x_star) <= 1e-8
 
 
-def test_solve_raises_when_budget_exhausted():
+def test_solve_raises_when_budget_exhausted(monkeypatch):
     g, s, d = instance(9, n=50, extra=40)
     L = graphs.assemble_laplacian(g, s)
-    cfg = solver.SolverConfig(epsilon=1e-10, max_iterations=1,
-                              preconditioner="none", dense_threshold=0)
-    ctx = solver.context_from_edges(g.n, g.ei[g.backbone_mask], g.ej[g.backbone_mask],
-                                    (s * g.w)[g.backbone_mask], cfg)
-    with pytest.raises(NumericalError) as info:
-        solver.solve(L, d, cfg, context=ctx)
-    assert 0.0 < info.value.achieved_residual < np.inf
-    # The residual reported is the bound at the last iterate, one plain CG
-    # step from zero, even though the bound was not due there.
-    x = (d @ d) / (d @ (L @ d)) * d
-    r = solver.project_zero_mean(d - L @ x)
-    expected = np.sqrt(ctx.tree.quadform(r) / (2.0 * d @ x - x @ (L @ x)))
-    assert info.value.achieved_residual == pytest.approx(expected, rel=1e-9)
+    cfg = solver.SolverConfig(epsilon=1e-10, max_iterations=1, dense_threshold=0)
+    # The residual reported is the bound at the last iterate, one CG step
+    # from zero along z = M^-1 d. Under the backbone factor the bound is
+    # CG's own r^T z; under Jacobi it is evaluated even if it was not due.
+    for threshold, mode in ((solver.AUTO_THRESHOLD, "backbone_tree"), (10, "jacobi")):
+        monkeypatch.setattr(solver, "AUTO_THRESHOLD", threshold)
+        ctx = backbone_context(g)
+        assert ctx.mode == mode
+        with pytest.raises(NumericalError) as info:
+            solver.solve(L, d, cfg, context=ctx)
+        assert 0.0 < info.value.achieved_residual < np.inf
+        M = ctx.tree.apply if mode == "backbone_tree" else ctx.preconditioner(L)
+        z = solver.project_zero_mean(M(d))
+        x = (d @ z) / (z @ (L @ z)) * z
+        r = solver.project_zero_mean(d - L @ x)
+        expected = np.sqrt(ctx.tree.quadform(r) / (2.0 * d @ x - x @ (L @ x)))
+        assert info.value.achieved_residual == pytest.approx(expected, rel=1e-9), mode
 
 
 def test_solve_rejects_bad_demand():
@@ -263,16 +286,16 @@ def test_solver_config_validation():
         solver.SolverConfig(epsilon=0.0)
     with pytest.raises(InvalidInputError):
         solver.SolverConfig(max_iterations=0)
-    with pytest.raises(InvalidInputError):
-        solver.SolverConfig(preconditioner="cholesky")
+    # The input picks the path: "auto" is the only preconditioner value.
+    assert solver.SolverConfig().preconditioner == "auto"
+    for name in ("cholesky", "backbone_tree", "jacobi", "direct", "none", ""):
+        with pytest.raises(InvalidInputError):
+            solver.SolverConfig(preconditioner=name)
 
 
 def test_auto_mode_prefers_tree_on_small_graphs():
     g, s, _ = instance(11, n=30, extra=10)
-    cfg = solver.SolverConfig(preconditioner="auto")
-    ctx = solver.context_from_edges(g.n, g.ei[g.backbone_mask], g.ej[g.backbone_mask],
-                                    g.w[g.backbone_mask], cfg)
-    assert ctx.mode == "backbone_tree"
+    assert backbone_context(g).mode == "backbone_tree"
 
 
 def test_auto_mode_is_jacobi_without_a_pattern(monkeypatch):
@@ -280,10 +303,8 @@ def test_auto_mode_is_jacobi_without_a_pattern(monkeypatch):
     g, s, _ = instance(12, n=30, extra=10)
     L_tree = graphs.assemble_laplacian(g, g.backbone_indicator())
     L_s = graphs.assemble_laplacian(g, s)
-    ctx = backbone_context(g, solver.SolverConfig(preconditioner="auto"))
+    ctx = backbone_context(g)
     assert ctx.mode == "jacobi" and ctx.on_tree(L_tree) and not ctx.on_tree(L_s)
-    explicit = backbone_context(g, solver.SolverConfig(preconditioner="jacobi"))
-    assert explicit.mode == "jacobi" and not explicit.on_tree(L_tree)
 
 
 def test_amg_is_an_unknown_preconditioner(tmp_path, capsys):
@@ -292,7 +313,7 @@ def test_amg_is_an_unknown_preconditioner(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 10, "extra": 5, "preconditioner": "amg"}))
     assert cli.main(["experiment", "--config", str(cfg)]) == 2
-    assert "amg" in capsys.readouterr().err
+    assert "unknown config keys: ['preconditioner']" in capsys.readouterr().err
     inst = tmp_path / "inst.txt"
     assert cli.main(["generate", "--n", "10", "--extra", "5", "--output", str(inst)]) == 0
     with pytest.raises(SystemExit) as info:
@@ -300,21 +321,29 @@ def test_amg_is_an_unknown_preconditioner(tmp_path, capsys):
     assert info.value.code == 2
 
 
-def test_auto_mode_resolves_by_fill_probe():
-    # A grid factors with little fill and auto solves it directly, except at
-    # the backbone's own pattern; an expander of the CLI family does not,
-    # and stays on Jacobi.
-    cfg = solver.SolverConfig(preconditioner="auto")
-    g, _ = oracles.grid_comb(80, 80, seed=1)
+def test_auto_mode_resolves_by_fill_probe(monkeypatch):
+    # A grid factors with little fill and the library default solves it
+    # directly, except at the backbone's own pattern; an expander of the
+    # CLI family does not, and stays on Jacobi.
+    cfg = solver.SolverConfig()
+    g, d = oracles.grid_comb(80, 80, seed=1)
     ctx = congestion.make_context(g, cfg)
     L = graphs.assemble_laplacian(g, np.ones(g.m))
     assert ctx.mode == "direct" and not ctx.on_tree(L)
     assert ctx.on_tree(graphs.assemble_laplacian(g, g.backbone_indicator()))
-    assert solver.context_from_laplacian(L, cfg).mode == "direct"
+    assert solver.context_from_laplacian(L).mode == "direct"
+    # frankwolfe.run with default settings builds the same context.
+    made = []
+    make = congestion.make_context
+    monkeypatch.setattr(congestion, "make_context",
+                        lambda *args: made.append(make(*args)) or made[-1])
+    q = int(g.backbone_mask.sum()) + 1
+    frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05, max_iterations=1))
+    assert [c.mode for c in made] == ["direct"]
     g, _ = cli.generate_instance(3000, 6000, seed=1, demand="gauss", multigraph=True)
-    assert congestion.make_context(g, cfg).mode == "jacobi"
+    assert make(g, cfg).mode == "jacobi"
     L = graphs.assemble_laplacian(g, np.ones(g.m))
-    assert solver.context_from_laplacian(L, cfg).mode == "jacobi"
+    assert solver.context_from_laplacian(L).mode == "jacobi"
 
 
 def test_auto_direct_certifies_a_300_by_300_grid():
@@ -323,8 +352,7 @@ def test_auto_direct_certifies_a_300_by_300_grid():
     # the true energy error.
     g, d = oracles.grid_comb(300, 300, seed=1)
     q = int(g.backbone_mask.sum()) + int((~g.backbone_mask).sum()) // 2
-    cfg = frankwolfe.FWConfig(q=q, alpha=0.05,
-                              solver=solver.SolverConfig(preconditioner="auto"))
+    cfg = frankwolfe.FWConfig(q=q, alpha=0.05)
     ctx = congestion.make_context(g, cfg.solver)
     s, cert, _ = frankwolfe.run(g, d, cfg, ctx)
     assert ctx.mode == "direct" and cert.certified
@@ -340,17 +368,22 @@ def test_auto_direct_certifies_a_300_by_300_grid():
     assert res.achieved_residual >= err - 1e-12
 
 
-def test_jacobi_rejects_isolated_node():
+def test_jacobi_rejects_isolated_node(monkeypatch):
+    monkeypatch.setattr(solver, "AUTO_THRESHOLD", 3)
     tree = solver.TreeFactor(3, np.array([0, 1]), np.array([1, 2]), np.ones(2))
-    ctx = solver.SolveContext(tree, solver.SolverConfig(preconditioner="jacobi"))
+    ctx = solver.SolveContext(tree)
+    assert ctx.mode == "jacobi"
     bad = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(StructuralError):
         ctx.preconditioner(bad)
 
 
-def test_direct_rejects_disconnected_laplacian():
-    tree = solver.TreeFactor(4, np.array([0, 1, 2]), np.array([1, 2, 3]), np.ones(3))
-    ctx = solver.SolveContext(tree, solver.SolverConfig(preconditioner="direct"))
+def test_direct_rejects_disconnected_laplacian(monkeypatch):
+    monkeypatch.setattr(solver, "AUTO_THRESHOLD", 4)
+    path = (np.array([0, 1, 2]), np.array([1, 2, 3]))
+    tree = solver.TreeFactor(4, *path, np.ones(3))
+    ctx = solver.SolveContext(tree, pattern=path)
+    assert ctx.mode == "direct"
     two_pieces = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0], [-1.0, 1.0, 0, 0],
                                          [0, 0, 1.0, -1.0], [0, 0, -1.0, 1.0]]))
     with pytest.raises(StructuralError):
