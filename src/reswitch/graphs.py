@@ -132,7 +132,8 @@ def check_switch(g: Graph, s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (g.m,):
         raise InvalidInputError(f"switch vector has shape {s.shape}, expected ({g.m},)")
-    if np.any(s < -1e-12) or np.any(s > 1 + 1e-12):
+    # Written so that NaN, which fails every comparison, fails the check.
+    if not np.all((s >= -1e-12) & (s <= 1 + 1e-12)):
         raise InvalidInputError("switch entries must lie in [0, 1]")
     if not np.all(s[g.backbone_mask] == 1.0):
         raise InvalidInputError("backbone switch entries must equal 1")

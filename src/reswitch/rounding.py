@@ -97,9 +97,7 @@ def sample(sbar: np.ndarray, g: graphs.Graph, q: int,
 
     Deterministic given (inputs, seed).
     """
-    sbar = np.asarray(sbar, dtype=float)
-    if sbar.shape != (g.m,):
-        raise InvalidInputError("sbar length does not match edge count")
+    sbar = graphs.check_switch(g, sbar)
     graphs.check_budget(g, q)
     rng = np.random.default_rng(params.rng_seed)
     probs = sbar

@@ -13,31 +13,32 @@ deterministic certificate, whatever preconditioner drives the iteration.
 
 The input picks the path, and no option overrides it. solve takes the
 exact dense path up to SolverConfig.dense_threshold nodes. Above it, the
-solve context picks the preconditioner: the grounded backbone factor
-(backbone_tree) below AUTO_THRESHOLD nodes; at or above it, direct (a sparse
-LU of the grounded L_s itself, built once per solve) when a fill probe finds
+solve context picks the preconditioner at every size: direct (a sparse LU
+of the grounded L_s itself, built once per solve) when a fill probe finds
 the widest pattern the context will solve low-fill, and jacobi otherwise.
 The probe compares the envelope of a reverse Cuthill-McKee order with
-FILL_BUDGET nonzeros per edge. Planar, grid-like graphs pass it and their
-factor is cheap; expander-like graphs fail it, and there Jacobi needs only
-tens of iterations. On a Laplacian with the backbone's own sparsity pattern
-(the switch vector at the backbone indicator, where optimization starts)
-the backbone factor is used whatever the mode, since it is exact there:
-L_s = L_T. Under direct or an exact backbone factor CG takes one iteration,
-and the solution still has to pass the stopping bound below, so a poor
-factor can cost time but never accuracy. The exact dense path is also the
-test oracle.
+FILL_BUDGET nonzeros per edge. Planar, grid-like and ring-like graphs pass
+it and their factor is cheap; expander-like graphs fail it, and there
+Jacobi needs only tens of iterations. On a Laplacian with the backbone's
+own sparsity pattern (the switch vector at the backbone indicator, where
+optimization starts) the backbone factor is used whatever the mode, since
+it is exact there: L_s = L_T. Under direct or the backbone factor CG takes
+one iteration, and the solution still has to pass the stopping bound
+below, so a poor factor can cost time but never accuracy. The exact dense
+path is also the test oracle.
 
-Under the tree preconditioner the bound r^T L_T^+ r is the CG quantity
-r^T z and costs nothing. Under any other it costs a backbone solve, so it is
-evaluated only when it can fire: its next value is predicted from the last
-measured ratio bound / r^T z, and it is evaluated when the prediction meets
-the target or BOUND_INTERVAL iterations have passed since the last
-evaluation. Convergence is declared only on an evaluated bound, and a solve
-that runs out of iterations evaluates it before it raises.
+Under the backbone factor the bound r^T L_T^+ r is the CG quantity r^T z
+and costs nothing. Under any other preconditioner it costs a backbone
+solve, so it is evaluated only when it can fire: its next value is
+predicted from the last measured ratio bound / r^T z, and it is evaluated
+when the prediction meets the target or BOUND_INTERVAL iterations have
+passed since the last evaluation. Convergence is declared only on an
+evaluated bound, and a solve that runs out of iterations evaluates it
+before it raises.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,10 @@ from scipy.sparse.csgraph import (connected_components, minimum_spanning_tree,
 
 from .errors import CapExceededError, InvalidInputError, NumericalError, StructuralError
 
-AUTO_THRESHOLD = 3000
 # Reverse Cuthill-McKee envelope per edge up to which a context solves directly.
 # Grids of 80 x 80 to 300 x 300 come to 27-101 (their minimum-degree factors,
-# which the solves use, to 17.5-28 nonzeros per edge); CLI expanders of 3000
-# nodes and more come to 264 and up.
+# which the solves use, to 17.5-28 nonzeros per edge), chord rings of 1500
+# nodes to 62-76; CLI expanders with 2n extra edges pass below about 1450.
 FILL_BUDGET = 128
 BOUND_INTERVAL = 16
 # Largest node count for the dense-only operations (resistances, Hessian,
@@ -221,28 +221,28 @@ class TreeFactor:
 class SolveContext:
     """Caller-owned cache: backbone factor, resolved mode, warm-start voltages.
 
-    mode is the preconditioner the input picks (module docstring). pattern,
-    the edges (ei, ej) of the widest Laplacian the context will solve,
-    feeds the fill probe at or above AUTO_THRESHOLD nodes; without it the
-    mode there is jacobi. Whatever the mode, a Laplacian with the backbone's
-    sparsity pattern is preconditioned by the backbone factor, which is
-    exact there.
+    pattern is the edges (ei, ej) of the widest Laplacian the context will
+    solve. mode, direct or jacobi, is the preconditioner the fill probe
+    picks on it (module docstring); without a pattern it is jacobi. A
+    Laplacian with the backbone's sparsity pattern is preconditioned by the
+    backbone factor whatever the mode, since the factor is exact there.
     """
 
     def __init__(self, tree: TreeFactor, pattern=None):
         self.tree = tree
-        if tree.n < AUTO_THRESHOLD:
-            self.mode = "backbone_tree"
-        elif pattern is not None and _low_fill(tree.n, *pattern):
-            self.mode = "direct"
-        else:
-            self.mode = "jacobi"
+        self.pattern = pattern
         self.x_warm: np.ndarray | None = None
+
+    @functools.cached_property
+    def mode(self) -> str:
+        # Resolved on first use: solves on the dense path never probe.
+        if self.pattern is not None and _low_fill(self.tree.n, *self.pattern):
+            return "direct"
+        return "jacobi"
 
     def on_tree(self, L) -> bool:
         """Whether a solve on L is preconditioned by the backbone factor."""
-        return (self.mode == "backbone_tree"
-                or np.count_nonzero(L.data if sp.issparse(L) else L) == self.tree.nnz)
+        return np.count_nonzero(L.data if sp.issparse(L) else L) == self.tree.nnz
 
     def preconditioner(self, L):
         """r -> M^-1 r for a solve on L off the backbone factor (see on_tree)."""

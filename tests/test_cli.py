@@ -156,6 +156,20 @@ def test_certify_rejects_an_over_budget_point(tmp_path, capsys):
     assert "above the budget q=69" in capsys.readouterr().err
 
 
+def test_nan_switch_vector_exits_2(tmp_path, capsys):
+    # json reads NaN, and every comparison with NaN is false, so a NaN entry
+    # once passed the range check: round drew too few edges and certify
+    # failed inside the solver.
+    inst = gen(tmp_path, n=12, extra=8, seed=3)
+    g, _, _ = graphs.read_instance(inst)
+    sol = tmp_path / "nan.json"
+    s = np.where(g.backbone_mask, 1.0, np.nan)
+    sol.write_text(json.dumps({"record": {"switch_vector": s.tolist()}}))
+    for cmd in ("round", "certify"):
+        assert cli.main([cmd, "--input", str(inst), "--solution", str(sol)]) == 2, cmd
+        assert "switch entries must lie in [0, 1]" in capsys.readouterr().err, cmd
+
+
 @pytest.mark.parametrize("argv", [["solve", "--input", "i.txt"],
                                   ["round", "--input", "i.txt", "--solution", "s.json"],
                                   ["certify", "--input", "i.txt"],

@@ -93,6 +93,11 @@ def test_check_switch_rejects_out_of_range():
         graphs.check_switch(triangle(), [1.0, 1.0, 1.5])
 
 
+def test_check_switch_rejects_nan():
+    with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
+        graphs.check_switch(triangle(), [1.0, 1.0, np.nan])
+
+
 def test_check_switch_rejects_wrong_length():
     with pytest.raises(InvalidInputError):
         graphs.check_switch(triangle(), [1.0, 1.0])

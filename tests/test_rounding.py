@@ -222,6 +222,13 @@ def test_sample_rejects_wrong_length():
         rounding.sample(np.ones(g.m + 1), g, g.m, rounding.RoundingParams(delta=0.1))
 
 
+def test_sample_rejects_nan_probabilities():
+    g, _ = instance(17)
+    sbar = np.where(g.backbone_mask, 1.0, np.nan)
+    with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
+        rounding.sample(sbar, g, g.m, rounding.RoundingParams(delta=0.1))
+
+
 def test_sample_frequencies_match_probabilities():
     g, _ = instance(18, n=9, extra=7)
     rng = np.random.default_rng(19)

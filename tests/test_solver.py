@@ -166,16 +166,14 @@ FAMILIES = {
     "cli-expander": lambda: cli.generate_instance(80, 160, seed=1, demand="gauss",
                                                   multigraph=True),
 }
-# (AUTO_THRESHOLD, FILL_BUDGET) under which the policy picks each mode on
-# graphs of that size: every graph is below the threshold, or above it
-# with every envelope over a zero budget or under a vast one.
-POLICY = {"backbone_tree": (10 ** 9, 0), "jacobi": (10, 0), "direct": (10, 10 ** 9)}
+# FILL_BUDGET under which the fill probe picks each mode: every envelope is
+# over a zero budget and under a vast one.
+POLICY = {"jacobi": 0, "direct": 10 ** 9}
 
 
 @pytest.mark.parametrize("mode", POLICY)
 def test_solve_contract_per_preconditioner(monkeypatch, mode):
-    monkeypatch.setattr(solver, "AUTO_THRESHOLD", POLICY[mode][0])
-    monkeypatch.setattr(solver, "FILL_BUDGET", POLICY[mode][1])
+    monkeypatch.setattr(solver, "FILL_BUDGET", POLICY[mode])
     cfg = solver.SolverConfig(epsilon=1e-6, dense_threshold=0)
     for family, make in FAMILIES.items():
         g, d = make()
@@ -183,7 +181,7 @@ def test_solve_contract_per_preconditioner(monkeypatch, mode):
         L = graphs.assemble_laplacian(g, s)
         ctx = congestion.make_context(g, cfg)
         assert ctx.mode == mode, family
-        assert ctx.on_tree(L) == (mode == "backbone_tree"), family
+        assert not ctx.on_tree(L), family
         res = solver.solve(L, d, cfg, context=ctx)
         x_star = oracles.pinv(oracles.laplacian(g.n, g.edges, s)) @ d
         err = rel_energy_error(L.toarray(), res.x, x_star)
@@ -198,11 +196,10 @@ def backbone_context(g):
                                      g.w[g.backbone_mask])
 
 
-def test_auto_fallback_contract_cold_then_warm(monkeypatch):
-    # Without a pattern to probe, the context at scale solves on the
-    # backbone factor at the backbone indicator, where it is exact, and
-    # elsewhere with Jacobi.
-    monkeypatch.setattr(solver, "AUTO_THRESHOLD", 10)
+def test_auto_fallback_contract_cold_then_warm():
+    # Without a pattern to probe, the context solves on the backbone factor
+    # at the backbone indicator, where it is exact, and elsewhere with
+    # Jacobi.
     g, s, d = instance(15, n=80, extra=70)
     cfg = solver.SolverConfig(epsilon=1e-6, dense_threshold=0)
     ctx = backbone_context(g)
@@ -216,8 +213,7 @@ def test_auto_fallback_contract_cold_then_warm(monkeypatch):
         assert res.achieved_residual >= err - 1e-12
 
 
-def test_solve_evaluates_tree_bound_lazily(monkeypatch):
-    monkeypatch.setattr(solver, "AUTO_THRESHOLD", 10)
+def test_solve_evaluates_tree_bound_lazily():
     g, s, d = instance(16, n=200, extra=300)
     cfg = solver.SolverConfig(epsilon=1e-8, dense_threshold=0)
     ctx = backbone_context(g)
@@ -250,26 +246,31 @@ def test_solve_warm_start_reuses_context():
     assert rel_energy_error(L.toarray(), again.x, x_star) <= 1e-8
 
 
-def test_solve_raises_when_budget_exhausted(monkeypatch):
+def test_solve_raises_when_budget_exhausted():
     g, s, d = instance(9, n=50, extra=40)
-    L = graphs.assemble_laplacian(g, s)
     cfg = solver.SolverConfig(epsilon=1e-10, max_iterations=1, dense_threshold=0)
+    bb = g.backbone_mask
+    # A backbone factor with unevenly lowered weights is inexact at the
+    # backbone indicator, where it still preconditions (its pattern is the
+    # backbone's), and L_T stays below L in the PSD order.
+    low = np.random.default_rng(9).uniform(0.2, 1.0, size=int(bb.sum()))
+    weak = solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb] * low)
     # The residual reported is the bound at the last iterate, one CG step
     # from zero along z = M^-1 d. Under the backbone factor the bound is
     # CG's own r^T z; under Jacobi it is evaluated even if it was not due.
-    for threshold, mode in ((solver.AUTO_THRESHOLD, "backbone_tree"), (10, "jacobi")):
-        monkeypatch.setattr(solver, "AUTO_THRESHOLD", threshold)
-        ctx = backbone_context(g)
-        assert ctx.mode == mode
+    for point, ctx, on_tree in ((g.backbone_indicator(), weak, True),
+                                (s, backbone_context(g), False)):
+        L = graphs.assemble_laplacian(g, point)
+        assert ctx.on_tree(L) == on_tree
         with pytest.raises(NumericalError) as info:
             solver.solve(L, d, cfg, context=ctx)
         assert 0.0 < info.value.achieved_residual < np.inf
-        M = ctx.tree.apply if mode == "backbone_tree" else ctx.preconditioner(L)
+        M = ctx.tree.apply if on_tree else ctx.preconditioner(L)
         z = solver.project_zero_mean(M(d))
         x = (d @ z) / (z @ (L @ z)) * z
         r = solver.project_zero_mean(d - L @ x)
         expected = np.sqrt(ctx.tree.quadform(r) / (2.0 * d @ x - x @ (L @ x)))
-        assert info.value.achieved_residual == pytest.approx(expected, rel=1e-9), mode
+        assert info.value.achieved_residual == pytest.approx(expected, rel=1e-9), on_tree
 
 
 def test_solve_rejects_bad_demand():
@@ -293,13 +294,29 @@ def test_solver_config_validation():
             solver.SolverConfig(preconditioner=name)
 
 
-def test_auto_mode_prefers_tree_on_small_graphs():
-    g, s, _ = instance(11, n=30, extra=10)
-    assert backbone_context(g).mode == "backbone_tree"
+def test_fill_probe_picks_the_mode_at_every_size():
+    # No size rule comes before the probe: a chord ring of 1500 nodes
+    # factors with little fill, an expander of 2000 nodes does not.
+    g, _ = oracles.chord_ring(1500, 1)
+    assert congestion.make_context(g).mode == "direct"
+    g, _ = cli.generate_instance(2000, 4000, seed=1, demand="gauss", multigraph=True)
+    assert congestion.make_context(g).mode == "jacobi"
 
 
-def test_auto_mode_is_jacobi_without_a_pattern(monkeypatch):
-    monkeypatch.setattr(solver, "AUTO_THRESHOLD", 10)
+def test_dense_path_never_runs_the_fill_probe(monkeypatch):
+    # The mode is resolved on first use, and a solve on the dense path
+    # never uses it.
+    def probe(*args):
+        raise AssertionError("fill probe ran")
+    monkeypatch.setattr(solver, "_low_fill", probe)
+    g, _, d = instance(13, n=30, extra=16)
+    q = int(g.backbone_mask.sum()) + 8
+    ctx = congestion.make_context(g)
+    _, cert, _ = frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05), ctx)
+    assert cert.certified and "mode" not in vars(ctx)
+
+
+def test_auto_mode_is_jacobi_without_a_pattern():
     g, s, _ = instance(12, n=30, extra=10)
     L_tree = graphs.assemble_laplacian(g, g.backbone_indicator())
     L_s = graphs.assemble_laplacian(g, s)
@@ -368,8 +385,7 @@ def test_auto_direct_certifies_a_300_by_300_grid():
     assert res.achieved_residual >= err - 1e-12
 
 
-def test_jacobi_rejects_isolated_node(monkeypatch):
-    monkeypatch.setattr(solver, "AUTO_THRESHOLD", 3)
+def test_jacobi_rejects_isolated_node():
     tree = solver.TreeFactor(3, np.array([0, 1]), np.array([1, 2]), np.ones(2))
     ctx = solver.SolveContext(tree)
     assert ctx.mode == "jacobi"
@@ -378,8 +394,7 @@ def test_jacobi_rejects_isolated_node(monkeypatch):
         ctx.preconditioner(bad)
 
 
-def test_direct_rejects_disconnected_laplacian(monkeypatch):
-    monkeypatch.setattr(solver, "AUTO_THRESHOLD", 4)
+def test_direct_rejects_disconnected_laplacian():
     path = (np.array([0, 1, 2]), np.array([1, 2, 3]))
     tree = solver.TreeFactor(4, *path, np.ones(3))
     ctx = solver.SolveContext(tree, pattern=path)
