@@ -5,8 +5,9 @@ permanently closed backbone, so that the congestion d^T L_s^+ d of a fixed
 demand vector is small. The pipeline relaxes binary switches to
 probabilities, runs a monotone conditional-gradient method with
 computable (1 + alpha) certificates, and rounds the result to an integral
-configuration with repair and concentration guarantees. A brute-force
-enumerator provides exact baselines at small scale.
+configuration with repair and concentration guarantees. A branch and
+bound on the conditional-gradient duality bound provides exact baselines
+at small scale.
 """
 
 from .graphs import (Graph, Configuration, make_graph, validate,
@@ -16,15 +17,14 @@ from .graphs import (Graph, Configuration, make_graph, validate,
 from .solver import (SolverConfig, SolveResult, SolveContext, solve,
                      exact_pinv_apply, pinv_laplacian, project_zero_mean)
 from .congestion import (DiffResult, HessianInfo, phi, approx_diff,
-                         exact_gradient, hessian_dense, homogeneity_residual,
+                         exact_gradient, hessian_dense,
                          total_effective_resistance,
                          total_effective_resistance_gradient)
 from .frankwolfe import (FWConfig, Certificate, FWTrace, IterationRecord,
-                         lmo_top_q, fw_gap, certificate, run,
-                         hexagon_norm, hexagon_dual_norm)
+                         lmo_top_q, fw_gap, certificate, run)
 from .rounding import (RoundingParams, RoundingReport, floor_probabilities,
                        sample, shrinkage, sandwich_epsilon, sandwich_check)
-from .enumeration import EnumerationResult, enumerate_optimal, exact_phi_all
+from .enumeration import EnumerationResult, enumerate_optimal
 from .cli import ExperimentConfig, generate_instance, run_experiment
 
 __version__ = "0.1.0"
@@ -37,14 +37,13 @@ __all__ = [
     "SolverConfig", "SolveResult", "SolveContext", "solve",
     "exact_pinv_apply", "pinv_laplacian", "project_zero_mean",
     "DiffResult", "HessianInfo", "phi", "approx_diff", "exact_gradient",
-    "hessian_dense", "homogeneity_residual",
+    "hessian_dense",
     "total_effective_resistance", "total_effective_resistance_gradient",
     "FWConfig", "Certificate", "FWTrace", "IterationRecord",
     "lmo_top_q", "fw_gap", "certificate", "run",
-    "hexagon_norm", "hexagon_dual_norm",
     "RoundingParams", "RoundingReport", "floor_probabilities", "sample",
     "shrinkage", "sandwich_epsilon", "sandwich_check",
-    "EnumerationResult", "enumerate_optimal", "exact_phi_all",
+    "EnumerationResult", "enumerate_optimal",
     "ExperimentConfig", "generate_instance", "run_experiment",
     "__version__",
 ]

@@ -7,7 +7,7 @@ are JSON documents with a deterministic "record" payload (byte-identical
 across replays of the same config and seeds) plus volatile "timing" and
 "timestamp" fields kept outside it; a CSV summary mirrors the scalar
 fields. Exit codes: 0 success, 2 invalid input, 3 numerical failure,
-4 enumeration or dense cap exceeded.
+4 branch-and-bound node cap or dense cap exceeded.
 """
 from __future__ import annotations
 
@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "input", "output", "format", "q", "alpha", "solver")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("enumerate", help="exact brute-force baseline")
+    p = sub.add_parser("enumerate", help="exact baseline by branch and bound")
     _add_common(p, "input", "output", "format", "q")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -4,8 +4,8 @@ One approximate solve yields the value, the per-edge voltage differences
 Delta_e, and the full gradient (grad phi)_e = -w_e Delta_e^2 at once. The
 exact dense path backs the small-instance oracles: gradient, Hessian (via
 the factorization H = 2 diag(zeta) P diag(zeta) with zeta_e = sqrt(w_e)
-Delta_e and P = W^{1/2} A L^+ A^T W^{1/2}), homogeneity diagnostics, and
-the total-effective-resistance gradient.
+Delta_e and P = W^{1/2} A L^+ A^T W^{1/2}) and the total-effective-resistance
+gradient.
 """
 from __future__ import annotations
 
@@ -121,18 +121,6 @@ def hessian_dense(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> HessianInfo:
     rho_t = Lpt[g.ei, g.ei] + Lpt[g.ej, g.ej] - 2.0 * Lpt[g.ei, g.ej]
     gsc = 3.0 * float(np.linalg.norm(g.w * rho_t))
     return HessianInfo(H=H, opnorm_bound=2.0 * phi_val, gsc_M=gsc)
-
-
-def homogeneity_residual(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
-                         cfg: solver.SolverConfig | None = None,
-                         context: solver.SolveContext | None = None) -> float:
-    """|phi(s) + <grad, s>| / phi(s); phi is homogeneous of degree -1.
-
-    Returns the absolute residual when phi(s) = 0 (zero demand).
-    """
-    diff = approx_diff(g, s, d, cfg, context)
-    resid = abs(diff.phi + float(diff.grad @ s))
-    return resid / diff.phi if diff.phi > 0 else resid
 
 
 def total_effective_resistance(g: graphs.Graph, s: np.ndarray) -> float:

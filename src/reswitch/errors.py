@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: invalid input 2, numerical
-failure 3, enumeration cap exceeded 4.
+failure 3, a safety cap exceeded 4.
 """
 
 
@@ -22,7 +22,7 @@ class NumericalError(RuntimeError):
 
 
 class CapExceededError(RuntimeError):
-    """A brute-force safety cap (enumeration size, dense threshold) was hit."""
+    """A safety cap (branch-and-bound nodes, dense node count) was hit."""
 
 
 class ResampleExhaustedError(NumericalError):

@@ -166,20 +166,3 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig,
         best_gap = fw_gap(diff.grad, s, lmo_top_q(diff.grad, g, cfg.q))
     return best_s, _certificate(best_gap, cfg.alpha, best_phi), FWTrace(tuple(records))
 
-
-def hexagon_norm(u: np.ndarray, q: int) -> float:
-    """max(||u||_1, q ||u||_inf), the budget-polytope gauge."""
-    if q < 1:
-        raise InvalidInputError("q must be at least 1")
-    a = np.abs(np.asarray(u, dtype=float))
-    if a.size == 0:
-        return 0.0
-    return float(max(a.sum(), q * a.max()))
-
-
-def hexagon_dual_norm(u: np.ndarray, q: int) -> float:
-    """Average of the q largest coordinate magnitudes (zero-padded)."""
-    if q < 1:
-        raise InvalidInputError("q must be at least 1")
-    a = np.sort(np.abs(np.asarray(u, dtype=float)))[::-1]
-    return float(a[:q].sum() / q)

