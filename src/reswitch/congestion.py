@@ -43,12 +43,12 @@ def make_context(g: graphs.Graph,
     """Solve context keyed to the graph's backbone (preconditioner, warm start).
 
     Every edge of g is in the pattern the context may solve, so the fill
-    probe runs on all of them. The graph alone picks the mode; cfg is
-    accepted and not used.
+    probe runs on all of them, once per graph (Graph.low_fill). The graph
+    alone picks the mode; cfg is accepted and not used.
     """
     bb = g.backbone_mask
     return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb],
-                                     pattern=(g.ei, g.ej))
+                                     low_fill=g.low_fill)
 
 
 def _voltages(g, s, d, cfg, context):
@@ -59,10 +59,15 @@ def _voltages(g, s, d, cfg, context):
     # dense here costs less than densifying a sparse matrix there.
     if g.n <= cfg.dense_threshold:
         L = graphs.assemble_laplacian_dense(g, s)
-    else:
-        L = graphs.assemble_laplacian(g, s)
-    x0 = context.x_warm if context is not None else None
-    return solver.solve(L, d, cfg, context=context, x0=x0).x
+        return solver.solve(L, d, cfg, context=context).x
+    # Without a context, solve on a fresh one over the graph's backbone:
+    # check_switch pins the backbone closed, so L_s dominates L_T and the
+    # backbone bound holds. It starts cold, so the value does not depend on
+    # earlier calls.
+    if context is None:
+        context = make_context(g, cfg)
+    L = graphs.assemble_laplacian(g, s)
+    return solver.solve(L, d, cfg, context=context, x0=context.x_warm).x
 
 
 def phi(g: graphs.Graph, s: np.ndarray, d: np.ndarray,

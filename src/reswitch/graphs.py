@@ -71,6 +71,18 @@ class Graph:
         data = np.tile([1.0, -1.0], self.m)
         return sp.csr_matrix((data, (rows, cols)), shape=(self.m, self.n))
 
+    def low_fill(self) -> bool:
+        """The solver's fill probe on every edge, run once per graph and FILL_BUDGET.
+
+        The verdict is a function of n, ei, ej and the budget alone, so it
+        is kept on the graph; the solves it picks the mode for are not.
+        """
+        verdicts = self.__dict__.setdefault("_low_fill", {})
+        budget = solver.FILL_BUDGET
+        if budget not in verdicts:
+            verdicts[budget] = solver._low_fill(self.n, self.ei, self.ej)
+        return verdicts[budget]
+
     def backbone_indicator(self) -> np.ndarray:
         """Switch vector with backbone edges closed and all others open."""
         return self.backbone_mask.astype(float)

@@ -17,12 +17,14 @@ solve context picks the preconditioner at every size: direct (a sparse LU
 of the grounded L_s itself, built once per solve) when a fill probe finds
 the widest pattern the context will solve low-fill, and jacobi otherwise.
 The probe compares the envelope of a reverse Cuthill-McKee order with
-FILL_BUDGET nonzeros per edge. Planar, grid-like and ring-like graphs pass
-it and their factor is cheap; expander-like graphs fail it, and there
-Jacobi needs only tens of iterations. On a Laplacian with the backbone's
-own sparsity pattern (the switch vector at the backbone indicator, where
-optimization starts) the backbone factor is used whatever the mode, since
-it is exact there: L_s = L_T. Under direct or the backbone factor CG takes
+FILL_BUDGET nonzeros per edge; a context over a graph's backbone takes the
+graph's verdict, probed once per graph (graphs.Graph.low_fill). Planar,
+grid-like and ring-like graphs pass it and their factor is cheap;
+expander-like graphs fail it, and there Jacobi needs only tens of
+iterations. On a Laplacian with the backbone's own sparsity pattern (the
+switch vector at the backbone indicator, where optimization starts) the
+backbone factor is used whatever the mode, since it is exact there:
+L_s = L_T. Under direct or the backbone factor CG takes
 one iteration, and the solution still has to pass the stopping bound
 below, so a poor factor can cost time but never accuracy. The exact dense
 path is also the test oracle.
@@ -39,6 +41,7 @@ before it raises.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,22 +224,22 @@ class TreeFactor:
 class SolveContext:
     """Caller-owned cache: backbone factor, resolved mode, warm-start voltages.
 
-    pattern is the edges (ei, ej) of the widest Laplacian the context will
-    solve. mode, direct or jacobi, is the preconditioner the fill probe
-    picks on it (module docstring); without a pattern it is jacobi. A
+    low_fill returns the fill probe's verdict on the widest Laplacian the
+    context will solve. mode, direct or jacobi, is the preconditioner that
+    verdict picks (module docstring); without low_fill it is jacobi. A
     Laplacian with the backbone's sparsity pattern is preconditioned by the
     backbone factor whatever the mode, since the factor is exact there.
     """
 
-    def __init__(self, tree: TreeFactor, pattern=None):
+    def __init__(self, tree: TreeFactor, low_fill: Callable[[], bool] | None = None):
         self.tree = tree
-        self.pattern = pattern
+        self.low_fill = low_fill
         self.x_warm: np.ndarray | None = None
 
     @functools.cached_property
     def mode(self) -> str:
         # Resolved on first use: solves on the dense path never probe.
-        if self.pattern is not None and _low_fill(self.tree.n, *self.pattern):
+        if self.low_fill is not None and self.low_fill():
             return "direct"
         return "jacobi"
 
@@ -254,15 +257,16 @@ class SolveContext:
         return lambda r: r / diag
 
 
-def context_from_edges(n: int, ei, ej, w, pattern=None) -> SolveContext:
+def context_from_edges(n: int, ei, ej, w,
+                       low_fill: Callable[[], bool] | None = None) -> SolveContext:
     """Build a solve context from explicit backbone edge arrays.
 
-    pattern is the (ei, ej) edge arrays of the widest Laplacian to be
-    solved, for the fill probe (see SolveContext).
+    low_fill gives the fill probe's verdict on the widest Laplacian to be
+    solved (see SolveContext).
     """
     tree = TreeFactor(n, np.asarray(ei, dtype=np.int64), np.asarray(ej, dtype=np.int64),
                       np.asarray(w, dtype=float))
-    return SolveContext(tree, pattern)
+    return SolveContext(tree, low_fill)
 
 
 def context_from_laplacian(L) -> SolveContext:
@@ -278,7 +282,7 @@ def context_from_laplacian(L) -> SolveContext:
         raise StructuralError("Laplacian sparsity pattern is disconnected")
     w = np.asarray(Ls[mst.row, mst.col]).ravel() * -1.0
     tree = TreeFactor(n, mst.row.astype(np.int64), mst.col.astype(np.int64), w)
-    return SolveContext(tree, (off.row, off.col))
+    return SolveContext(tree, lambda: _low_fill(n, off.row, off.col))
 
 
 def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,

@@ -1,4 +1,10 @@
-"""Shared pytest plumbing: collects acceptance verdict lines for the summary."""
+"""Shared pytest plumbing: one BLAS thread, and acceptance verdict lines for the summary."""
+import os
+
+# Fix the BLAS thread count before numpy loads, as the benchmark does, so
+# the timed criteria do not contend with other processes for cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 acceptance_lines = []
 

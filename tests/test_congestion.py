@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from reswitch import congestion, enumeration, graphs, solver
+from reswitch import cli, congestion, enumeration, frankwolfe, graphs, rounding, solver
 from reswitch.errors import CapExceededError
 
 
@@ -207,3 +207,77 @@ def test_dense_only_operations_respect_cap(monkeypatch, op):
     monkeypatch.setattr(solver, "DENSE_CAP", g.n - 1)
     with pytest.raises(CapExceededError, match="dense cap"):
         op(g, s, d)
+
+
+# --- calls without a context ------------------------------------------------------
+
+def solved_instance(g, d, extra_on):
+    """Certified Frank-Wolfe point of g at a budget of extra_on free edges."""
+    q = int(g.backbone_mask.sum()) + extra_on
+    s, _, _ = frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05))
+    return s, q
+
+
+def draw(g, s, q, seed):
+    params = rounding.RoundingParams(delta=0.1, rng_seed=seed)
+    return rounding.sample(rounding.floor_probabilities(s, g, params), g, q,
+                           params).sampled.sbin
+
+
+def test_no_context_solves_on_the_backbone_factor(monkeypatch):
+    # Above the dense threshold a call without a context solves on the
+    # graph's backbone factor; it extracts no spanning tree of L_s.
+    def extract(L):
+        raise AssertionError("context_from_laplacian ran")
+    monkeypatch.setattr(solver, "context_from_laplacian", extract)
+    g, s, d = instance(25, n=120, extra=90)
+    cfg = solver.SolverConfig(dense_threshold=0)
+    want = oracles.phi(g, s, d)
+    assert abs(congestion.phi(g, s, d, cfg) - want) <= 1e-8 * want
+    diff = congestion.approx_diff(g, s, d, cfg)
+    assert abs(diff.phi - want) <= 1e-8 * want
+    assert_allclose(diff.grad, congestion.exact_gradient(g, s, d), rtol=1e-6, atol=1e-10)
+
+
+def test_fill_probe_runs_once_per_graph(monkeypatch):
+    calls = []
+    probe = solver._low_fill
+    monkeypatch.setattr(solver, "_low_fill", lambda *args: calls.append(1) or probe(*args))
+    g, d = oracles.chord_ring(300, seed=2)
+    s, q = solved_instance(g, d, 20)
+    draws = cli._draw(g, d, q, s, cli.ExperimentConfig(repeats=3, seed=4))
+    assert len(draws) == 3 and len(calls) == 1
+    # A second graph with the same edges probes once on its own.
+    h, _ = oracles.chord_ring(300, seed=2)
+    congestion.phi(h, s, d)
+    assert len(calls) == 2
+
+
+def test_phi_does_not_depend_on_earlier_calls():
+    # phi of one switch vector is bitwise the same on a fresh graph and on
+    # one that has run Frank-Wolfe and evaluated other draws.
+    g, d = oracles.chord_ring(300, seed=3)
+    s, q = solved_instance(g, d, 20)
+    sbin = draw(g, s, q, seed=1)
+    fresh, _ = oracles.chord_ring(300, seed=3)
+    first = congestion.phi(fresh, sbin, d)
+    cli._draw(g, d, q, s, cli.ExperimentConfig(repeats=3, seed=7))
+    assert congestion.phi(g, sbin, d) == first
+    assert congestion.phi(fresh, sbin, d) == first
+
+
+@pytest.mark.parametrize("family", ["chord-ring", "cli-expander"])
+def test_draw_phi_matches_a_spanning_tree_solve(family):
+    # The backbone factor gives the same value, within epsilon, as a solve
+    # preconditioned by a max-weight spanning tree of the draw's Laplacian.
+    if family == "chord-ring":
+        g, d = oracles.chord_ring(1500, seed=1)
+    else:
+        g, d = cli.generate_instance(2000, 4000, seed=1, demand="gauss", multigraph=True)
+    s, q = solved_instance(g, d, int((~g.backbone_mask).sum()) // 2)
+    cfg = solver.SolverConfig()
+    for seed in range(2):
+        sbin = draw(g, s, q, seed)
+        L = graphs.assemble_laplacian(g, sbin)
+        ref = float(d @ solver.solve(L, d, cfg, solver.context_from_laplacian(L)).x)
+        assert abs(congestion.phi(g, sbin, d, cfg) - ref) <= cfg.epsilon * ref

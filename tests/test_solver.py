@@ -397,7 +397,7 @@ def test_jacobi_rejects_isolated_node():
 def test_direct_rejects_disconnected_laplacian():
     path = (np.array([0, 1, 2]), np.array([1, 2, 3]))
     tree = solver.TreeFactor(4, *path, np.ones(3))
-    ctx = solver.SolveContext(tree, pattern=path)
+    ctx = solver.SolveContext(tree, lambda: solver._low_fill(4, *path))
     assert ctx.mode == "direct"
     two_pieces = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0], [-1.0, 1.0, 0, 0],
                                          [0, 0, 1.0, -1.0], [0, 0, -1.0, 1.0]]))
