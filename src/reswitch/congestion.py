@@ -40,7 +40,7 @@ class HessianInfo:
 
 def make_context(g: graphs.Graph,
                  cfg: solver.SolverConfig | None = None) -> solver.SolveContext:
-    """Solve context keyed to the graph's backbone (preconditioner, warm start).
+    """Solve context keyed to the graph's backbone (factor and preconditioner mode).
 
     Every edge of g is in the pattern the context may solve, so the fill
     probe runs on all of them, once per graph (Graph.low_fill). The graph
@@ -62,12 +62,11 @@ def _voltages(g, s, d, cfg, context):
         return solver.solve(L, d, cfg, context=context).x
     # Without a context, solve on a fresh one over the graph's backbone:
     # check_switch pins the backbone closed, so L_s dominates L_T and the
-    # backbone bound holds. It starts cold, so the value does not depend on
-    # earlier calls.
+    # backbone bound holds.
     if context is None:
         context = make_context(g, cfg)
     L = graphs.assemble_laplacian(g, s)
-    return solver.solve(L, d, cfg, context=context, x0=context.x_warm).x
+    return solver.solve(L, d, cfg, context=context).x
 
 
 def phi(g: graphs.Graph, s: np.ndarray, d: np.ndarray,

@@ -106,7 +106,8 @@ def certificate(g: graphs.Graph, s: np.ndarray, d: np.ndarray, cfg: FWConfig,
 
 def _certificate(gap: float, alpha: float, phi_value: float) -> Certificate:
     tau = alpha / (1.0 + alpha)
-    certified = gap <= tau * phi_value
+    # An overflowed phi or gap bounds nothing (inf <= tau * inf holds).
+    certified = bool(np.isfinite(phi_value) and np.isfinite(gap)) and gap <= tau * phi_value
     return Certificate(gap=gap, tau=tau, phi_value=phi_value, certified=certified,
                        bound_factor=(1.0 + alpha) if certified else None)
 

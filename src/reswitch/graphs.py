@@ -122,13 +122,14 @@ def validate(g: Graph) -> list[str]:
     """Return a list of invariant violations; empty list means valid."""
     bad_end = (np.minimum(g.ei, g.ej) < 0) | (np.maximum(g.ei, g.ej) >= g.n)
     nonfinite = ~np.isfinite(g.w)
-    out = [f"edge {k} endpoint out of range" for k in np.flatnonzero(bad_end)]
+    out = ["graph has no nodes"] if g.n < 1 else []
+    out += [f"edge {k} endpoint out of range" for k in np.flatnonzero(bad_end)]
     out += [f"self-loop at edge {k}" for k in np.flatnonzero(~bad_end & (g.ei == g.ej))]
     out += [f"edge {k} endpoints not ordered i < j"
             for k in np.flatnonzero(~bad_end & (g.ei > g.ej))]
     out += [f"nonpositive weight at edge {k}" for k in np.flatnonzero(~nonfinite & (g.w <= 0))]
     out += [f"non-finite weight at edge {k}" for k in np.flatnonzero(nonfinite)]
-    if out or g.n == 0:
+    if out:
         return out
     bb = g.backbone_mask
     adj = sp.csr_matrix((np.ones(np.count_nonzero(bb)), (g.ei[bb], g.ej[bb])),

@@ -29,14 +29,15 @@ one iteration, and the solution still has to pass the stopping bound
 below, so a poor factor can cost time but never accuracy. The exact dense
 path is also the test oracle.
 
-Under the backbone factor the bound r^T L_T^+ r is the CG quantity r^T z
-and costs nothing. Under any other preconditioner it costs a backbone
-solve, so it is evaluated only when it can fire: its next value is
-predicted from the last measured ratio bound / r^T z, and it is evaluated
-when the prediction meets the target or BOUND_INTERVAL iterations have
-passed since the last evaluation. Convergence is declared only on an
-evaluated bound, and a solve that runs out of iterations evaluates it
-before it raises.
+Every solve starts from x = 0 and only reads its context, so no solve
+depends on the ones before it. Under the backbone factor the bound
+r^T L_T^+ r is the CG quantity r^T z and costs nothing. Under any other
+preconditioner it costs a backbone solve, so it is evaluated only when it
+can fire: its next value is predicted from the last measured ratio
+bound / r^T z (1 at the start), and it is evaluated when the prediction
+meets the target or BOUND_INTERVAL iterations have passed since the last
+evaluation. Convergence is declared only on an evaluated bound, and a
+solve that runs out of iterations evaluates it before it raises.
 """
 from __future__ import annotations
 
@@ -85,7 +86,6 @@ class SolveResult:
     x: np.ndarray
     iterations: int
     achieved_residual: float
-    converged: bool
 
 
 def project_zero_mean(v: np.ndarray) -> np.ndarray:
@@ -222,8 +222,9 @@ class TreeFactor:
 
 
 class SolveContext:
-    """Caller-owned cache: backbone factor, resolved mode, warm-start voltages.
+    """Backbone factor and preconditioner mode, shared by solves on one graph.
 
+    A solve keeps no state here, so the order of solves changes no result.
     low_fill returns the fill probe's verdict on the widest Laplacian the
     context will solve. mode, direct or jacobi, is the preconditioner that
     verdict picks (module docstring); without low_fill it is jacobi. A
@@ -234,7 +235,6 @@ class SolveContext:
     def __init__(self, tree: TreeFactor, low_fill: Callable[[], bool] | None = None):
         self.tree = tree
         self.low_fill = low_fill
-        self.x_warm: np.ndarray | None = None
 
     @functools.cached_property
     def mode(self) -> str:
@@ -286,29 +286,25 @@ def context_from_laplacian(L) -> SolveContext:
 
 
 def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
-          context: SolveContext | None = None,
-          x0: np.ndarray | None = None) -> SolveResult:
+          context: SolveContext | None = None) -> SolveResult:
     """Approximate x = L^+ d with ||x - L^+ d||_L <= epsilon ||L^+ d||_L.
 
-    Preconditioned conjugate gradient on the singular consistent system,
-    with the tree-dominance stopping bound described in the module
-    docstring. When a context is supplied, its warm-start voltages are
-    updated in place after each call.
+    Preconditioned conjugate gradient from x = 0 on the singular consistent
+    system, with the tree-dominance stopping bound described in the module
+    docstring. The context is only read, so the result does not depend on
+    earlier solves.
     """
     cfg = cfg or SolverConfig()
     n = L.shape[0]
     if n <= cfg.dense_threshold:
-        x = exact_pinv_apply(L, d)  # checks d as below
-        if context is not None:
-            context.x_warm = x
-        return SolveResult(x, 0, 0.0, True)
+        return SolveResult(exact_pinv_apply(L, d), 0, 0.0)  # checks d as below
     d = np.asarray(d, dtype=float)
     if d.shape != (n,):
         raise InvalidInputError("demand length does not match matrix size")
     if abs(d.sum()) > 1e-12 * max(np.linalg.norm(d), 1e-300):
         raise InvalidInputError("demand must be orthogonal to the ones vector")
     if not np.any(d):
-        return SolveResult(np.zeros(n), 0, 0.0, True)
+        return SolveResult(np.zeros(n), 0, 0.0)
 
     if context is None:
         context = context_from_laplacian(L)
@@ -317,34 +313,15 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
     M = tree.apply if tree_is_M else context.preconditioner(L)
     eps2 = cfg.epsilon ** 2
 
-    def fires(bound, phi_lb):
-        return (phi_lb > 0.0 and bound <= eps2 * phi_lb) or bound <= 0.0
-
-    if x0 is not None:
-        x = project_zero_mean(x0)
-        Lx = L @ x
-        r = project_zero_mean(d - Lx)
-    else:
-        x = np.zeros(n)
-        Lx = np.zeros(n)
-        r = d.copy()
-
+    x = np.zeros(n)
+    Lx = np.zeros(n)
+    r = d.copy()
     z = project_zero_mean(M(r))
     rz = float(r @ z)
-    bound = rz if tree_is_M else tree.quadform(r)
-    phi_lb = 2.0 * float(d @ x) - float(x @ Lx)
-    if fires(bound, phi_lb):
-        achieved = float(np.sqrt(max(bound, 0.0) / phi_lb)) if phi_lb > 0 else 0.0
-        context.x_warm = x
-        return SolveResult(x, 0, achieved, True)
-
-    # bound / r^T z at the last evaluation predicts the bound in between.
-    ratio = bound / rz if rz > 0.0 else 1.0
-    fresh = True
-    since = 0
     p = z.copy()
-    iterations = 0
-    converged = False
+    # bound / r^T z at the last evaluation predicts the bound in between.
+    ratio = 1.0
+    since = 0
     for it in range(1, cfg.max_iterations + 1):
         q = L @ p
         pq = float(p @ q)
@@ -358,32 +335,20 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
         z = project_zero_mean(M(r))
         rz_new = float(r @ z)
         phi_lb = 2.0 * float(d @ x) - float(x @ Lx)
-        iterations = it
         since += 1
-        fresh = (tree_is_M or since >= BOUND_INTERVAL
-                 or ratio * rz_new <= eps2 * phi_lb or rz_new <= 0.0)
-        if fresh:
+        last = it == cfg.max_iterations or rz_new <= 0.0
+        if (last or tree_is_M or since >= BOUND_INTERVAL
+                or ratio * rz_new <= eps2 * phi_lb):
             bound = rz_new if tree_is_M else tree.quadform(r)
+            achieved = float(np.sqrt(max(bound, 0.0) / phi_lb)) if phi_lb > 0 else float("inf")
+            if (phi_lb > 0.0 and bound <= eps2 * phi_lb) or bound <= 0.0:
+                return SolveResult(project_zero_mean(x), it, achieved)
+            if last:
+                raise NumericalError(
+                    f"solve did not converge in {it} iterations "
+                    f"(certified relative energy error {achieved:.3e})",
+                    achieved_residual=achieved)
             since = 0
-            if rz_new > 0.0:
-                ratio = bound / rz_new
-            if fires(bound, phi_lb):
-                converged = True
-                break
-        if rz_new <= 0.0:
-            break
+            ratio = bound / rz_new
         p = z + (rz_new / rz) * p
         rz = rz_new
-
-    if not fresh:
-        bound = tree.quadform(r)
-        converged = fires(bound, phi_lb)
-    achieved = float(np.sqrt(max(bound, 0.0) / phi_lb)) if phi_lb > 0 else float("inf")
-    x = project_zero_mean(x)
-    if not converged:
-        raise NumericalError(
-            f"solve did not converge in {cfg.max_iterations} iterations "
-            f"(certified relative energy error {achieved:.3e})",
-            achieved_residual=achieved)
-    context.x_warm = x
-    return SolveResult(x, iterations, achieved, True)

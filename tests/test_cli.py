@@ -241,6 +241,25 @@ def test_non_finite_input_exits_2(tmp_path, capsys, edges, demand):
     assert "finite" in capsys.readouterr().err
 
 
+def test_instance_without_nodes_exits_2(tmp_path, capsys):
+    inst = tmp_path / "empty.txt"
+    inst.write_text("0 0 0\n")
+    for cmd in ("solve", "certify", "enumerate"):
+        assert cli.main([cmd, "--input", str(inst)]) == 2, cmd
+        assert "graph has no nodes" in capsys.readouterr().err, cmd
+
+
+def test_overflowed_phi_is_not_certified(tmp_path):
+    # phi = d^T L_s^+ d overflows to inf at every switch vector here.
+    inst = tmp_path / "inst.txt"
+    inst.write_text("3 3 3\n1 2 1.0 1\n2 3 1.0 1\n1 3 1.0 0\n1e155\n0\n-1e155\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cmd in ("solve", "certify"):
+            cert = run_json([cmd, "--input", str(inst)],
+                            tmp_path / f"{cmd}.json")["record"]["certificate"]
+            assert cert["certified"] is False and cert["phi_value"] == np.inf, cmd
+
+
 def test_enumeration_cap_exits_4(tmp_path, capsys):
     # 24 identical parallel free edges and q = |T| + 12: every configuration
     # ties, so no bound prunes and the search passes its node cap

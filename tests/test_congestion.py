@@ -264,6 +264,17 @@ def test_phi_does_not_depend_on_earlier_calls():
     cli._draw(g, d, q, s, cli.ExperimentConfig(repeats=3, seed=7))
     assert congestion.phi(g, sbin, d) == first
     assert congestion.phi(fresh, sbin, d) == first
+    # Every solve starts from zero, so neither does it depend on the context
+    # Frank-Wolfe has used, under either preconditioner mode.
+    for (g, d), mode in ((oracles.chord_ring(1500, seed=1), "direct"),
+                         (cli.generate_instance(2000, 4000, seed=1, demand="gauss",
+                                                multigraph=True), "jacobi")):
+        q = int(g.backbone_mask.sum()) + int((~g.backbone_mask).sum()) // 2
+        ctx = congestion.make_context(g)
+        s, _, _ = frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05), ctx)
+        assert ctx.mode == mode
+        sbin = draw(g, s, q, seed=0)
+        assert congestion.phi(g, sbin, d, context=ctx) == congestion.phi(g, sbin, d), mode
 
 
 @pytest.mark.parametrize("family", ["chord-ring", "cli-expander"])

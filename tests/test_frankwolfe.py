@@ -210,6 +210,23 @@ def test_certificate_trivial_at_tight_budget():
     assert cert.bound_factor == pytest.approx(1.05)
 
 
+def test_overflowed_phi_never_certifies():
+    # At +-1e155 phi overflows at every point of the triangle, and
+    # inf <= tau * inf must not certify it. At +-1e154 only the backbone
+    # point overflows: run steps past it and certifies the all-closed point.
+    g = graphs.make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [0, 1])
+    cfg = frankwolfe.FWConfig(q=3, alpha=0.05)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, cert, _ = frankwolfe.run(g, np.array([1e154, 0.0, -1e154]), cfg)
+        assert cert.certified and np.isfinite(cert.phi_value) and np.isfinite(cert.gap)
+        assert_array_equal(s, np.ones(3))
+        d = np.array([1e155, 0.0, -1e155])
+        _, cert, _ = frankwolfe.run(g, d, cfg)
+        assert not cert.certified and cert.bound_factor is None
+        for point in (g.backbone_indicator(), np.ones(3)):
+            assert not frankwolfe.certificate(g, point, d, cfg).certified
+
+
 def test_budget_monotonicity():
     # a larger budget never certifies a worse value
     g, d = instance(13, n=7, extra=6)
