@@ -4,8 +4,8 @@ One approximate solve yields the value, the per-edge voltage differences
 Delta_e, and the full gradient (grad phi)_e = -w_e Delta_e^2 at once. The
 exact dense path backs the small-instance oracles: gradient, Hessian (via
 the factorization H = 2 diag(zeta) P diag(zeta) with zeta_e = sqrt(w_e)
-Delta_e and P = W^{1/2} A L^+ A^T W^{1/2}) and the total-effective-resistance
-gradient.
+Delta_e and P = W^{1/2} A L^+ A^T W^{1/2}, A the signed incidence matrix
+with rows a_e) and the total-effective-resistance gradient.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ class DiffResult:
 
     grad: np.ndarray
     delta: np.ndarray
-    zeta: np.ndarray
     phi: float
     x: np.ndarray
 
@@ -42,9 +41,11 @@ def make_context(g: graphs.Graph,
                  cfg: solver.SolverConfig | None = None) -> solver.SolveContext:
     """Solve context keyed to the graph's backbone (factor and preconditioner mode).
 
-    Every edge of g is in the pattern the context may solve, so the fill
-    probe runs on all of them, once per graph (Graph.low_fill). The graph
-    alone picks the mode; cfg is accepted and not used.
+    Only CG solves read a context, so build one only above the dense
+    threshold. Every edge of g is in the pattern the context may solve, so
+    the mode is the fill probe's verdict on all of them, run once per graph
+    (Graph.low_fill). The graph alone picks the mode; cfg is accepted and
+    not used.
     """
     bb = g.backbone_mask
     return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb],
@@ -83,8 +84,7 @@ def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
     """Value, voltage differences, and gradient from one solve."""
     x = _voltages(g, s, d, cfg, context)
     delta = x[g.ei] - x[g.ej]
-    return DiffResult(grad=-g.w * delta ** 2, delta=delta,
-                      zeta=np.sqrt(g.w) * delta, phi=float(d @ x), x=x)
+    return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=float(d @ x), x=x)
 
 
 def exact_gradient(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -113,9 +113,10 @@ def hessian_dense(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> HessianInfo:
     x = Lp @ d
     delta = x[g.ei] - x[g.ej]
     zeta = np.sqrt(g.w) * delta
-    A = g.incidence.toarray()
+    # Column e of C is L^+ a_e, so C[ei] - C[ej] is A L^+ A^T.
+    C = Lp[:, g.ei] - Lp[:, g.ej]
     sw = np.sqrt(g.w)
-    P = (sw[:, None] * (A @ Lp @ A.T)) * sw[None, :]
+    P = (sw[:, None] * (C[g.ei] - C[g.ej])) * sw[None, :]
     H = 2.0 * (zeta[:, None] * P * zeta[None, :])
     H = 0.5 * (H + H.T)
     phi_val = float(d @ x)

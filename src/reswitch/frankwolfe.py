@@ -120,11 +120,13 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig,
     Returns the certified iterate or, when max_iterations runs out, the
     lowest-phi iterate seen (the last accepted step included), with its
     certificate, and the iteration trace of at most max_iterations records.
-    The budget ||s_t||_1 <= q and backbone pinning hold at every iterate.
+    It returns early, uncertified, once phi has overflowed at both the
+    iterate and its tried step. The budget ||s_t||_1 <= q and backbone
+    pinning hold at every iterate.
     """
     d = graphs.check_demand(g, d)
     graphs.check_budget(g, cfg.q)
-    if context is None:
+    if context is None and g.n > cfg.solver.dense_threshold:
         context = congestion.make_context(g)
     bb = g.backbone_mask
 
@@ -156,6 +158,9 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig,
         np.clip(s_try, 0.0, 1.0, out=s_try)
         assert s_try.sum() <= cfg.q + BUDGET_SLACK
         diff_try = congestion.approx_diff(g, s_try, d, cfg.solver, context)
+        # Overflowed on both sides, no step can be compared or certified.
+        if not (np.isfinite(diff.phi) or np.isfinite(diff_try.phi)):
+            break
         if diff_try.phi > diff.phi:
             continue
         s, diff = s_try, diff_try

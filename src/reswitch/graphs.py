@@ -64,24 +64,13 @@ class Graph:
         return frozenset(np.flatnonzero(self.backbone_mask).tolist())
 
     @cached_property
-    def incidence(self) -> sp.csr_matrix:
-        """Signed edge-node incidence A (m x n), row a_e = e_i - e_j."""
-        rows = np.repeat(np.arange(self.m), 2)
-        cols = np.column_stack([self.ei, self.ej]).ravel()
-        data = np.tile([1.0, -1.0], self.m)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.m, self.n))
-
     def low_fill(self) -> bool:
-        """The solver's fill probe on every edge, run once per graph and FILL_BUDGET.
+        """The solver's fill probe on every edge, run once per graph.
 
-        The verdict is a function of n, ei, ej and the budget alone, so it
-        is kept on the graph; the solves it picks the mode for are not.
+        The verdict is a function of n, ei and ej alone, so it is kept on the
+        graph; the solves it picks the mode for are not.
         """
-        verdicts = self.__dict__.setdefault("_low_fill", {})
-        budget = solver.FILL_BUDGET
-        if budget not in verdicts:
-            verdicts[budget] = solver._low_fill(self.n, self.ei, self.ej)
-        return verdicts[budget]
+        return solver._low_fill(self.n, self.ei, self.ej)
 
     def backbone_indicator(self) -> np.ndarray:
         """Switch vector with backbone edges closed and all others open."""

@@ -12,13 +12,14 @@ Combined with the lower bound 2 d^T x - x^T L x <= d^T L^+ d this yields a
 deterministic certificate, whatever preconditioner drives the iteration.
 
 The input picks the path, and no option overrides it. solve takes the
-exact dense path up to SolverConfig.dense_threshold nodes. Above it, the
-solve context picks the preconditioner at every size: direct (a sparse LU
-of the grounded L_s itself, built once per solve) when a fill probe finds
-the widest pattern the context will solve low-fill, and jacobi otherwise.
-The probe compares the envelope of a reverse Cuthill-McKee order with
-FILL_BUDGET nonzeros per edge; a context over a graph's backbone takes the
-graph's verdict, probed once per graph (graphs.Graph.low_fill). Planar,
+exact dense path up to SolverConfig.dense_threshold nodes. Above it, solve
+runs CG and requires a solve context, which fixes the preconditioner when
+it is built, at every size: direct (a sparse LU of the grounded L_s
+itself, built once per solve) when a fill probe finds the widest pattern
+the context will solve low-fill, and jacobi otherwise. The probe compares
+the envelope of a reverse Cuthill-McKee order with FILL_BUDGET nonzeros
+per edge; a context over a graph's backbone takes the graph's verdict,
+probed once per graph (graphs.Graph.low_fill). Planar,
 grid-like and ring-like graphs pass it and their factor is cheap;
 expander-like graphs fail it, and there Jacobi needs only tens of
 iterations. On a Laplacian with the backbone's own sparsity pattern (the
@@ -41,8 +42,6 @@ solve that runs out of iterations evaluates it before it raises.
 """
 from __future__ import annotations
 
-import functools
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +131,16 @@ def pinv_laplacian(L) -> np.ndarray:
     return _shifted_solve(Ld, np.eye(n) - 1.0 / n)
 
 
+def _checked_demand(d, n: int) -> np.ndarray:
+    """d as a float vector of length n orthogonal to the ones vector."""
+    d = np.asarray(d, dtype=float)
+    if d.shape != (n,):
+        raise InvalidInputError("demand length does not match matrix size")
+    if abs(d.sum()) > 1e-12 * max(np.linalg.norm(d), 1e-300):
+        raise InvalidInputError("demand must be orthogonal to the ones vector")
+    return d
+
+
 def exact_pinv_apply(L, d: np.ndarray) -> np.ndarray:
     """Machine-precision L^+ d for a connected Laplacian (dense path).
 
@@ -139,14 +148,8 @@ def exact_pinv_apply(L, d: np.ndarray) -> np.ndarray:
     (k, n) stack of their L^+ d.
     """
     Ld = _as_dense(L)
-    n = Ld.shape[-1]
-    d = np.asarray(d, dtype=float)
-    if d.shape != (n,):
-        raise InvalidInputError("demand length does not match matrix size")
-    nrm = np.linalg.norm(d)
-    if abs(d.sum()) > 1e-12 * max(nrm, 1e-300):
-        raise InvalidInputError("demand must be orthogonal to the ones vector")
-    if nrm == 0.0:
+    d = _checked_demand(d, Ld.shape[-1])
+    if not d.any():
         return np.zeros(Ld.shape[:-1])
     return _shifted_solve(Ld, d[:, None])[..., 0]
 
@@ -222,26 +225,19 @@ class TreeFactor:
 
 
 class SolveContext:
-    """Backbone factor and preconditioner mode, shared by solves on one graph.
+    """Backbone factor and preconditioner mode, shared by CG solves on one graph.
 
     A solve keeps no state here, so the order of solves changes no result.
-    low_fill returns the fill probe's verdict on the widest Laplacian the
-    context will solve. mode, direct or jacobi, is the preconditioner that
-    verdict picks (module docstring); without low_fill it is jacobi. A
-    Laplacian with the backbone's sparsity pattern is preconditioned by the
-    backbone factor whatever the mode, since the factor is exact there.
+    low_fill is the fill probe's verdict on the widest Laplacian the context
+    will solve, and fixes mode when the context is built: direct if it holds,
+    jacobi otherwise (module docstring). A Laplacian with the backbone's
+    sparsity pattern is preconditioned by the backbone factor whatever the
+    mode, since the factor is exact there.
     """
 
-    def __init__(self, tree: TreeFactor, low_fill: Callable[[], bool] | None = None):
+    def __init__(self, tree: TreeFactor, low_fill: bool = False):
         self.tree = tree
-        self.low_fill = low_fill
-
-    @functools.cached_property
-    def mode(self) -> str:
-        # Resolved on first use: solves on the dense path never probe.
-        if self.low_fill is not None and self.low_fill():
-            return "direct"
-        return "jacobi"
+        self.mode = "direct" if low_fill else "jacobi"
 
     def on_tree(self, L) -> bool:
         """Whether a solve on L is preconditioned by the backbone factor."""
@@ -257,12 +253,11 @@ class SolveContext:
         return lambda r: r / diag
 
 
-def context_from_edges(n: int, ei, ej, w,
-                       low_fill: Callable[[], bool] | None = None) -> SolveContext:
+def context_from_edges(n: int, ei, ej, w, low_fill: bool = False) -> SolveContext:
     """Build a solve context from explicit backbone edge arrays.
 
-    low_fill gives the fill probe's verdict on the widest Laplacian to be
-    solved (see SolveContext).
+    low_fill is the fill probe's verdict on the widest Laplacian to be
+    solved, which fixes the mode (see SolveContext).
     """
     tree = TreeFactor(n, np.asarray(ei, dtype=np.int64), np.asarray(ej, dtype=np.int64),
                       np.asarray(w, dtype=float))
@@ -270,7 +265,8 @@ def context_from_edges(n: int, ei, ej, w,
 
 
 def context_from_laplacian(L) -> SolveContext:
-    """Extract a max-weight spanning tree from L for the stopping bound."""
+    """Build a solve context from L alone: a max-weight spanning tree of L
+    for the stopping bound, and the fill probe on L's own pattern."""
     Ls = sp.csr_matrix(L) if not sp.issparse(L) else L.tocsr()
     n = Ls.shape[0]
     off = sp.tril(Ls, k=-1).tocoo()
@@ -282,32 +278,31 @@ def context_from_laplacian(L) -> SolveContext:
         raise StructuralError("Laplacian sparsity pattern is disconnected")
     w = np.asarray(Ls[mst.row, mst.col]).ravel() * -1.0
     tree = TreeFactor(n, mst.row.astype(np.int64), mst.col.astype(np.int64), w)
-    return SolveContext(tree, lambda: _low_fill(n, off.row, off.col))
+    return SolveContext(tree, _low_fill(n, off.row, off.col))
 
 
 def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
           context: SolveContext | None = None) -> SolveResult:
     """Approximate x = L^+ d with ||x - L^+ d||_L <= epsilon ||L^+ d||_L.
 
-    Preconditioned conjugate gradient from x = 0 on the singular consistent
-    system, with the tree-dominance stopping bound described in the module
-    docstring. The context is only read, so the result does not depend on
-    earlier solves.
+    At or below cfg.dense_threshold nodes this is the exact dense path, and
+    any context is ignored. Above it, preconditioned conjugate gradient from
+    x = 0 on the singular consistent system, with the tree-dominance
+    stopping bound described in the module docstring; a context is required
+    there (InvalidInputError without one). The context is only read, so the
+    result does not depend on earlier solves.
     """
     cfg = cfg or SolverConfig()
     n = L.shape[0]
     if n <= cfg.dense_threshold:
-        return SolveResult(exact_pinv_apply(L, d), 0, 0.0)  # checks d as below
-    d = np.asarray(d, dtype=float)
-    if d.shape != (n,):
-        raise InvalidInputError("demand length does not match matrix size")
-    if abs(d.sum()) > 1e-12 * max(np.linalg.norm(d), 1e-300):
-        raise InvalidInputError("demand must be orthogonal to the ones vector")
-    if not np.any(d):
+        return SolveResult(exact_pinv_apply(L, d), 0, 0.0)
+    if context is None:
+        raise InvalidInputError(
+            f"a solve above dense_threshold={cfg.dense_threshold} nodes needs a context")
+    d = _checked_demand(d, n)
+    if not d.any():
         return SolveResult(np.zeros(n), 0, 0.0)
 
-    if context is None:
-        context = context_from_laplacian(L)
     tree = context.tree
     tree_is_M = context.on_tree(L)
     M = tree.apply if tree_is_M else context.preconditioner(L)

@@ -254,10 +254,13 @@ def test_overflowed_phi_is_not_certified(tmp_path):
     inst = tmp_path / "inst.txt"
     inst.write_text("3 3 3\n1 2 1.0 1\n2 3 1.0 1\n1 3 1.0 0\n1e155\n0\n-1e155\n")
     with np.errstate(over="ignore", invalid="ignore"):
-        for cmd in ("solve", "certify"):
-            cert = run_json([cmd, "--input", str(inst)],
-                            tmp_path / f"{cmd}.json")["record"]["certificate"]
-            assert cert["certified"] is False and cert["phi_value"] == np.inf, cmd
+        records = {cmd: run_json([cmd, "--input", str(inst)], tmp_path / f"{cmd}.json")["record"]
+                   for cmd in ("solve", "certify")}
+    for cmd, record in records.items():
+        cert = record["certificate"]
+        assert cert["certified"] is False and cert["phi_value"] == np.inf, cmd
+    # Frank-Wolfe stops at its first step, where neither phi is finite.
+    assert records["solve"]["iterations"] == 1
 
 
 def test_enumeration_cap_exits_4(tmp_path, capsys):

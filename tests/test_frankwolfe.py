@@ -221,8 +221,9 @@ def test_overflowed_phi_never_certifies():
         assert cert.certified and np.isfinite(cert.phi_value) and np.isfinite(cert.gap)
         assert_array_equal(s, np.ones(3))
         d = np.array([1e155, 0.0, -1e155])
-        _, cert, _ = frankwolfe.run(g, d, cfg)
+        _, cert, trace = frankwolfe.run(g, d, cfg)
         assert not cert.certified and cert.bound_factor is None
+        assert len(trace.records) == 1  # no step past the start can be compared
         for point in (g.backbone_indicator(), np.ones(3)):
             assert not frankwolfe.certificate(g, point, d, cfg).certified
 

@@ -160,14 +160,6 @@ def test_laplacian_invariants():
         assert np.linalg.eigvalsh(L)[0] >= -1e-10
 
 
-def test_incidence_factorization():
-    g = triangle()
-    s = np.array([1.0, 1.0, 0.3])
-    A = g.incidence.toarray()
-    assert_allclose(A.T @ np.diag(s * g.w) @ A,
-                    graphs.assemble_laplacian_dense(g, s), atol=1e-14)
-
-
 # --- resistances, leverages, connectivity ----------------------------------
 
 def test_triangle_resistances_are_two_thirds():

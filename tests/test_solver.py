@@ -157,6 +157,10 @@ def test_solve_zero_demand():
     L = graphs.assemble_laplacian(g, s)
     res = solver.solve(L, np.zeros(g.n), solver.SolverConfig())
     assert not res.x.any()
+    # On the CG path it returns without an iteration.
+    res = solver.solve(L, np.zeros(g.n), solver.SolverConfig(dense_threshold=0),
+                       context=solver.context_from_laplacian(L))
+    assert res.iterations == 0 and not res.x.any()
 
 
 # Small members of the benchmark's graph families that take the CG path.
@@ -275,10 +279,23 @@ def test_solve_raises_when_budget_exhausted():
 
 
 def test_solve_rejects_bad_demand():
-    g, s, _ = instance(10, n=10, extra=4)
+    # The same checks on the dense path and, with a context, on CG's.
+    g, s, d = instance(10, n=40, extra=20)
     L = graphs.assemble_laplacian(g, s)
-    with pytest.raises(InvalidInputError):
-        solver.solve(L, np.ones(g.n), solver.SolverConfig())
+    for cfg, ctx in ((solver.SolverConfig(), None),
+                     (solver.SolverConfig(dense_threshold=0), backbone_context(g))):
+        for bad in (np.ones(g.n), d[:-1]):
+            with pytest.raises(InvalidInputError):
+                solver.solve(L, bad, cfg, context=ctx)
+
+
+def test_cg_path_requires_a_context():
+    g, s, d = instance(10, n=40, extra=20)
+    L = graphs.assemble_laplacian(g, s)
+    with pytest.raises(InvalidInputError, match="needs a context"):
+        solver.solve(L, d, solver.SolverConfig(dense_threshold=0))
+    # At or below the threshold the dense path needs none.
+    assert solver.solve(L, d, solver.SolverConfig()).iterations == 0
 
 
 # --- configuration and mode resolution ---------------------------------------
@@ -305,16 +322,16 @@ def test_fill_probe_picks_the_mode_at_every_size():
 
 
 def test_dense_path_never_runs_the_fill_probe(monkeypatch):
-    # The mode is resolved on first use, and a solve on the dense path
-    # never uses it.
-    def probe(*args):
-        raise AssertionError("fill probe ran")
-    monkeypatch.setattr(solver, "_low_fill", probe)
+    # Only CG solves read a context, so run builds none on the dense path:
+    # neither the backbone factor nor the fill probe runs.
+    def refuse(*args):
+        raise AssertionError("a solve context was built")
+    monkeypatch.setattr(solver, "TreeFactor", refuse)
+    monkeypatch.setattr(solver, "_low_fill", refuse)
     g, _, d = instance(13, n=30, extra=16)
     q = int(g.backbone_mask.sum()) + 8
-    ctx = congestion.make_context(g)
-    _, cert, _ = frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05), ctx)
-    assert cert.certified and "mode" not in vars(ctx)
+    _, cert, _ = frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05))
+    assert cert.certified
 
 
 def test_auto_mode_is_jacobi_without_a_pattern():
@@ -398,7 +415,7 @@ def test_jacobi_rejects_isolated_node():
 def test_direct_rejects_disconnected_laplacian():
     path = (np.array([0, 1, 2]), np.array([1, 2, 3]))
     tree = solver.TreeFactor(4, *path, np.ones(3))
-    ctx = solver.SolveContext(tree, lambda: solver._low_fill(4, *path))
+    ctx = solver.SolveContext(tree, True)
     assert ctx.mode == "direct"
     two_pieces = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0], [-1.0, 1.0, 0, 0],
                                          [0, 0, 1.0, -1.0], [0, 0, -1.0, 1.0]]))
