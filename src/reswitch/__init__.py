@@ -25,7 +25,6 @@ from .frankwolfe import (FWConfig, Certificate, FWTrace, IterationRecord,
 from .rounding import (RoundingParams, RoundingReport, floor_probabilities,
                        sample, shrinkage, sandwich_epsilon, sandwich_check)
 from .enumeration import EnumerationResult, enumerate_optimal
-from .cli import ExperimentConfig, generate_instance, run_experiment
 
 __version__ = "0.1.0"
 
@@ -44,6 +43,5 @@ __all__ = [
     "RoundingParams", "RoundingReport", "floor_probabilities", "sample",
     "shrinkage", "sandwich_epsilon", "sandwich_check",
     "EnumerationResult", "enumerate_optimal",
-    "ExperimentConfig", "generate_instance", "run_experiment",
     "__version__",
 ]

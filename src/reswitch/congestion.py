@@ -44,8 +44,8 @@ def make_context(g: graphs.Graph,
     Only CG solves read a context, so build one only above the dense
     threshold. Every edge of g is in the pattern the context may solve, so
     the mode is the fill probe's verdict on all of them, run once per graph
-    (Graph.low_fill). The graph alone picks the mode; cfg is accepted and
-    not used.
+    (Graph.low_fill). The graph alone picks the mode; cfg is accepted, for
+    the benchmark's calls, and not used.
     """
     bb = g.backbone_mask
     return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb],
@@ -53,14 +53,12 @@ def make_context(g: graphs.Graph,
 
 
 def _voltages(g, s, d, cfg, context):
-    cfg = cfg or solver.SolverConfig()
-    s = graphs.check_switch(g, s)
-    d = graphs.check_demand(g, d)
-    # At or below the threshold solve takes its exact dense path; assembling
-    # dense here costs less than densifying a sparse matrix there.
-    if g.n <= cfg.dense_threshold:
+    # Assembly checks s and the solve checks d. At or below the threshold
+    # solve takes its exact dense path; assembling dense here costs less
+    # than densifying a sparse matrix there.
+    if g.n <= solver.SolverConfig.dense_threshold:
         L = graphs.assemble_laplacian_dense(g, s)
-        return solver.solve(L, d, cfg, context=context).x
+        return solver.solve(L, d, cfg).x
     # Without a context, solve on a fresh one over the graph's backbone:
     # check_switch pins the backbone closed, so L_s dominates L_T and the
     # backbone bound holds.
@@ -71,10 +69,10 @@ def _voltages(g, s, d, cfg, context):
 
 
 def phi(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
-        cfg: solver.SolverConfig | None = None,
-        context: solver.SolveContext | None = None) -> float:
-    """Congestion d^T L_s^+ d of the switched graph."""
-    x = _voltages(g, s, d, cfg, context)
+        cfg: solver.SolverConfig | None = None) -> float:
+    """Congestion d^T L_s^+ d of the switched graph; above the dense
+    threshold, solved on a fresh context over the graph's backbone."""
+    x = _voltages(g, s, d, cfg, None)
     return float(d @ x)
 
 
@@ -121,9 +119,7 @@ def hessian_dense(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> HessianInfo:
     H = 0.5 * (H + H.T)
     phi_val = float(d @ x)
 
-    Lt = graphs.assemble_laplacian_dense(g, g.backbone_indicator())
-    Lpt = solver.pinv_laplacian(Lt)
-    rho_t = Lpt[g.ei, g.ei] + Lpt[g.ej, g.ej] - 2.0 * Lpt[g.ei, g.ej]
+    rho_t = graphs.effective_resistances(g, g.backbone_indicator())
     gsc = 3.0 * float(np.linalg.norm(g.w * rho_t))
     return HessianInfo(H=H, opnorm_bound=2.0 * phi_val, gsc_M=gsc)
 

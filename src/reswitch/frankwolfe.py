@@ -87,18 +87,19 @@ def fw_gap(grad: np.ndarray, s: np.ndarray, v_star: np.ndarray) -> float:
     return float(np.asarray(grad) @ (np.asarray(s) - np.asarray(v_star)))
 
 
-def certificate(g: graphs.Graph, s: np.ndarray, d: np.ndarray, cfg: FWConfig,
-                context: solver.SolveContext | None = None) -> Certificate:
+def certificate(g: graphs.Graph, s: np.ndarray, d: np.ndarray, cfg: FWConfig) -> Certificate:
     """Evaluate the gap certificate at an arbitrary feasible point.
 
-    A point that closes more than q edges is not feasible, and its gap
-    bounds nothing, so it raises InvalidInputError.
+    One solve gives it, on a fresh backbone context above the dense
+    threshold, as congestion.phi does. A point that closes more than q
+    edges is not feasible, and its gap bounds nothing, so it raises
+    InvalidInputError.
     """
     s = graphs.check_switch(g, s)
     if s.sum() > cfg.q + BUDGET_SLACK:
         raise InvalidInputError(
             f"switch vector closes {s.sum():.12g} edges, above the budget q={cfg.q}")
-    diff = congestion.approx_diff(g, s, d, cfg.solver, context)
+    diff = congestion.approx_diff(g, s, d, cfg.solver)
     v = lmo_top_q(diff.grad, g, cfg.q)
     gap = fw_gap(diff.grad, s, v)
     return _certificate(gap, cfg.alpha, diff.phi)
@@ -112,8 +113,7 @@ def _certificate(gap: float, alpha: float, phi_value: float) -> Certificate:
                        bound_factor=(1.0 + alpha) if certified else None)
 
 
-def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig,
-        context: solver.SolveContext | None = None
+def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
         ) -> tuple[np.ndarray, Certificate, FWTrace]:
     """Optimize from the backbone indicator; stop on certificate or budget.
 
@@ -122,12 +122,12 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig,
     certificate, and the iteration trace of at most max_iterations records.
     It returns early, uncertified, once phi has overflowed at both the
     iterate and its tried step. The budget ||s_t||_1 <= q and backbone
-    pinning hold at every iterate.
+    pinning hold at every iterate. Above the dense threshold every solve
+    runs on one context over the graph's backbone, built here.
     """
     d = graphs.check_demand(g, d)
     graphs.check_budget(g, cfg.q)
-    if context is None and g.n > cfg.solver.dense_threshold:
-        context = congestion.make_context(g)
+    context = congestion.make_context(g) if g.n > cfg.solver.dense_threshold else None
     bb = g.backbone_mask
 
     start = time.perf_counter()

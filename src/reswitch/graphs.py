@@ -144,15 +144,7 @@ def check_switch(g: Graph, s: np.ndarray) -> np.ndarray:
 
 def check_demand(g: Graph, d: np.ndarray) -> np.ndarray:
     """Validate a demand vector: length n, finite, zero sum (d perpendicular to 1)."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (g.n,):
-        raise InvalidInputError(f"demand vector has shape {d.shape}, expected ({g.n},)")
-    if not np.all(np.isfinite(d)):
-        raise InvalidInputError("demand entries must be finite")
-    nrm = np.linalg.norm(d)
-    if abs(d.sum()) > 1e-12 * max(nrm, 1e-300):
-        raise InvalidInputError("demand entries must sum to zero")
-    return d
+    return solver._checked_demand(d, g.n)
 
 
 def check_budget(g: Graph, q: int) -> int:

@@ -11,21 +11,22 @@ and L_T^+ r is one sparse triangular solve on the (grounded) backbone.
 Combined with the lower bound 2 d^T x - x^T L x <= d^T L^+ d this yields a
 deterministic certificate, whatever preconditioner drives the iteration.
 
-The input picks the path, and no option overrides it. solve takes the
-exact dense path up to SolverConfig.dense_threshold nodes. Above it, solve
-runs CG and requires a solve context, which fixes the preconditioner when
-it is built, at every size: direct (a sparse LU of the grounded L_s
-itself, built once per solve) when a fill probe finds the widest pattern
-the context will solve low-fill, and jacobi otherwise. The probe compares
-the envelope of a reverse Cuthill-McKee order with FILL_BUDGET nonzeros
-per edge; a context over a graph's backbone takes the graph's verdict,
-probed once per graph (graphs.Graph.low_fill). Planar,
-grid-like and ring-like graphs pass it and their factor is cheap;
-expander-like graphs fail it, and there Jacobi needs only tens of
-iterations. On a Laplacian with the backbone's own sparsity pattern (the
-switch vector at the backbone indicator, where optimization starts) the
-backbone factor is used whatever the mode, since it is exact there:
-L_s = L_T. Under direct or the backbone factor CG takes
+The input picks the path, and no option overrides it: epsilon is the only
+setting. solve checks its demand once, then takes the exact dense path up
+to SolverConfig.dense_threshold nodes, a constant (64). Above it, solve
+runs CG, at most SolverConfig.max_iterations (5000) iterations, and
+requires a solve context, which fixes the preconditioner when it is built,
+at every size: direct (a sparse LU of the grounded L_s itself, built once
+per solve) when a fill probe finds the widest pattern the context will
+solve low-fill, and jacobi otherwise. The probe compares the envelope of a
+reverse Cuthill-McKee order with FILL_BUDGET nonzeros per edge; a context
+over a graph's backbone takes the graph's verdict, probed once per graph
+(graphs.Graph.low_fill). Planar, grid-like and ring-like graphs pass it
+and their factor is cheap; expander-like graphs fail it, and there Jacobi
+needs only tens of iterations. On a Laplacian with the backbone's own
+sparsity pattern (the switch vector at the backbone indicator, where
+optimization starts) the backbone factor is used whatever the mode, since
+it is exact there: L_s = L_T. Under direct or the backbone factor CG takes
 one iteration, and the solution still has to pass the stopping bound
 below, so a poor factor can cost time but never accuracy. The exact dense
 path is also the test oracle.
@@ -42,7 +43,9 @@ solve that runs out of iterations evaluates it before it raises.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,17 +68,17 @@ DENSE_CAP = 2000
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """epsilon, the solve accuracy, is the only setting; the dense
+    threshold and CG's iteration cap are class constants, not fields."""
     epsilon: float = 1e-8
-    max_iterations: int = 5000
     # Only "auto" is accepted: the input picks the path (module docstring).
     preconditioner: str = "auto"
-    dense_threshold: int = 64
+    dense_threshold: ClassVar[int] = 64
+    max_iterations: ClassVar[int] = 5000
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise InvalidInputError("epsilon must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be at least 1")
         if self.preconditioner != "auto":
             raise InvalidInputError(f"unknown preconditioner {self.preconditioner!r}")
 
@@ -132,12 +135,18 @@ def pinv_laplacian(L) -> np.ndarray:
 
 
 def _checked_demand(d, n: int) -> np.ndarray:
-    """d as a float vector of length n orthogonal to the ones vector."""
+    """d as a finite float vector of length n orthogonal to 1: the one
+    demand check, run once per solve and by graphs.check_demand."""
     d = np.asarray(d, dtype=float)
     if d.shape != (n,):
-        raise InvalidInputError("demand length does not match matrix size")
-    if abs(d.sum()) > 1e-12 * max(np.linalg.norm(d), 1e-300):
-        raise InvalidInputError("demand must be orthogonal to the ones vector")
+        raise InvalidInputError(f"demand vector has shape {d.shape}, expected ({n},)")
+    # d @ d is finite unless an entry is not (or it overflows), so the
+    # entrywise test runs only then. Its root is np.linalg.norm(d).
+    sq = float(d @ d)
+    if not math.isfinite(sq) and not np.isfinite(d).all():
+        raise InvalidInputError("demand entries must be finite")
+    if abs(d.sum()) > 1e-12 * max(math.sqrt(sq), 1e-300):
+        raise InvalidInputError("demand entries must sum to zero")
     return d
 
 
@@ -285,7 +294,8 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
           context: SolveContext | None = None) -> SolveResult:
     """Approximate x = L^+ d with ||x - L^+ d||_L <= epsilon ||L^+ d||_L.
 
-    At or below cfg.dense_threshold nodes this is the exact dense path, and
+    d is checked once, on either path (_checked_demand). At or below
+    SolverConfig.dense_threshold nodes this is the exact dense path, and
     any context is ignored. Above it, preconditioned conjugate gradient from
     x = 0 on the singular consistent system, with the tree-dominance
     stopping bound described in the module docstring; a context is required

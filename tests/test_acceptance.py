@@ -266,7 +266,9 @@ def test_criterion_10_hexagon_dual_norm():
               f"max |formula - vertex enumeration| = {worst:.2e} over 100 vectors")
 
 
-def test_criterion_11_solver_contract():
+def test_criterion_11_solver_contract(monkeypatch):
+    # Every solve takes the CG path, whatever its size.
+    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
     rng = np.random.default_rng(111)
     worst = 0.0
     violations = 0
@@ -279,8 +281,7 @@ def test_criterion_11_solver_contract():
         x_star = solver.pinv_laplacian(Ld) @ d
         den = float(x_star @ (Ld @ x_star))
         for eps in (1e-2, 1e-6):
-            cfg = solver.SolverConfig(epsilon=eps, dense_threshold=0,
-                                      max_iterations=20000)
+            cfg = solver.SolverConfig(epsilon=eps)
             ctx = solver.context_from_edges(
                 g.n, g.ei[g.backbone_mask], g.ej[g.backbone_mask],
                 (s * g.w)[g.backbone_mask])

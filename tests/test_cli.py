@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+import reswitch
 from reswitch import cli, graphs
 from reswitch.errors import InvalidInputError
 
@@ -408,3 +413,16 @@ def test_generate_demand_kinds():
     assert np.sum(d_gauss != 0.0) > 2
     with pytest.raises(InvalidInputError):
         cli.generate_instance(9, 3, seed=3, demand="uniform")
+
+
+def test_module_entry_point_runs_without_a_runpy_warning():
+    # `python -m reswitch.cli` warns when importing the package has already
+    # loaded reswitch.cli; the package must not import its CLI.
+    src = str(Path(reswitch.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "reswitch.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout

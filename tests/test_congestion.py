@@ -41,8 +41,7 @@ def test_phi_zero_demand():
 def test_phi_iterative_path_matches_reference():
     g, s, d = instance(1, n=120, extra=90)
     want = oracles.phi(g, s, d)
-    got = congestion.phi(g, s, d, solver.SolverConfig(dense_threshold=0),
-                         congestion.make_context(g, solver.SolverConfig(dense_threshold=0)))
+    got = congestion.phi(g, s, d)  # 120 > dense_threshold
     assert abs(got - want) < 1e-6 * want
 
 
@@ -231,7 +230,7 @@ def test_no_context_solves_on_the_backbone_factor(monkeypatch):
         raise AssertionError("context_from_laplacian ran")
     monkeypatch.setattr(solver, "context_from_laplacian", extract)
     g, s, d = instance(25, n=120, extra=90)
-    cfg = solver.SolverConfig(dense_threshold=0)
+    cfg = solver.SolverConfig()
     want = oracles.phi(g, s, d)
     assert abs(congestion.phi(g, s, d, cfg) - want) <= 1e-8 * want
     diff = congestion.approx_diff(g, s, d, cfg)
@@ -264,17 +263,19 @@ def test_phi_does_not_depend_on_earlier_calls():
     cli._draw(g, d, q, s, cli.ExperimentConfig(repeats=3, seed=7))
     assert congestion.phi(g, sbin, d) == first
     assert congestion.phi(fresh, sbin, d) == first
-    # Every solve starts from zero, so neither does it depend on the context
-    # Frank-Wolfe has used, under either preconditioner mode.
+    # Every solve starts from zero, so neither does it depend on earlier
+    # solves on the same context, under either preconditioner mode.
     for (g, d), mode in ((oracles.chord_ring(1500, seed=1), "direct"),
                          (cli.generate_instance(2000, 4000, seed=1, demand="gauss",
                                                 multigraph=True), "jacobi")):
         q = int(g.backbone_mask.sum()) + int((~g.backbone_mask).sum()) // 2
+        s, _, _ = frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05))
         ctx = congestion.make_context(g)
-        s, _, _ = frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05), ctx)
         assert ctx.mode == mode
+        congestion.approx_diff(g, s, d, context=ctx)
         sbin = draw(g, s, q, seed=0)
-        assert congestion.phi(g, sbin, d, context=ctx) == congestion.phi(g, sbin, d), mode
+        assert congestion.approx_diff(g, sbin, d, context=ctx).phi == \
+            congestion.phi(g, sbin, d), mode
 
 
 @pytest.mark.parametrize("family", ["chord-ring", "cli-expander"])

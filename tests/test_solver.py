@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -152,13 +153,14 @@ def test_solve_dense_path_is_exact():
                     atol=1e-10)
 
 
-def test_solve_zero_demand():
+def test_solve_zero_demand(monkeypatch):
     g, s, _ = instance(5, n=10, extra=4)
     L = graphs.assemble_laplacian(g, s)
     res = solver.solve(L, np.zeros(g.n), solver.SolverConfig())
     assert not res.x.any()
     # On the CG path it returns without an iteration.
-    res = solver.solve(L, np.zeros(g.n), solver.SolverConfig(dense_threshold=0),
+    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
+    res = solver.solve(L, np.zeros(g.n), solver.SolverConfig(),
                        context=solver.context_from_laplacian(L))
     assert res.iterations == 0 and not res.x.any()
 
@@ -178,7 +180,8 @@ POLICY = {"jacobi": 0, "direct": 10 ** 9}
 @pytest.mark.parametrize("mode", POLICY)
 def test_solve_contract_per_preconditioner(monkeypatch, mode):
     monkeypatch.setattr(solver, "FILL_BUDGET", POLICY[mode])
-    cfg = solver.SolverConfig(epsilon=1e-6, dense_threshold=0)
+    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
+    cfg = solver.SolverConfig(epsilon=1e-6)
     for family, make in FAMILIES.items():
         g, d = make()
         s = oracles.random_fractional(np.random.default_rng(6), g)
@@ -200,12 +203,13 @@ def backbone_context(g):
                                      g.w[g.backbone_mask])
 
 
-def test_auto_fallback_contract_cold_then_warm():
+def test_auto_fallback_contract_cold_then_warm(monkeypatch):
     # Without a pattern to probe, the context solves on the backbone factor
     # at the backbone indicator, where it is exact, and elsewhere with
     # Jacobi. Both solves start from zero on the one context.
     g, s, d = instance(15, n=80, extra=70)
-    cfg = solver.SolverConfig(epsilon=1e-6, dense_threshold=0)
+    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
+    cfg = solver.SolverConfig(epsilon=1e-6)
     ctx = backbone_context(g)
     for point, most in ((g.backbone_indicator(), 1), (s, cfg.max_iterations)):
         L = graphs.assemble_laplacian(g, point)
@@ -219,7 +223,7 @@ def test_auto_fallback_contract_cold_then_warm():
 
 def test_solve_evaluates_tree_bound_lazily():
     g, s, d = instance(16, n=200, extra=300)
-    cfg = solver.SolverConfig(epsilon=1e-8, dense_threshold=0)
+    cfg = solver.SolverConfig(epsilon=1e-8)
     ctx = backbone_context(g)
     assert ctx.mode == "jacobi"
     calls = []
@@ -247,13 +251,15 @@ def test_cold_direct_solve_evaluates_the_bound_once():
 def test_solve_energy_identity():
     g, s, d = instance(7, n=30, extra=20)
     L = graphs.assemble_laplacian(g, s)
-    res = solver.solve(L, d, solver.SolverConfig(dense_threshold=64))
+    res = solver.solve(L, d, solver.SolverConfig())  # 30 <= dense_threshold
     assert abs(float(d @ res.x) - float(res.x @ (L @ res.x))) < 1e-10 * abs(d @ res.x)
 
 
-def test_solve_raises_when_budget_exhausted():
+def test_solve_raises_when_budget_exhausted(monkeypatch):
     g, s, d = instance(9, n=50, extra=40)
-    cfg = solver.SolverConfig(epsilon=1e-10, max_iterations=1, dense_threshold=0)
+    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
+    monkeypatch.setattr(solver.SolverConfig, "max_iterations", 1)
+    cfg = solver.SolverConfig(epsilon=1e-10)
     bb = g.backbone_mask
     # A backbone factor with unevenly lowered weights is inexact at the
     # backbone indicator, where it still preconditions (its pattern is the
@@ -278,24 +284,33 @@ def test_solve_raises_when_budget_exhausted():
         assert info.value.achieved_residual == pytest.approx(expected, rel=1e-9), on_tree
 
 
-def test_solve_rejects_bad_demand():
-    # The same checks on the dense path and, with a context, on CG's.
+def test_solve_rejects_bad_demand(monkeypatch):
+    # The same checks on the dense path and, with a context, on CG's, and
+    # through congestion.phi, which leaves them to the solve. A NaN or
+    # infinite demand is refused before any CG iteration runs.
     g, s, d = instance(10, n=40, extra=20)
     L = graphs.assemble_laplacian(g, s)
-    for cfg, ctx in ((solver.SolverConfig(), None),
-                     (solver.SolverConfig(dense_threshold=0), backbone_context(g))):
-        for bad in (np.ones(g.n), d[:-1]):
+    non_finite = [d.copy() for _ in range(3)]
+    for bad, value in zip(non_finite, (np.nan, np.inf, -np.inf)):
+        bad[0], bad[1] = value, -value
+    for ctx in (None, backbone_context(g)):
+        if ctx is not None:
+            monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
+        for bad in (np.ones(g.n), d[:-1], *non_finite):
             with pytest.raises(InvalidInputError):
-                solver.solve(L, bad, cfg, context=ctx)
+                solver.solve(L, bad, solver.SolverConfig(), context=ctx)
+            with pytest.raises(InvalidInputError):
+                congestion.phi(g, s, bad)
 
 
-def test_cg_path_requires_a_context():
+def test_cg_path_requires_a_context(monkeypatch):
     g, s, d = instance(10, n=40, extra=20)
     L = graphs.assemble_laplacian(g, s)
-    with pytest.raises(InvalidInputError, match="needs a context"):
-        solver.solve(L, d, solver.SolverConfig(dense_threshold=0))
     # At or below the threshold the dense path needs none.
     assert solver.solve(L, d, solver.SolverConfig()).iterations == 0
+    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
+    with pytest.raises(InvalidInputError, match="needs a context"):
+        solver.solve(L, d, solver.SolverConfig())
 
 
 # --- configuration and mode resolution ---------------------------------------
@@ -303,8 +318,13 @@ def test_cg_path_requires_a_context():
 def test_solver_config_validation():
     with pytest.raises(InvalidInputError):
         solver.SolverConfig(epsilon=0.0)
-    with pytest.raises(InvalidInputError):
-        solver.SolverConfig(max_iterations=0)
+    # The dense threshold and CG's iteration cap are constants, not options.
+    assert [f.name for f in dataclasses.fields(solver.SolverConfig)] == [
+        "epsilon", "preconditioner"]
+    with pytest.raises(TypeError):
+        solver.SolverConfig(dense_threshold=0)
+    with pytest.raises(TypeError):
+        solver.SolverConfig(max_iterations=1)
     # The input picks the path: "auto" is the only preconditioner value.
     assert solver.SolverConfig().preconditioner == "auto"
     for name in ("cholesky", "backbone_tree", "jacobi", "direct", "none", ""):
@@ -388,8 +408,8 @@ def test_auto_direct_certifies_a_300_by_300_grid():
     g, d = oracles.grid_comb(300, 300, seed=1)
     q = int(g.backbone_mask.sum()) + int((~g.backbone_mask).sum()) // 2
     cfg = frankwolfe.FWConfig(q=q, alpha=0.05)
+    s, cert, _ = frankwolfe.run(g, d, cfg)
     ctx = congestion.make_context(g, cfg.solver)
-    s, cert, _ = frankwolfe.run(g, d, cfg, ctx)
     assert ctx.mode == "direct" and cert.certified
     L = graphs.assemble_laplacian(g, s)
     res = solver.solve(L, d, cfg.solver, context=ctx)
