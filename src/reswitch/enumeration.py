@@ -171,7 +171,6 @@ def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int) -> EnumerationResu
 
     s_best = g.backbone_indicator()
     s_best[search.free] = search.best_on
-    x = solver.exact_pinv_apply(graphs.assemble_laplacian_dense(g, s_best), d)
-    cfg = graphs.Configuration(sbin=s_best, voltages=x)
-    return EnumerationResult(best_config=cfg, best_phi=search.best_phi,
+    return EnumerationResult(best_config=graphs.Configuration(sbin=s_best),
+                             best_phi=search.best_phi,
                              evaluated_count=search.nodes)

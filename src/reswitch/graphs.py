@@ -72,6 +72,14 @@ class Graph:
         """
         return solver._low_fill(self.n, self.ei, self.ej)
 
+    @cached_property
+    def dense_index(self) -> np.ndarray:
+        """Flat n x n positions of the entries (i, i), (j, j), (i, j) and
+        (j, i) of every edge: four blocks of m, each in edge order, which is
+        the order the dense assembly sums in."""
+        n, i, j = self.n, self.ei, self.ej
+        return np.concatenate([i * n + i, j * n + j, i * n + j, j * n + i])
+
     def backbone_indicator(self) -> np.ndarray:
         """Switch vector with backbone edges closed and all others open."""
         return self.backbone_mask.astype(float)
@@ -79,10 +87,9 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """Binary switch assignment, optionally with its induced voltages."""
+    """Binary switch assignment."""
 
     sbin: np.ndarray
-    voltages: np.ndarray | None = None
 
 
 def make_graph(n: int, edges, backbone) -> Graph:
@@ -135,9 +142,9 @@ def check_switch(g: Graph, s: np.ndarray) -> np.ndarray:
     if s.shape != (g.m,):
         raise InvalidInputError(f"switch vector has shape {s.shape}, expected ({g.m},)")
     # Written so that NaN, which fails every comparison, fails the check.
-    if not np.all((s >= -1e-12) & (s <= 1 + 1e-12)):
+    if not ((s >= -1e-12) & (s <= 1 + 1e-12)).all():
         raise InvalidInputError("switch entries must lie in [0, 1]")
-    if not np.all(s[g.backbone_mask] == 1.0):
+    if not (s[g.backbone_mask] == 1.0).all():
         raise InvalidInputError("backbone switch entries must equal 1")
     return s
 
@@ -186,12 +193,10 @@ def assemble_laplacian_dense(g: Graph, s: np.ndarray) -> np.ndarray:
     """Dense switched Laplacian, for small instances and test oracles."""
     s = check_switch(g, s)
     x = s * g.w
-    L = np.zeros((g.n, g.n))
-    np.add.at(L, (g.ei, g.ei), x)
-    np.add.at(L, (g.ej, g.ej), x)
-    np.add.at(L, (g.ei, g.ej), -x)
-    np.add.at(L, (g.ej, g.ei), -x)
-    return L
+    # bincount adds each position's entries in Graph.dense_index order.
+    n = g.n
+    return np.bincount(g.dense_index, np.concatenate([x, x, -x, -x]),
+                       minlength=n * n).reshape(n, n)
 
 
 def effective_resistances(g: Graph, s: np.ndarray) -> np.ndarray:

@@ -29,7 +29,9 @@ optimization starts) the backbone factor is used whatever the mode, since
 it is exact there: L_s = L_T. Under direct or the backbone factor CG takes
 one iteration, and the solution still has to pass the stopping bound
 below, so a poor factor can cost time but never accuracy. The exact dense
-path is also the test oracle.
+path solves one matrix at a time by a Cholesky factorization of the
+positive definite L + 1/n, refused unless its residual is small; the tests
+compare it against an LU oracle of their own.
 
 Every solve starts from x = 0 and only reads its context, so no solve
 depends on the ones before it. Under the backbone factor the bound
@@ -50,6 +52,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import (connected_components, minimum_spanning_tree,
                                   reverse_cuthill_mckee)
 
@@ -97,7 +100,10 @@ def project_zero_mean(v: np.ndarray) -> np.ndarray:
 
 
 def _as_dense(L) -> np.ndarray:
-    return L.toarray() if sp.issparse(L) else np.asarray(L, dtype=float)
+    Ld = L.toarray() if sp.issparse(L) else np.asarray(L, dtype=float)
+    if Ld.ndim != 2 or Ld.shape[0] != Ld.shape[1]:
+        raise InvalidInputError(f"matrix has shape {Ld.shape}, expected (n, n)")
+    return Ld
 
 
 def require_dense(n: int) -> None:
@@ -107,24 +113,24 @@ def require_dense(n: int) -> None:
 
 
 def _shifted_solve(L: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Zero-mean X with L X = D, for a connected Laplacian L or a stack of them.
+    """Zero-mean X with L X = D, for one connected Laplacian L (n x n).
 
-    The columns of D (n x r, or broadcast against a stack) must sum to
-    zero. Adding 1/n to every entry of L adds the eigenvalue 1 on the ones
-    vector and leaves L unchanged on the zero-mean subspace, so L + 1/n is
-    nonsingular exactly when L is a connected Laplacian, and one dense
-    solve with it gives L^+ D up to a multiple of the ones vector.
+    The columns of D (n x r) must sum to zero. Adding 1/n to every entry
+    of L adds the eigenvalue 1 on the ones vector and leaves L unchanged on
+    the zero-mean subspace, so L + 1/n is positive definite exactly when L
+    is a connected Laplacian, and one Cholesky solve with it gives L^+ D up
+    to a multiple of the ones vector. Cholesky reads one triangle only; the
+    residual check on the whole matrix refuses a non-symmetric L.
     """
-    B = L + 1.0 / L.shape[-1]
-    try:
-        X = np.linalg.solve(B, D)
-    except np.linalg.LinAlgError as exc:
-        raise StructuralError("matrix is not a connected graph Laplacian") from exc
+    B = L + 1.0 / L.shape[0]
+    _, X, info = lapack.dposv(B, D)
+    if info != 0:
+        raise StructuralError("matrix is not a connected graph Laplacian")
     # ||B x - d|| <= 1e-8 ||d|| for every column, compared squared.
     R = B @ X - D
-    if not ((R * R).sum(axis=-2) <= 1e-16 * (D * D).sum(axis=-2)).all():
+    if not ((R * R).sum(axis=0) <= 1e-16 * (D * D).sum(axis=0)).all():
         raise StructuralError("matrix is not a connected graph Laplacian")
-    return X - X.sum(axis=-2, keepdims=True) / X.shape[-2]
+    return X - X.sum(axis=0) / X.shape[0]
 
 
 def pinv_laplacian(L) -> np.ndarray:
@@ -151,16 +157,12 @@ def _checked_demand(d, n: int) -> np.ndarray:
 
 
 def exact_pinv_apply(L, d: np.ndarray) -> np.ndarray:
-    """Machine-precision L^+ d for a connected Laplacian (dense path).
-
-    L may also be a stack (k, n, n) of Laplacians; the result is then the
-    (k, n) stack of their L^+ d.
-    """
+    """Machine-precision L^+ d for a connected Laplacian (dense path)."""
     Ld = _as_dense(L)
-    d = _checked_demand(d, Ld.shape[-1])
+    d = _checked_demand(d, Ld.shape[0])
     if not d.any():
-        return np.zeros(Ld.shape[:-1])
-    return _shifted_solve(Ld, d[:, None])[..., 0]
+        return np.zeros(Ld.shape[0])
+    return _shifted_solve(Ld, d[:, None])[:, 0]
 
 
 def _grounded_factor(L):

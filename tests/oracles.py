@@ -8,9 +8,10 @@ between a reference function and the package is meaningful evidence.
 
 The exceptions are at the end: brute_force, the exhaustive reference for
 the branch and bound in reswitch.enumeration, batches its dense solves
-through the package's exact dense kernel so that every configuration of a
-few dozen free edges can be checked; and diagnostics that only tests use
-(hexagon norms, the homogeneity residual of the package's own gradient).
+(stack_pinv_apply, an LU kernel apart from the package's Cholesky) so
+that every configuration of a few dozen free edges can be checked; and
+diagnostics that only tests use (hexagon norms, the homogeneity residual
+of the package's own gradient).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from reswitch import congestion, graphs, solver
-from reswitch.errors import CapExceededError, InvalidInputError
+from reswitch.errors import CapExceededError, InvalidInputError, StructuralError
 from reswitch.graphs import Graph, make_graph
 
 
@@ -35,6 +36,19 @@ def laplacian(n, edges, s):
         L[j, j] += c
         L[i, j] -= c
         L[j, i] -= c
+    return L
+
+
+def laplacian_add_at(g: Graph, s) -> np.ndarray:
+    """Switched Laplacian by four np.add.at scatters, (i, i), (j, j), (i, j)
+    and (j, i), each in edge order: the summation order the package's
+    dense assembly promises, so its result must be identical."""
+    x = np.asarray(s, dtype=float) * g.w
+    L = np.zeros((g.n, g.n))
+    np.add.at(L, (g.ei, g.ei), x)
+    np.add.at(L, (g.ej, g.ej), x)
+    np.add.at(L, (g.ei, g.ej), -x)
+    np.add.at(L, (g.ej, g.ei), -x)
     return L
 
 
@@ -287,6 +301,27 @@ KEEP_VALUES_CAP = 16
 BATCH_BYTES = 8 << 20
 
 
+def stack_pinv_apply(Ls: np.ndarray, d) -> np.ndarray:
+    """L^+ d for each connected Laplacian L of a stack (k, n, n), as (k, n).
+
+    One batched LU solve with L + 1/n, refused (StructuralError) unless
+    every residual is within 1e-8 of ||d||: the package's shifted dense
+    solve, but by LU on the whole stack where the package runs a Cholesky
+    per matrix.
+    """
+    B = Ls + 1.0 / Ls.shape[-1]
+    D = np.asarray(d, dtype=float)[:, None]
+    try:
+        X = np.linalg.solve(B, D)
+    except np.linalg.LinAlgError as exc:
+        raise StructuralError("matrix is not a connected graph Laplacian") from exc
+    R = B @ X - D
+    if not ((R * R).sum(axis=-2) <= 1e-16 * (D * D).sum(axis=-2)).all():
+        raise StructuralError("matrix is not a connected graph Laplacian")
+    X = X[..., 0]
+    return X - X.mean(axis=-1, keepdims=True)
+
+
 @dataclass(frozen=True, eq=False)
 class BruteForceResult:
     best_config: graphs.Configuration
@@ -332,7 +367,7 @@ def brute_force(g: Graph, d, q: int) -> BruteForceResult:
         if not keep.any():
             continue
         masks, bits = masks[keep], bits[keep]
-        X = solver.exact_pinv_apply(LT[None, :, :] + np.tensordot(bits, elem, axes=1), d)
+        X = stack_pinv_apply(LT[None, :, :] + np.tensordot(bits, elem, axes=1), d)
         phis = X @ d
         evaluated += len(masks)
         if values is not None:
@@ -343,8 +378,7 @@ def brute_force(g: Graph, d, q: int) -> BruteForceResult:
             best_mask = int(masks[k])
 
     s_best = config_from_mask(g, best_mask)
-    x = solver.exact_pinv_apply(graphs.assemble_laplacian_dense(g, s_best), d)
-    return BruteForceResult(best_config=graphs.Configuration(sbin=s_best, voltages=x),
+    return BruteForceResult(best_config=graphs.Configuration(sbin=s_best),
                             best_phi=best_phi, evaluated_count=evaluated,
                             all_values=values)
 

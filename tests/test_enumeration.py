@@ -90,15 +90,6 @@ def test_evaluated_count_is_budget_filtered():
     assert res.evaluated_count == sum(comb(free, k) for k in range(head + 1))
 
 
-def test_best_voltages_solve_the_network():
-    g, d = instance(6, demand="gauss")
-    res = enumeration.enumerate_optimal(g, d, g.n + 1)
-    x = res.best_config.voltages
-    L = graphs.assemble_laplacian_dense(g, res.best_config.sbin)
-    assert_allclose(L @ x, d, atol=1e-10)
-    assert float(d @ x) == pytest.approx(res.best_phi)
-
-
 def test_best_phi_is_monotone_in_budget():
     g, d = instance(7, n=7, extra=6)
     values = [enumeration.enumerate_optimal(g, d, q).best_phi

@@ -144,6 +144,20 @@ def test_assembly_matches_loop_reference():
                     oracles.laplacian(g.n, g.edges, s), atol=1e-14)
 
 
+def test_dense_assembly_is_the_add_at_reference():
+    # Graph.dense_index fixes the order in which each entry's terms are
+    # summed; it is the reference's, so the arrays are identical.
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        g, _ = oracles.random_instance(rng, 9, 14, multigraph=True)
+        s = oracles.random_fractional(rng, g, lo=0.0)
+        assert_array_equal(graphs.assemble_laplacian_dense(g, s),
+                           oracles.laplacian_add_at(g, s))
+    g = parallel_pair(0.3, 0.7)
+    assert_array_equal(graphs.assemble_laplacian_dense(g, [1.0, 0.1]),
+                       oracles.laplacian_add_at(g, [1.0, 0.1]))
+
+
 def test_parallel_edges_accumulate():
     L = graphs.assemble_laplacian_dense(parallel_pair(1.0, 3.0), np.ones(2))
     assert_allclose(L, [[4, -4], [-4, 4]])
