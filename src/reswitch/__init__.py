@@ -17,9 +17,7 @@ from .graphs import (Graph, Configuration, make_graph, validate,
 from .solver import (SolverConfig, SolveResult, SolveContext, solve,
                      exact_pinv_apply, pinv_laplacian, project_zero_mean)
 from .congestion import (DiffResult, HessianInfo, phi, approx_diff,
-                         exact_gradient, hessian_dense,
-                         total_effective_resistance,
-                         total_effective_resistance_gradient)
+                         exact_gradient, hessian_dense)
 from .frankwolfe import (FWConfig, Certificate, FWTrace, IterationRecord,
                          lmo_top_q, fw_gap, certificate, run)
 from .rounding import (RoundingParams, RoundingReport, floor_probabilities,
@@ -37,7 +35,6 @@ __all__ = [
     "exact_pinv_apply", "pinv_laplacian", "project_zero_mean",
     "DiffResult", "HessianInfo", "phi", "approx_diff", "exact_gradient",
     "hessian_dense",
-    "total_effective_resistance", "total_effective_resistance_gradient",
     "FWConfig", "Certificate", "FWTrace", "IterationRecord",
     "lmo_top_q", "fw_gap", "certificate", "run",
     "RoundingParams", "RoundingReport", "floor_probabilities", "sample",

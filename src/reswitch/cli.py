@@ -31,7 +31,7 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment description; mirrors the config file keys."""
+    """Flat experiment description (the config file keys); home of each CLI default."""
 
     input_path: str | None = None
     n: int = 0
@@ -44,12 +44,12 @@ class ExperimentConfig:
     q: int | None = None
     alpha: float = 0.1
     delta: float = 0.1
-    p_min_constant: float = 0.0
-    repair: str = "trim_and_fill"
-    max_resamples: int = 100
+    p_min_constant: float = rounding.RoundingParams.p_min_constant
+    repair: str = rounding.RoundingParams.repair
+    max_resamples: int = rounding.RoundingParams.max_resamples
     repeats: int = 1
-    max_iterations: int = 500
-    epsilon: float = 1e-8
+    max_iterations: int = frankwolfe.FWConfig.max_iterations
+    epsilon: float = solver.SolverConfig.epsilon
     enumerate_baseline: bool = False
     output: str | None = None
     format: str = "json"
@@ -80,9 +80,12 @@ class ExperimentConfig:
         return ExperimentConfig(**raw)
 
 
-def generate_instance(n: int, extra: int, seed: int, weight_lo: float = 0.5,
-                      weight_hi: float = 2.0, demand: str = "pair",
-                      multigraph: bool = False) -> tuple[graphs.Graph, np.ndarray]:
+def generate_instance(n: int, extra: int, seed: int,
+                      weight_lo: float = ExperimentConfig.weight_lo,
+                      weight_hi: float = ExperimentConfig.weight_hi,
+                      demand: str = ExperimentConfig.demand,
+                      multigraph: bool = ExperimentConfig.multigraph,
+                      ) -> tuple[graphs.Graph, np.ndarray]:
     """Random instance with a spanning-tree backbone and extra switchable edges.
 
     The backbone is a random-attachment tree; extra edges are drawn
@@ -268,11 +271,8 @@ def _write_output(doc, path: str | None, fmt: str) -> None:
         return
     rows = []
     for item in docs:
-        flat = {}
-        for key, val in sorted(_flatten(item.get("record", item)).items()):
-            flat[key] = val
-        for key, val in sorted(_flatten(item.get("timing", {})).items()):
-            flat[f"timing.{key}"] = val
+        flat = _flatten(item.get("record", item))
+        flat.update(_flatten(item.get("timing", {}), prefix="timing."))
         rows.append(flat)
     cols = sorted({c for row in rows for c in row})
     out = open(path, "w", newline="", encoding="ascii") if path else sys.stdout
@@ -400,8 +400,8 @@ def _cmd_bench(args) -> int:
         docs.append(_wrap(record, timing))
         print(f"n={g.n} m={g.m}: {timing['per_iteration_s']:.4f} s/iteration, "
               f"{len(trace.records)} iterations, certified={cert.certified}")
-    if args.output:
-        _write_output(docs, args.output, args.format)
+    if base.output:
+        _write_output(docs, base.output, base.format)
     return 0
 
 
@@ -417,19 +417,16 @@ def _add_common(p: argparse.ArgumentParser, *names) -> None:
     opts = {
         "input": lambda: p.add_argument("--input", dest="input_path", required=True,
                                         help="instance file"),
-        "output": lambda: p.add_argument("--output", default=None),
-        "format": lambda: p.add_argument("--format", choices=("json", "csv"),
-                                         default="json"),
-        "seed": lambda: p.add_argument("--seed", type=int, default=0),
-        "q": lambda: p.add_argument("--q", type=int, default=None,
+        "output": lambda: p.add_argument("--output"),
+        "format": lambda: p.add_argument("--format", choices=("json", "csv")),
+        "seed": lambda: p.add_argument("--seed", type=int),
+        "q": lambda: p.add_argument("--q", type=int,
                                     help="edge budget (defaults to the instance file)"),
-        "alpha": lambda: p.add_argument("--alpha", type=float, default=0.1),
-        "delta": lambda: p.add_argument("--delta", type=float, default=0.1),
-        "repeats": lambda: p.add_argument("--repeats", type=int, default=1),
-        "solver": lambda: (
-            p.add_argument("--epsilon", type=float, default=1e-8),
-            p.add_argument("--max-iterations", dest="max_iterations", type=int,
-                           default=500)),
+        "alpha": lambda: p.add_argument("--alpha", type=float),
+        "delta": lambda: p.add_argument("--delta", type=float),
+        "repeats": lambda: p.add_argument("--repeats", type=int),
+        "solver": lambda: (p.add_argument("--epsilon", type=float),
+                           p.add_argument("--max-iterations", dest="max_iterations", type=int)),
     }
     for name in names:
         opts[name]()
@@ -442,10 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a random instance file")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--extra", type=int, default=0)
-    p.add_argument("--weight-lo", dest="weight_lo", type=float, default=0.5)
-    p.add_argument("--weight-hi", dest="weight_hi", type=float, default=2.0)
-    p.add_argument("--demand", choices=("pair", "gauss"), default="pair")
+    p.add_argument("--extra", type=int)
+    p.add_argument("--weight-lo", dest="weight_lo", type=float)
+    p.add_argument("--weight-hi", dest="weight_hi", type=float)
+    p.add_argument("--demand", choices=("pair", "gauss"))
     p.add_argument("--multigraph", action="store_true")
     p.add_argument("--output", required=True)
     _add_common(p, "seed", "q")
@@ -457,15 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("round", help="round a fractional solution")
     p.add_argument("--solution", required=True, help="JSON record from solve")
-    p.add_argument("--repair", choices=rounding.REPAIR_MODES, default="trim_and_fill")
-    p.add_argument("--p-min-constant", dest="p_min_constant", type=float, default=0.0)
-    p.add_argument("--max-resamples", dest="max_resamples", type=int, default=100)
+    p.add_argument("--repair", choices=rounding.REPAIR_MODES)
+    p.add_argument("--p-min-constant", dest="p_min_constant", type=float)
+    p.add_argument("--max-resamples", dest="max_resamples", type=int)
     _add_common(p, "input", "output", "format", "seed", "q", "delta", "repeats",
                 "solver")
     p.set_defaults(func=_cmd_round)
 
     p = sub.add_parser("certify", help="evaluate the gap certificate at a point")
-    p.add_argument("--solution", default=None, help="JSON record with switch_vector")
+    p.add_argument("--solution", help="JSON record with switch_vector")
     _add_common(p, "input", "output", "format", "q", "alpha", "solver")
     p.set_defaults(func=_cmd_certify)
 
@@ -475,13 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a config-file experiment end to end")
     p.add_argument("--config", required=True, help="flat JSON config file")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("bench", help="per-iteration timing across sizes")
     p.add_argument("--sizes", required=True, help="comma list of n:m pairs")
     p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--epsilon", type=float, default=1e-8)
+    p.add_argument("--epsilon", type=float)
     _add_common(p, "output", "format", "seed", "alpha")
     p.set_defaults(func=_cmd_bench)
     return ap

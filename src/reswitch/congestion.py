@@ -2,10 +2,10 @@
 
 One approximate solve yields the value, the per-edge voltage differences
 Delta_e, and the full gradient (grad phi)_e = -w_e Delta_e^2 at once. The
-exact dense path backs the small-instance oracles: gradient, Hessian (via
-the factorization H = 2 diag(zeta) P diag(zeta) with zeta_e = sqrt(w_e)
-Delta_e and P = W^{1/2} A L^+ A^T W^{1/2}, A the signed incidence matrix
-with rows a_e) and the total-effective-resistance gradient.
+exact dense path backs the small-instance oracles: the gradient, and the
+Hessian via the factorization H = 2 diag(zeta) P diag(zeta) with zeta_e =
+sqrt(w_e) Delta_e and P = W^{1/2} A L^+ A^T W^{1/2}, A the signed
+incidence matrix with rows a_e.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ class DiffResult:
     grad: np.ndarray
     delta: np.ndarray
     phi: float
-    x: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +81,7 @@ def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
     """Value, voltage differences, and gradient from one solve."""
     x = _voltages(g, s, d, cfg, context)
     delta = x[g.ei] - x[g.ej]
-    return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=float(d @ x), x=x)
+    return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=float(d @ x))
 
 
 def exact_gradient(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -122,22 +121,4 @@ def hessian_dense(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> HessianInfo:
     rho_t = graphs.effective_resistances(g, g.backbone_indicator())
     gsc = 3.0 * float(np.linalg.norm(g.w * rho_t))
     return HessianInfo(H=H, opnorm_bound=2.0 * phi_val, gsc_M=gsc)
-
-
-def total_effective_resistance(g: graphs.Graph, s: np.ndarray) -> float:
-    """Kirchhoff index R(s) = n * trace(L_s^+), a connectivity diagnostic."""
-    solver.require_dense(g.n)
-    s = graphs.check_switch(g, s)
-    L = graphs.assemble_laplacian_dense(g, s)
-    return g.n * float(np.trace(solver.pinv_laplacian(L)))
-
-
-def total_effective_resistance_gradient(g: graphs.Graph, s: np.ndarray) -> np.ndarray:
-    """Gradient of R(s): entry e is -n * w_e * a_e^T L_s^{+2} a_e."""
-    solver.require_dense(g.n)
-    s = graphs.check_switch(g, s)
-    L = graphs.assemble_laplacian_dense(g, s)
-    Lp = solver.pinv_laplacian(L)
-    cols = Lp[:, g.ei] - Lp[:, g.ej]
-    return -g.n * g.w * np.einsum("ij,ij->j", cols, cols)
 

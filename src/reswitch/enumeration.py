@@ -76,10 +76,12 @@ class _Search:
         self.leaves = {}
 
     def solve(self, sf: np.ndarray) -> tuple[float, np.ndarray]:
-        """phi and its gradient on the free edges at free-edge values sf."""
+        """phi and its gradient on the free edges at free-edge values sf, from
+        the dense kernel on d, which enumerate_optimal checked once."""
         s = self.g.backbone_indicator()
         s[self.free] = sf
-        x = solver.exact_pinv_apply(graphs.assemble_laplacian_dense(self.g, s), self.d)
+        L = graphs.assemble_laplacian_dense(self.g, s)
+        x = solver._shifted_solve(L, self.d[:, None])[:, 0]
         delta = x[self.ei] - x[self.ej]
         return float(self.d @ x), -self.w * delta ** 2
 

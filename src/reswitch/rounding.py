@@ -49,11 +49,9 @@ class RoundingParams:
 
 @dataclass(frozen=True, eq=False)
 class RoundingReport:
-    sbar: np.ndarray
     sampled: graphs.Configuration
     resamples_used: int
     repairs: tuple[tuple[int, str], ...]
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 def floor_probabilities(s: np.ndarray, g: graphs.Graph,
@@ -122,7 +120,7 @@ def sample(sbar: np.ndarray, g: graphs.Graph, q: int,
             resamples += 1
 
     config = graphs.Configuration(sbin=draw.astype(float))
-    return RoundingReport(sbar=sbar, sampled=config, resamples_used=resamples,
+    return RoundingReport(sampled=config, resamples_used=resamples,
                           repairs=tuple(repairs))
 
 

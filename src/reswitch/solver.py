@@ -65,7 +65,7 @@ from .errors import CapExceededError, InvalidInputError, NumericalError, Structu
 FILL_BUDGET = 128
 BOUND_INTERVAL = 16
 # Largest node count for the dense-only operations (resistances, Hessian,
-# Kirchhoff index, exact baseline): an n x n dense matrix and its O(n^3) solve.
+# exact baseline): an n x n dense matrix and its O(n^3) solve.
 DENSE_CAP = 2000
 
 

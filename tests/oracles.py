@@ -122,22 +122,6 @@ def sandwich_pencil_eigenvalues(g: Graph, sbar, sampled) -> np.ndarray:
     return scipy.linalg.eigh(U.T @ L1 @ U, U.T @ L0 @ U, eigvals_only=True)
 
 
-def kirchhoff_index(g: Graph, s) -> float:
-    return g.n * float(np.trace(pinv(laplacian(g.n, g.edges, s))))
-
-
-def kirchhoff_gradient_fd(g: Graph, s, h: float = 1e-6) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    out = np.empty(g.m)
-    for e in range(g.m):
-        up = s.copy()
-        dn = s.copy()
-        up[e] += h
-        dn[e] -= h
-        out[e] = (kirchhoff_index(g, up) - kirchhoff_index(g, dn)) / (2.0 * h)
-    return out
-
-
 def hexagon_dual_subsets(u, q: int) -> float:
     """Dual norm by brute force: best size-min(q, len) subset of |u|, over q."""
     a = np.abs(np.asarray(u, dtype=float))

@@ -398,6 +398,23 @@ def test_bench_rejects_malformed_sizes(capsys, sizes):
     assert "invalid input" in capsys.readouterr().err
 
 
+def test_every_cli_default_lives_in_the_config():
+    # An option that is a config field defaults to None, so the config's
+    # default applies; --multigraph, a store_true flag, defaults to False.
+    fields = cli.ExperimentConfig.__dataclass_fields__
+    ap = cli.build_parser()
+    (subs,) = [a for a in ap._actions if a.dest == "command"]
+    checked = 0
+    for name, p in subs.choices.items():
+        for action in p._actions:
+            if action.dest in fields and action.dest != "multigraph":
+                assert action.default is None, (name, action.dest, action.default)
+                checked += 1
+    assert checked > 30
+    args = ap.parse_args(["solve", "--input", "x"])
+    assert cli._config_from_args(args) == cli.ExperimentConfig(input_path="x")
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 6, "extra": 2, "alpha": 0.5}))
@@ -413,6 +430,14 @@ def test_generate_demand_kinds():
     assert np.sum(d_gauss != 0.0) > 2
     with pytest.raises(InvalidInputError):
         cli.generate_instance(9, 3, seed=3, demand="uniform")
+
+
+def test_every_export_resolves():
+    for name in reswitch.__all__:
+        assert hasattr(reswitch, name), name
+    namespace = {}
+    exec("from reswitch import *", namespace)
+    assert set(reswitch.__all__) <= set(namespace)
 
 
 def test_module_entry_point_runs_without_a_runpy_warning():

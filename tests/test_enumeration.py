@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from reswitch import enumeration, graphs
+from reswitch import enumeration, graphs, solver
 from reswitch.errors import CapExceededError, InvalidInputError
 
 
@@ -88,6 +88,18 @@ def test_evaluated_count_is_budget_filtered():
     res = oracles.brute_force(g, d, (g.n - 1) + head)
     free = g.m - (g.n - 1)
     assert res.evaluated_count == sum(comb(free, k) for k in range(head + 1))
+
+
+def test_demand_is_checked_once_per_search(monkeypatch):
+    # enumerate_optimal checks d once; its node solves take it as checked.
+    calls = []
+    checked = solver._checked_demand
+    monkeypatch.setattr(solver, "_checked_demand",
+                        lambda d, n: calls.append(n) or checked(d, n))
+    g, d = instance(8, n=8, extra=7, demand="gauss")
+    res = enumeration.enumerate_optimal(g, d, g.n + 2)
+    assert res.evaluated_count > 1
+    assert len(calls) == 1
 
 
 def test_best_phi_is_monotone_in_budget():
