@@ -42,13 +42,12 @@ def make_context(g: graphs.Graph,
 
     Only CG solves read a context, so build one only above the dense
     threshold. Every edge of g is in the pattern the context may solve, so
-    the mode is the fill probe's verdict on all of them, run once per graph
-    (Graph.low_fill). The graph alone picks the mode; cfg is accepted, for
-    the benchmark's calls, and not used.
+    the context takes the graph's plan (Graph.plan), and the mode is its
+    fill verdict on all of them, probed once per graph. The graph alone
+    picks the mode; cfg is accepted, for the benchmark's calls, and not used.
     """
     bb = g.backbone_mask
-    return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb],
-                                     low_fill=g.low_fill)
+    return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb], plan=g.plan)
 
 
 def _voltages(g, s, d, cfg, context):

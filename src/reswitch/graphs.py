@@ -9,6 +9,14 @@ opened or closed. The central object is the switched Laplacian
 
 for a switch vector s in [0,1]^m. Parallel edges are kept distinct, and
 all per-edge vectors are indexed by input edge order.
+
+Each graph assembles L_s on one fixed pattern. Its symbolic plan
+(Graph.plan, a solver.LaplacianPlan) holds the CSR pattern of every
+position an edge touches, the data position of each edge's four terms and,
+when the graph's fill verdict is direct, the minimum-degree order of the
+grounded Laplacian; so sparse assembly is one np.bincount, and no solve
+redoes symbolic work. The plan is built on first use and kept on the
+graph.
 """
 from __future__ import annotations
 
@@ -77,12 +85,32 @@ class Graph:
         """Flat n x n positions of the entries (i, i), (j, j), (i, j) and
         (j, i) of every edge: four blocks of m, each in edge order, which is
         the order the dense assembly sums in."""
-        n, i, j = self.n, self.ei, self.ej
-        return np.concatenate([i * n + i, j * n + j, i * n + j, j * n + i])
+        return _flat_positions(self)
+
+    @cached_property
+    def plan(self) -> solver.LaplacianPlan:
+        """The symbolic plan of the Laplacian with every edge on.
+
+        Its CSR pattern holds every position an edge touches, so every
+        switch vector, zeros included, assembles into it; slot maps the 4m
+        terms of dense_index's order to their data positions. When the
+        graph's fill verdict is direct, the plan also holds the grounded
+        minimum-degree order that every direct factor on the graph reuses
+        (solver.LaplacianPlan). It is built on first use.
+        """
+        n = self.n
+        flat, slot = np.unique(_flat_positions(self), return_inverse=True)
+        indptr = np.searchsorted(flat, np.arange(n + 1) * n)
+        return solver.LaplacianPlan(n, indptr, flat % n, self.low_fill, slot)
 
     def backbone_indicator(self) -> np.ndarray:
         """Switch vector with backbone edges closed and all others open."""
         return self.backbone_mask.astype(float)
+
+
+def _flat_positions(g: Graph) -> np.ndarray:
+    n, i, j = g.n, g.ei, g.ej
+    return np.concatenate([i * n + i, j * n + j, i * n + j, j * n + i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,13 +208,16 @@ def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def assemble_laplacian(g: Graph, s: np.ndarray) -> sp.csr_matrix:
-    """Switched Laplacian L_s = sum_e s_e w_e a_e a_e^T as sparse CSR."""
+    """Switched Laplacian L_s = sum_e s_e w_e a_e a_e^T as sparse CSR, on the
+    graph's one pattern (Graph.plan), stored zeros included."""
     s = check_switch(g, s)
     x = s * g.w
-    rows = np.concatenate([g.ei, g.ej, g.ei, g.ej])
-    cols = np.concatenate([g.ei, g.ej, g.ej, g.ei])
-    data = np.concatenate([x, x, -x, -x])
-    return sp.coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
+    # bincount adds each slot's terms in Graph.dense_index order, so the
+    # values are the dense assembly's, bit for bit.
+    plan = g.plan
+    data = np.bincount(plan.slot, np.concatenate([x, x, -x, -x]),
+                       minlength=len(plan.indices))
+    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(g.n, g.n))
 
 
 def assemble_laplacian_dense(g: Graph, s: np.ndarray) -> np.ndarray:

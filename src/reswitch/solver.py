@@ -23,7 +23,11 @@ reverse Cuthill-McKee order with FILL_BUDGET nonzeros per edge; a context
 over a graph's backbone takes the graph's verdict, probed once per graph
 (graphs.Graph.low_fill). Planar, grid-like and ring-like graphs pass it
 and their factor is cheap; expander-like graphs fail it, and there Jacobi
-needs only tens of iterations. On a Laplacian with the backbone's own
+needs only tens of iterations. The symbolic work of a direct factor is
+done once per pattern, not per solve: a LaplacianPlan keeps the grounded
+block's minimum-degree order, so each factor is one gather of L_s's values
+and one LU in that order, and a direct solve refuses an L_s that does not
+carry the plan's pattern. On a Laplacian with the backbone's own
 sparsity pattern (the switch vector at the backbone indicator, where
 optimization starts) the backbone factor is used whatever the mode, since
 it is exact there: L_s = L_T. Under direct or the backbone factor CG takes
@@ -59,9 +63,11 @@ from scipy.sparse.csgraph import (connected_components, minimum_spanning_tree,
 from .errors import CapExceededError, InvalidInputError, NumericalError, StructuralError
 
 # Reverse Cuthill-McKee envelope per edge up to which a context solves directly.
-# Grids of 80 x 80 to 300 x 300 come to 27-101 (their minimum-degree factors,
-# which the solves use, to 17.5-28 nonzeros per edge), chord rings of 1500
-# nodes to 62-76; CLI expanders with 2n extra edges pass below about 1450.
+# Grids of 80 x 80 to 300 x 300 come to 27-101 (their factors, in the
+# minimum-degree order each graph's LaplacianPlan keeps, to 17.5-28 nonzeros
+# per edge), chord rings of 1500 nodes to 62-76; CLI expanders with 2n extra
+# edges pass below about 1450. A graph that passes pays for its order once,
+# when its plan is built.
 FILL_BUDGET = 128
 BOUND_INTERVAL = 16
 # Largest node count for the dense-only operations (resistances, Hessian,
@@ -165,30 +171,149 @@ def exact_pinv_apply(L, d: np.ndarray) -> np.ndarray:
     return _shifted_solve(Ld, d[:, None])[:, 0]
 
 
+# SuperLU settings of every grounded factor. A grounded Laplacian is
+# symmetric positive definite, so the diagonal pivots and no row is swapped.
+_SPLU_OPTIONS = dict(diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                     options=dict(SymmetricMode=True))
+
+
+def _grounded_apply(n: int, solve_grounded):
+    """r -> L^+ r from a solve with the grounded block L[1:, 1:]."""
+    def apply(r: np.ndarray) -> np.ndarray:
+        x = np.empty(n)
+        x[0] = 0.0
+        x[1:] = solve_grounded(r[1:])
+        return project_zero_mean(x)
+    return apply
+
+
 def _grounded_factor(L):
     """r -> L^+ r for a connected Laplacian L, by one sparse LU of L[1:, 1:].
 
-    Grounding node 0 leaves a symmetric positive definite matrix, so the
-    factor needs no pivoting; a minimum-degree order on its symmetric
-    pattern keeps the fill low. r must be orthogonal to 1; the result has
-    zero mean.
+    The backbone factor's path: one call orders and factors, since each
+    context factors its backbone once. Grounding node 0 leaves a symmetric
+    positive definite matrix, so the factor needs no pivoting; a
+    minimum-degree order on its symmetric pattern keeps the fill low. The
+    factors that direct solves make use the order a LaplacianPlan keeps
+    instead. r must be orthogonal to 1; the result has zero mean.
     """
     n = L.shape[0]
     if n == 1:
         return lambda r: np.zeros(1)
     try:
         lu = spla.splu(sp.csc_matrix(L)[1:, 1:], permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, relax=1, panel_size=1,
-                       options=dict(SymmetricMode=True))
+                       **_SPLU_OPTIONS)
     except RuntimeError as exc:
         raise StructuralError("matrix is not a connected graph Laplacian") from exc
+    return _grounded_apply(n, lu.solve)
 
-    def apply(r: np.ndarray) -> np.ndarray:
-        x = np.empty(n)
-        x[0] = 0.0
-        x[1:] = lu.solve(r[1:])
-        return project_zero_mean(x)
-    return apply
+
+def _canonical_csr(L) -> sp.csr_matrix:
+    """A CSR copy of L with sorted indices and one entry per position; stored
+    zeros are kept."""
+    Ls = sp.csr_matrix(L, copy=True)
+    Ls.sum_duplicates()
+    return Ls
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    """a as a read-only array of dtype; the plan owns the arrays it is given."""
+    a = np.asarray(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+class LaplacianPlan:
+    """The symbolic analysis of one Laplacian sparsity pattern, done once.
+
+    indptr and indices are a canonical CSR pattern (sorted, one entry per
+    position, stored zeros kept) as read-only int32 arrays, which every
+    Laplacian assembled on the plan shares. slot, when the plan is a
+    graph's, gives the data position of each summed term (graphs.Graph.plan).
+
+    When low_fill holds, the plan also orders the grounded block L[1:, 1:]
+    for direct factors. order is SuperLU's own MMD_AT_PLUS_A column order,
+    the inverse of its perm_c (permuting by perm_c itself multiplies the
+    fill many times over), and gather picks the permuted block's CSC data
+    out of L.data. Each factor is then one gather and one splu in the
+    NATURAL order, with the fill of SuperLU's own ordered factor. scipy has
+    no call that only orders, so the order comes from an incomplete factor
+    that drops every entry, which computes the same perm_c as splu.
+    """
+
+    def __init__(self, n: int, indptr, indices, low_fill: bool, slot=None):
+        self.n = n
+        self.indptr = _frozen(indptr, np.int32)
+        self.indices = _frozen(indices, np.int32)
+        self.low_fill = low_fill
+        self.slot = None if slot is None else _frozen(slot, np.intp)
+        if low_fill and n > 1:
+            self._order()
+
+    @classmethod
+    def of(cls, L, low_fill: bool) -> "LaplacianPlan":
+        """The plan of L's own canonical CSR pattern."""
+        Ls = _canonical_csr(L)
+        return cls(Ls.shape[0], Ls.indptr, Ls.indices, low_fill)
+
+    def _order(self):
+        n = self.n
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
+        keep = np.flatnonzero((rows > 0) & (self.indices > 0))
+        gr, gc = rows[keep] - 1, self.indices[keep] - 1
+        gptr = np.concatenate([[0], np.cumsum(np.bincount(gr, minlength=n - 1))])
+        # The order depends on the pattern alone, so any values will do:
+        # these make the grounded block strictly diagonally dominant.
+        vals = np.where(gr == gc, np.diff(gptr)[gr], -1.0)
+        try:
+            perm_c = spla.spilu(sp.csc_matrix((vals, gc, gptr), shape=(n - 1, n - 1)),
+                                drop_tol=1e300, fill_factor=1,
+                                permc_spec="MMD_AT_PLUS_A", **_SPLU_OPTIONS).perm_c
+        except RuntimeError as exc:
+            raise StructuralError("pattern is not a connected graph Laplacian's") from exc
+        # Grounded node k sits at position perm_c[k] of the ordered block.
+        pr, pc = perm_c[gr], perm_c[gc]
+        by_column = np.argsort(pc.astype(np.int64) * (n - 1) + pr)
+        self.order = _frozen(np.argsort(perm_c), np.int32)
+        self.gather = _frozen(keep[by_column], np.int32)
+        self.block_indices = _frozen(pr[by_column], np.int32)
+        self.block_indptr = _frozen(
+            np.concatenate([[0], np.cumsum(np.bincount(pc, minlength=n - 1))]), np.int32)
+
+    def _carries(self, L) -> bool:
+        return (sp.issparse(L) and L.format == "csr" and L.shape == (self.n, self.n)
+                and np.array_equal(L.indptr, self.indptr)
+                and np.array_equal(L.indices, self.indices))
+
+    def lu(self, L):
+        """SuperLU factor of L's grounded block in the plan's order.
+
+        L may be dense or sparse in any format; it is refused unless its
+        canonical CSR form carries the plan's pattern. A Laplacian assembled
+        on the plan carries it as it is, and is not copied.
+        """
+        if not self._carries(L):
+            L = _canonical_csr(L)
+            if not self._carries(L):
+                raise InvalidInputError("Laplacian does not carry the solve context's "
+                                        "sparsity pattern")
+        n = self.n
+        block = sp.csc_matrix((L.data.take(self.gather), self.block_indices,
+                               self.block_indptr), shape=(n - 1, n - 1))
+        try:
+            return spla.splu(block, permc_spec="NATURAL", **_SPLU_OPTIONS)
+        except RuntimeError as exc:
+            raise StructuralError("matrix is not a connected graph Laplacian") from exc
+
+    def factor(self, L):
+        """r -> L^+ r by one direct factor of the grounded, ordered L."""
+        lu, order = self.lu(L), self.order
+
+        def solve_ordered(r):
+            x = np.empty_like(r)
+            x[order] = lu.solve(r.take(order))
+            return x
+        return _grounded_apply(self.n, solve_ordered)
 
 
 def _low_fill(n: int, ei: np.ndarray, ej: np.ndarray) -> bool:
@@ -239,16 +364,18 @@ class SolveContext:
     """Backbone factor and preconditioner mode, shared by CG solves on one graph.
 
     A solve keeps no state here, so the order of solves changes no result.
-    low_fill is the fill probe's verdict on the widest Laplacian the context
-    will solve, and fixes mode when the context is built: direct if it holds,
-    jacobi otherwise (module docstring). A Laplacian with the backbone's
-    sparsity pattern is preconditioned by the backbone factor whatever the
-    mode, since the factor is exact there.
+    plan is the LaplacianPlan of the widest Laplacian the context will solve;
+    its fill verdict fixes mode when the context is built: direct if it
+    holds, jacobi otherwise or without a plan (module docstring). A direct
+    solve on an L without the plan's pattern is refused. A Laplacian with
+    the backbone's sparsity pattern is preconditioned by the backbone factor
+    whatever the mode, since the factor is exact there.
     """
 
-    def __init__(self, tree: TreeFactor, low_fill: bool = False):
+    def __init__(self, tree: TreeFactor, plan: LaplacianPlan | None = None):
         self.tree = tree
-        self.mode = "direct" if low_fill else "jacobi"
+        self.plan = plan
+        self.mode = "direct" if plan is not None and plan.low_fill else "jacobi"
 
     def on_tree(self, L) -> bool:
         """Whether a solve on L is preconditioned by the backbone factor."""
@@ -257,27 +384,28 @@ class SolveContext:
     def preconditioner(self, L):
         """r -> M^-1 r for a solve on L off the backbone factor (see on_tree)."""
         if self.mode == "direct":
-            return _grounded_factor(L)
+            return self.plan.factor(L)
         diag = L.diagonal() if sp.issparse(L) else np.diag(L).copy()
         if np.any(diag <= 0):
             raise StructuralError("Laplacian has an isolated node")
         return lambda r: r / diag
 
 
-def context_from_edges(n: int, ei, ej, w, low_fill: bool = False) -> SolveContext:
+def context_from_edges(n: int, ei, ej, w, plan: LaplacianPlan | None = None) -> SolveContext:
     """Build a solve context from explicit backbone edge arrays.
 
-    low_fill is the fill probe's verdict on the widest Laplacian to be
-    solved, which fixes the mode (see SolveContext).
+    plan is the symbolic plan of the widest Laplacian to be solved; its fill
+    verdict fixes the mode (see SolveContext). Without one the mode is jacobi.
     """
     tree = TreeFactor(n, np.asarray(ei, dtype=np.int64), np.asarray(ej, dtype=np.int64),
                       np.asarray(w, dtype=float))
-    return SolveContext(tree, low_fill)
+    return SolveContext(tree, plan)
 
 
 def context_from_laplacian(L) -> SolveContext:
     """Build a solve context from L alone: a max-weight spanning tree of L
-    for the stopping bound, and the fill probe on L's own pattern."""
+    for the stopping bound, and the plan of L's own pattern, fill probe
+    included."""
     Ls = sp.csr_matrix(L) if not sp.issparse(L) else L.tocsr()
     n = Ls.shape[0]
     off = sp.tril(Ls, k=-1).tocoo()
@@ -289,7 +417,7 @@ def context_from_laplacian(L) -> SolveContext:
         raise StructuralError("Laplacian sparsity pattern is disconnected")
     w = np.asarray(Ls[mst.row, mst.col]).ravel() * -1.0
     tree = TreeFactor(n, mst.row.astype(np.int64), mst.col.astype(np.int64), w)
-    return SolveContext(tree, _low_fill(n, off.row, off.col))
+    return SolveContext(tree, LaplacianPlan.of(Ls, _low_fill(n, off.row, off.col)))
 
 
 def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from reswitch import congestion, graphs, solver
 from reswitch.errors import CapExceededError, InvalidInputError, StructuralError
@@ -50,6 +51,27 @@ def laplacian_add_at(g: Graph, s) -> np.ndarray:
     np.add.at(L, (g.ei, g.ej), -x)
     np.add.at(L, (g.ej, g.ei), -x)
     return L
+
+
+def laplacian_coo(g: Graph, s):
+    """Switched Laplacian as scipy COO triplets summed by tocsr(), the
+    package's sparse assembly before it had a per-graph pattern."""
+    x = np.asarray(s, dtype=float) * g.w
+    rows = np.concatenate([g.ei, g.ej, g.ei, g.ej])
+    cols = np.concatenate([g.ei, g.ej, g.ej, g.ei])
+    data = np.concatenate([x, x, -x, -x])
+    return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
+
+
+def laplacian_pattern(g: Graph):
+    """CSR (indptr, indices) of every position some edge touches, by loops."""
+    touched = [set() for _ in range(g.n)]
+    for i, j, _ in g.edges:
+        touched[i] |= {i, j}
+        touched[j] |= {i, j}
+    indices = [c for row in touched for c in sorted(row)]
+    indptr = np.cumsum([0] + [len(row) for row in touched])
+    return indptr, np.array(indices, dtype=int)
 
 
 def pinv(L):

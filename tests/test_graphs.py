@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from reswitch import graphs
+from reswitch import congestion, graphs
 from reswitch.errors import InvalidInputError
 
 
@@ -156,6 +156,42 @@ def test_dense_assembly_is_the_add_at_reference():
     g = parallel_pair(0.3, 0.7)
     assert_array_equal(graphs.assemble_laplacian_dense(g, [1.0, 0.1]),
                        oracles.laplacian_add_at(g, [1.0, 0.1]))
+
+
+def test_sparse_assembly_keeps_one_pattern_per_graph():
+    # Every switch vector, with switches set exactly to zero or not,
+    # assembles into the graph's one CSR pattern, stored zeros included,
+    # with the COO reference's values; the backbone factor still
+    # preconditions exactly at the backbone indicator.
+    rng = np.random.default_rng(8)
+    for n, extra in ((9, 14), (90, 160)):
+        base, _ = oracles.random_instance(rng, n, extra, multigraph=True)
+        # Parallel copies of a backbone edge and of a switchable one.
+        free = int(np.flatnonzero(~base.backbone_mask)[0])
+        g = graphs.make_graph(n, [*base.edges, base.edges[0], base.edges[free],
+                                  base.edges[free]], base.backbone)
+        indptr, indices = oracles.laplacian_pattern(g)
+        off = oracles.random_fractional(rng, g)
+        off[rng.random(g.m) < 0.5] = 0.0
+        off[g.backbone_mask] = 1.0
+        points = [np.ones(g.m), g.backbone_indicator(), off,
+                  oracles.random_fractional(rng, g, lo=0.0)]
+        for s in points:
+            L = graphs.assemble_laplacian(g, s)
+            assert L.format == "csr" and L.indices.dtype == np.int32
+            assert np.shares_memory(L.indptr, g.plan.indptr)
+            assert np.shares_memory(L.indices, g.plan.indices)
+            assert_array_equal(L.indptr, indptr)
+            assert_array_equal(L.indices, indices)
+            ref = oracles.laplacian_coo(g, s).toarray()
+            assert_allclose(L.toarray(), ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+            # bincount sums in dense_index order, as the dense assembly does.
+            assert_array_equal(L.toarray(), graphs.assemble_laplacian_dense(g, s))
+        at_backbone = graphs.assemble_laplacian(g, g.backbone_indicator())
+        assert np.count_nonzero(at_backbone.data == 0.0) > 0
+        ctx = congestion.make_context(g)
+        assert ctx.on_tree(at_backbone)
+        assert not ctx.on_tree(graphs.assemble_laplacian(g, off))
 
 
 def test_parallel_edges_accumulate():

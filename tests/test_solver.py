@@ -453,6 +453,88 @@ def test_auto_direct_certifies_a_300_by_300_grid():
     assert res.achieved_residual >= err - 1e-12
 
 
+MMD = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+           options=dict(SymmetricMode=True))
+
+
+@pytest.mark.parametrize("family", ["grid-comb", "chord-ring"])
+def test_direct_factor_takes_superlu_own_order(family):
+    # The plan's order is the inverse of SuperLU's minimum-degree perm_c on
+    # the grounded block (perm_c itself gives 14 times the fill at 80 x 80),
+    # its NATURAL factor has the same fill, and the solves agree.
+    g, d = oracles.grid_comb(20, 20, seed=3) if family == "grid-comb" else \
+        oracles.chord_ring(300, seed=3)
+    assert g.n > solver.SolverConfig.dense_threshold and g.low_fill
+    plan = g.plan
+    for s in (np.ones(g.m), oracles.random_fractional(np.random.default_rng(3), g)):
+        L = graphs.assemble_laplacian(g, s)
+        own = spla.splu(L.tocsc()[1:, 1:], **MMD)
+        assert np.array_equal(plan.order, np.argsort(own.perm_c))
+        lu = plan.lu(L)
+        assert lu.L.nnz + lu.U.nnz == own.L.nnz + own.U.nnz
+        x = congestion.make_context(g).preconditioner(L)(d)
+        ref = np.concatenate([[0.0], own.solve(d[1:])])
+        ref -= ref.mean()
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_direct_solve_refuses_a_foreign_pattern(monkeypatch):
+    # A direct context factors only Laplacians whose canonical CSR form
+    # carries its graph's pattern: another format of the same entries is
+    # solved alike, and any other L is refused before a gather or a factor.
+    g, d = oracles.chord_ring(300, seed=4)
+    ctx = congestion.make_context(g)
+    assert ctx.mode == "direct"
+    s = np.ones(g.m)
+    s[np.flatnonzero(~g.backbone_mask)[::2]] = 0.0
+    L = graphs.assemble_laplacian(g, s)
+    cfg = solver.SolverConfig()
+    x = solver.solve(L, d, cfg, context=ctx).x
+    unsorted = L.copy()
+    for row in range(g.n):
+        lo, hi = unsorted.indptr[row], unsorted.indptr[row + 1]
+        unsorted.indices[lo:hi] = unsorted.indices[lo:hi][::-1]
+        unsorted.data[lo:hi] = unsorted.data[lo:hi][::-1]
+    unsorted.has_sorted_indices = False
+    for same in (L.tocsc(), unsorted):
+        assert_allclose(solver.solve(same, d, cfg, context=ctx).x, x, rtol=0,
+                        atol=1e-12 * np.abs(x).max())
+    dropped = L.copy()
+    dropped.eliminate_zeros()
+    other = graphs.assemble_laplacian(oracles.chord_ring(300, seed=5)[0], np.ones(g.m))
+    assert other.nnz == L.nnz
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor ran")
+    monkeypatch.setattr(solver.spla, "splu", refuse)
+    for bad in (dropped, other, L.toarray()):
+        with pytest.raises(InvalidInputError, match="sparsity pattern"):
+            solver.solve(bad, d, cfg, context=ctx)
+
+
+@pytest.mark.parametrize("form", ["dense", "csc", "duplicates"])
+def test_context_from_laplacian_solves_its_own_l_directly(form):
+    # The plan context_from_laplacian builds is of L's canonical CSR
+    # pattern, so a direct solve takes the L it was built from in any form.
+    g, d = oracles.grid_comb(20, 20, seed=6)
+    A = graphs.assemble_laplacian(g, oracles.random_fractional(np.random.default_rng(6), g))
+    if form == "dense":
+        L = A.toarray()
+    elif form == "csc":
+        L = A.tocsc()
+    else:
+        # Every entry stored twice, each with half its value.
+        L = sp.csr_matrix((A.data.repeat(2) / 2, A.indices.repeat(2), 2 * A.indptr),
+                          shape=A.shape)
+        assert not L.has_canonical_format
+    ctx = solver.context_from_laplacian(L)
+    assert ctx.mode == "direct"
+    res = solver.solve(L, d, solver.SolverConfig(), ctx)
+    assert res.iterations <= 1
+    ref = solver.solve(A, d, solver.SolverConfig(), congestion.make_context(g))
+    assert_allclose(res.x, ref.x, rtol=0, atol=1e-12 * np.linalg.norm(ref.x))
+
+
 def test_jacobi_rejects_isolated_node():
     tree = solver.TreeFactor(3, np.array([0, 1]), np.array([1, 2]), np.ones(2))
     ctx = solver.SolveContext(tree)
@@ -465,9 +547,9 @@ def test_jacobi_rejects_isolated_node():
 def test_direct_rejects_disconnected_laplacian():
     path = (np.array([0, 1, 2]), np.array([1, 2, 3]))
     tree = solver.TreeFactor(4, *path, np.ones(3))
-    ctx = solver.SolveContext(tree, True)
-    assert ctx.mode == "direct"
     two_pieces = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0], [-1.0, 1.0, 0, 0],
                                          [0, 0, 1.0, -1.0], [0, 0, -1.0, 1.0]]))
+    ctx = solver.SolveContext(tree, plan=solver.LaplacianPlan.of(two_pieces, True))
+    assert ctx.mode == "direct"
     with pytest.raises(StructuralError):
         ctx.preconditioner(two_pieces)
