@@ -38,10 +38,11 @@ class HessianInfo:
 
 def make_context(g: graphs.Graph,
                  cfg: solver.SolverConfig | None = None) -> solver.SolveContext:
-    """Solve context keyed to the graph's backbone (factor and preconditioner mode).
+    """Solve context keyed to the graph's backbone (tree solve and preconditioner mode).
 
     Only CG solves read a context, so build one only above the dense
-    threshold. Every edge of g is in the pattern the context may solve, so
+    threshold. The backbone's tree solve (solver.TreeFactor) is built here
+    in O(n) and kept only on the context, not on g. Every edge of g is in the pattern the context may solve, so
     the context takes the graph's plan (Graph.plan), and the mode is its
     fill verdict on all of them, probed once per graph. The graph alone
     picks the mode; cfg is accepted, for the benchmark's calls, and not used.

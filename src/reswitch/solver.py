@@ -7,7 +7,10 @@ Laplacian L_T in the PSD order, so the error energy satisfies
 
     ||x - L^+ d||_L^2 = r^T L^+ r <= r^T L_T^+ r,    r = d - L x,
 
-and L_T^+ r is one sparse triangular solve on the (grounded) backbone.
+and L_T^+ r is exact in O(n), with no factorization, when T is a spanning
+tree: two prefix sums over it (TreeFactor). For a backbone with cycles or
+parallel edges, T is a maximum-weight spanning tree of its merged edges,
+which the backbone's Laplacian dominates, so the bound holds with it.
 Combined with the lower bound 2 d^T x - x^T L x <= d^T L^+ d this yields a
 deterministic certificate, whatever preconditioner drives the iteration.
 
@@ -27,21 +30,21 @@ needs only tens of iterations. The symbolic work of a direct factor is
 done once per pattern, not per solve: a LaplacianPlan keeps the grounded
 block's minimum-degree order, so each factor is one gather of L_s's values
 and one LU in that order, and a direct solve refuses an L_s that does not
-carry the plan's pattern. On a Laplacian with the backbone's own
-sparsity pattern (the switch vector at the backbone indicator, where
-optimization starts) the backbone factor is used whatever the mode, since
-it is exact there: L_s = L_T. Under direct or the backbone factor CG takes
-one iteration, and the solution still has to pass the stopping bound
+carry the plan's pattern. On a Laplacian with the tree's own sparsity
+pattern (the switch vector at the backbone indicator, where optimization
+starts, when the backbone is a tree) the tree solve is used whatever the
+mode, since it is exact there: L_s = L_T. Under direct or the tree solve CG
+takes one iteration, and the solution still has to pass the stopping bound
 below, so a poor factor can cost time but never accuracy. The exact dense
 path solves one matrix at a time by a Cholesky factorization of the
 positive definite L + 1/n, refused unless its residual is small; the tests
 compare it against an LU oracle of their own.
 
 Every solve starts from x = 0 and only reads its context, so no solve
-depends on the ones before it. Under the backbone factor the bound
+depends on the ones before it. Under the tree solve the bound
 r^T L_T^+ r is the CG quantity r^T z and costs nothing. Under any other
-preconditioner it costs a backbone solve, so it is evaluated only when it
-can fire: its next value is predicted from the last measured ratio
+preconditioner it costs one pass over the tree, so it is evaluated only
+when it can fire: its next value is predicted from the last measured ratio
 bound / r^T z (1 at the start), and it is evaluated when the prediction
 meets the target or BOUND_INTERVAL iterations have passed since the last
 evaluation. Convergence is declared only on an evaluated bound, and a
@@ -57,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import (connected_components, minimum_spanning_tree,
+from scipy.sparse.csgraph import (breadth_first_order, minimum_spanning_tree,
                                   reverse_cuthill_mckee)
 
 from .errors import CapExceededError, InvalidInputError, NumericalError, StructuralError
@@ -177,37 +180,6 @@ _SPLU_OPTIONS = dict(diag_pivot_thresh=0.0, relax=1, panel_size=1,
                      options=dict(SymmetricMode=True))
 
 
-def _grounded_apply(n: int, solve_grounded):
-    """r -> L^+ r from a solve with the grounded block L[1:, 1:]."""
-    def apply(r: np.ndarray) -> np.ndarray:
-        x = np.empty(n)
-        x[0] = 0.0
-        x[1:] = solve_grounded(r[1:])
-        return project_zero_mean(x)
-    return apply
-
-
-def _grounded_factor(L):
-    """r -> L^+ r for a connected Laplacian L, by one sparse LU of L[1:, 1:].
-
-    The backbone factor's path: one call orders and factors, since each
-    context factors its backbone once. Grounding node 0 leaves a symmetric
-    positive definite matrix, so the factor needs no pivoting; a
-    minimum-degree order on its symmetric pattern keeps the fill low. The
-    factors that direct solves make use the order a LaplacianPlan keeps
-    instead. r must be orthogonal to 1; the result has zero mean.
-    """
-    n = L.shape[0]
-    if n == 1:
-        return lambda r: np.zeros(1)
-    try:
-        lu = spla.splu(sp.csc_matrix(L)[1:, 1:], permc_spec="MMD_AT_PLUS_A",
-                       **_SPLU_OPTIONS)
-    except RuntimeError as exc:
-        raise StructuralError("matrix is not a connected graph Laplacian") from exc
-    return _grounded_apply(n, lu.solve)
-
-
 def _canonical_csr(L) -> sp.csr_matrix:
     """A CSR copy of L with sorted indices and one entry per position; stored
     zeros are kept."""
@@ -306,14 +278,18 @@ class LaplacianPlan:
             raise StructuralError("matrix is not a connected graph Laplacian") from exc
 
     def factor(self, L):
-        """r -> L^+ r by one direct factor of the grounded, ordered L."""
-        lu, order = self.lu(L), self.order
+        """r -> L^+ r by one direct factor of the grounded, ordered L.
 
-        def solve_ordered(r):
-            x = np.empty_like(r)
-            x[order] = lu.solve(r.take(order))
-            return x
-        return _grounded_apply(self.n, solve_ordered)
+        r must be orthogonal to 1; the result has zero mean.
+        """
+        lu, order, n = self.lu(L), self.order, self.n
+
+        def apply(r):
+            x = np.empty(n)
+            x[0] = 0.0
+            x[1:][order] = lu.solve(r[1:].take(order))
+            return project_zero_mean(x)
+        return apply
 
 
 def _low_fill(n: int, ei: np.ndarray, ej: np.ndarray) -> bool:
@@ -335,41 +311,113 @@ def _low_fill(n: int, ei: np.ndarray, ej: np.ndarray) -> bool:
     return int((np.arange(n) - first).sum()) <= FILL_BUDGET * len(ei)
 
 
-class TreeFactor:
-    """Grounded factorization of a connected subgraph Laplacian L_T.
+def _ancestor_levels(parent: np.ndarray):
+    """Yield every node's 2^k-th ancestor for k = 0, 1, ... while some node has one.
 
-    apply(r) returns the zero-mean solution of L_T x = r for r
-    orthogonal to 1, i.e. L_T^+ r.
+    parent[v] is v's parent for the n nodes; the root's, and entry n, is n,
+    a sentinel that is its own ancestor.
+    """
+    n = len(parent) - 1
+    anc = parent
+    while (anc[:n] < n).any():
+        yield anc
+        anc = anc[anc]
+
+
+class TreeFactor:
+    """Exact L_T^+ for a spanning tree T of an edge set, in O(n) per solve.
+
+    Parallel edges count as one edge of summed conductance. When that leaves
+    a cycle, T is a maximum-weight spanning tree: its Laplacian is dominated
+    by the whole edge set's, so r^T L_T^+ r still bounds the error of every
+    solve whose Laplacian contains the edge set. An edge set that does not
+    reach every node raises StructuralError.
+
+    Nodes are kept in a depth-first preorder, where every subtree is one
+    contiguous run, so its sum of r is a difference of two prefix sums. That
+    sum S_v is the flow through the edge from v to its parent, of weight w_v:
+    quadform(r) is the flow's energy sum S_v^2 / w_v, and apply(r) gives each
+    node the sum of S_u / w_u over its path to the root, projected to zero
+    mean, for r orthogonal to 1. nnz counts the nonzeros of L_T, which
+    SolveContext.on_tree compares: L_T is the Laplacian solved exactly.
     """
 
     def __init__(self, n: int, ei: np.ndarray, ej: np.ndarray, w: np.ndarray):
         self.n = n
-        adj = sp.csr_matrix((np.ones(len(ei)), (ei, ej)), shape=(n, n))
-        ncomp, _ = connected_components(adj, directed=False)
-        if ncomp != 1:
-            raise StructuralError("backbone subgraph is not connected")
-        rows = np.concatenate([ei, ej, ei, ej])
-        cols = np.concatenate([ei, ej, ej, ei])
-        data = np.concatenate([w, w, -w, -w])
-        LT = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
-        self.nnz = int(np.count_nonzero(LT.data))
-        self.apply = _grounded_factor(LT)
+        self.nnz = 3 * n - 2 if n > 1 else 0
+        # The CSR conversion sums parallel edges.
+        T = sp.csr_matrix((w, (np.minimum(ei, ej), np.maximum(ei, ej))), shape=(n, n))
+        if T.nnz > n - 1:
+            # The maximum-weight spanning tree is the minimum one under 1/w.
+            R = T.copy()
+            R.data = 1.0 / R.data
+            tree = minimum_spanning_tree(R)
+            tree.data = np.asarray(T[tree.nonzero()]).ravel()
+            T = tree
+        # Breadth-first search, linear in n; scipy's depth-first search
+        # rescans a node's neighbours each time it returns to it.
+        bfs, pred = breadth_first_order(T, 0, directed=False, return_predecessors=True)
+        if len(bfs) != n:
+            raise StructuralError("edge set is not connected")
+        parent = np.append(pred, n)
+        parent[0] = n
+        size = np.ones(n)
+        for anc in _ancestor_levels(parent):
+            size += np.bincount(anc[:n], weights=size, minlength=n + 1)[:n]
+        size = size.astype(np.intp)
+        # In preorder a node comes 1 + the subtree sizes of its earlier
+        # siblings after its parent. The search lists siblings together.
+        kids = bfs[1:]
+        first = np.diff(pred[kids], prepend=-1) != 0
+        before = np.cumsum(size[kids]) - size[kids]
+        pos = np.zeros(n + 1, dtype=np.intp)
+        pos[kids] = 1 + before - before[first][np.cumsum(first) - 1]
+        for anc in _ancestor_levels(parent):
+            pos = pos + pos[anc]
+        pos = pos[:n]
+        self._order = np.empty(n, dtype=np.intp)
+        self._order[pos] = np.arange(n)
+        self._end = np.empty(n, dtype=np.intp)
+        self._end[pos] = pos + size
+        edges = T.tocoo()
+        child = np.where(pred[edges.col] == edges.row, edges.col, edges.row)
+        self._inv_w = np.zeros(n)
+        self._inv_w[pos[child]] = 1.0 / edges.data
+
+    def _subtree_sums(self, r: np.ndarray) -> np.ndarray:
+        """The sum of r over the subtree at each preorder position."""
+        c = np.empty(self.n + 1)
+        c[0] = 0.0
+        np.cumsum(r.take(self._order), out=c[1:])
+        return c.take(self._end) - c[:-1]
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """L_T^+ r for r orthogonal to 1."""
+        n = self.n
+        drop = self._subtree_sums(r) * self._inv_w
+        # Each drop adds to its whole subtree: a difference array, summed.
+        x = np.empty(n)
+        x[self._order] = np.cumsum(
+            drop - np.bincount(self._end, weights=drop, minlength=n + 1)[:n])
+        return project_zero_mean(x)
 
     def quadform(self, r: np.ndarray) -> float:
-        """r^T L_T^+ r, the stopping-bound numerator."""
-        return float(r @ self.apply(r))
+        """r^T L_T^+ r, the stopping-bound numerator, for r orthogonal to 1."""
+        flow = self._subtree_sums(r)
+        return float(flow @ (flow * self._inv_w))
 
 
 class SolveContext:
-    """Backbone factor and preconditioner mode, shared by CG solves on one graph.
+    """Backbone tree solve and preconditioner mode, shared by CG solves on one graph.
 
     A solve keeps no state here, so the order of solves changes no result.
-    plan is the LaplacianPlan of the widest Laplacian the context will solve;
-    its fill verdict fixes mode when the context is built: direct if it
-    holds, jacobi otherwise or without a plan (module docstring). A direct
-    solve on an L without the plan's pattern is refused. A Laplacian with
-    the backbone's sparsity pattern is preconditioned by the backbone factor
-    whatever the mode, since the factor is exact there.
+    tree is the TreeFactor of the backbone, built per context and kept on
+    nothing else. plan is the LaplacianPlan of the widest Laplacian the
+    context will solve; its fill verdict fixes mode when the context is
+    built: direct if it holds, jacobi otherwise or without a plan (module
+    docstring). A direct solve on an L without the plan's pattern is
+    refused. A Laplacian with the tree's sparsity pattern is preconditioned
+    by the tree solve whatever the mode, since it is exact there.
     """
 
     def __init__(self, tree: TreeFactor, plan: LaplacianPlan | None = None):
@@ -378,11 +426,12 @@ class SolveContext:
         self.mode = "direct" if plan is not None and plan.low_fill else "jacobi"
 
     def on_tree(self, L) -> bool:
-        """Whether a solve on L is preconditioned by the backbone factor."""
+        """Whether a solve on L is preconditioned by the tree solve: L has as
+        many nonzeros as L_T, which it contains when the backbone is closed."""
         return np.count_nonzero(L.data if sp.issparse(L) else L) == self.tree.nnz
 
     def preconditioner(self, L):
-        """r -> M^-1 r for a solve on L off the backbone factor (see on_tree)."""
+        """r -> M^-1 r for a solve on L off the tree (see on_tree)."""
         if self.mode == "direct":
             return self.plan.factor(L)
         diag = L.diagonal() if sp.issparse(L) else np.diag(L).copy()
@@ -403,20 +452,14 @@ def context_from_edges(n: int, ei, ej, w, plan: LaplacianPlan | None = None) -> 
 
 
 def context_from_laplacian(L) -> SolveContext:
-    """Build a solve context from L alone: a max-weight spanning tree of L
-    for the stopping bound, and the plan of L's own pattern, fill probe
-    included."""
+    """Build a solve context from L alone: a TreeFactor over L's off-diagonal
+    edges (a maximum-weight spanning tree of them) for the stopping bound,
+    and the plan of L's own pattern, fill probe included."""
     Ls = sp.csr_matrix(L) if not sp.issparse(L) else L.tocsr()
     n = Ls.shape[0]
     off = sp.tril(Ls, k=-1).tocoo()
-    wabs = -off.data
-    keep = wabs > 0
-    inv = sp.coo_matrix((1.0 / wabs[keep], (off.row[keep], off.col[keep])), shape=(n, n))
-    mst = minimum_spanning_tree(inv.tocsr()).tocoo()
-    if len(mst.data) != n - 1:
-        raise StructuralError("Laplacian sparsity pattern is disconnected")
-    w = np.asarray(Ls[mst.row, mst.col]).ravel() * -1.0
-    tree = TreeFactor(n, mst.row.astype(np.int64), mst.col.astype(np.int64), w)
+    keep = off.data < 0
+    tree = TreeFactor(n, off.col[keep], off.row[keep], -off.data[keep])
     return SolveContext(tree, LaplacianPlan.of(Ls, _low_fill(n, off.row, off.col)))
 
 

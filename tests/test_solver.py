@@ -138,21 +138,91 @@ def test_oracle_stack_solve_matches_exact_pinv_apply():
 
 # --- tree factorization ------------------------------------------------------
 
-def test_tree_factor_matches_pinv():
-    rng = np.random.default_rng(3)
-    g, _ = oracles.random_instance(rng, 15, 0)
-    tf = solver.TreeFactor(g.n, g.ei, g.ej, g.w)
-    Lp = oracles.pinv(oracles.laplacian(g.n, g.edges, np.ones(g.m)))
+def _star(n):
+    # Node 5 is the hub, so the search from node 0 goes through a leaf.
+    leaves = np.delete(np.arange(n), 5)
+    w = np.random.default_rng(n).uniform(0.5, 2.0, n - 1)
+    return graphs.make_graph(n, [(5, int(v), wk) for v, wk in zip(leaves, w)], range(n - 1))
+
+
+BACKBONES = {
+    "random-attachment-15": lambda: oracles.random_instance(np.random.default_rng(3), 15, 0)[0],
+    # chord-ring's backbone, a path: the deepest tree.
+    "path-1500": lambda: oracles.chord_ring(1500, seed=2)[0],
+    "comb-30x30": lambda: oracles.grid_comb(30, 30, seed=2)[0],
+    "random-attachment-1000": lambda: oracles.random_instance(
+        np.random.default_rng(2), 1000, 0, lo=0.01, hi=100.0)[0],
+    # One node of degree n - 1: every other node is a sibling.
+    "star-1000": lambda: _star(1000),
+}
+
+
+@pytest.mark.parametrize("name", BACKBONES)
+def test_tree_factor_matches_pinv(name):
+    g = BACKBONES[name]()
+    bb = g.backbone_mask
+    tf = solver.TreeFactor(g.n, g.ei[bb], g.ej[bb], g.w[bb])
+    L = graphs.assemble_laplacian_dense(g, g.backbone_indicator())
+    Lp = oracles.pinv(L)
+    assert tf.nnz == np.count_nonzero(L)
+    rng = np.random.default_rng(7)
     for _ in range(3):
         r = rng.normal(size=g.n)
         r -= r.mean()
-        assert_allclose(tf.apply(r), Lp @ r, atol=1e-10)
-        assert tf.quadform(r) >= 0.0
+        x = tf.apply(r)
+        assert abs(x.sum()) <= 1e-10 * np.linalg.norm(x)
+        assert np.linalg.norm(L @ x - r) <= 1e-10 * np.linalg.norm(r)
+        assert np.linalg.norm(x - Lp @ r) <= 1e-9 * np.linalg.norm(Lp @ r)
+        exact = float(r @ Lp @ r)
+        assert abs(tf.quadform(r) - exact) <= 1e-10 * exact
+
+
+def test_tree_factor_bounds_a_backbone_with_a_cycle():
+    # A spanning tree, one backbone edge closing a cycle and one backbone
+    # edge parallel to a tree edge. The factor solves a maximum-weight
+    # spanning tree of the merged edges, which the backbone dominates.
+    rng = np.random.default_rng(11)
+    base, d = oracles.random_instance(rng, 150, 200, demand="gauss")
+    edges = list(base.edges)
+    i, j, _ = edges[40]
+    extra = [(0, 149, 0.7), (i, j, 1.3)]
+    backbone = list(base.backbone) + [len(edges), len(edges) + 1]
+    g = graphs.make_graph(base.n, edges + extra, backbone)
+    ctx = congestion.make_context(g)
+    L_T = graphs.assemble_laplacian_dense(g, g.backbone_indicator())
+    Lp = oracles.pinv(L_T)
+    # The tree is not the whole backbone, so a backbone solve is not on it.
+    assert ctx.tree.nnz == 3 * g.n - 2 < np.count_nonzero(L_T)
+    assert not ctx.on_tree(graphs.assemble_laplacian(g, g.backbone_indicator()))
+    for _ in range(5):
+        r = rng.normal(size=g.n)
+        r -= r.mean()
+        assert ctx.tree.quadform(r) >= float(r @ Lp @ r)
+    q = int(g.backbone_mask.sum()) + 60
+    s, cert, _ = frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05))
+    assert cert.certified
+    assert cert.phi_value == pytest.approx(oracles.phi(g, s, d), rel=1e-8)
 
 
 def test_tree_factor_rejects_disconnected():
     with pytest.raises(StructuralError):
         solver.TreeFactor(4, np.array([0, 2]), np.array([1, 3]), np.array([1.0, 1.0]))
+    # n - 1 edges that form a cycle and leave node 3 out.
+    with pytest.raises(StructuralError):
+        solver.TreeFactor(4, np.array([0, 1, 0]), np.array([1, 2, 2]), np.ones(3))
+    # More than n - 1 edges, parallel ones among them, in two pieces.
+    with pytest.raises(StructuralError):
+        solver.TreeFactor(5, np.array([0, 1, 0, 3, 0]), np.array([1, 2, 2, 4, 1]),
+                          np.ones(5))
+
+
+def test_tree_factor_on_one_node():
+    tf = solver.TreeFactor(1, np.array([], dtype=int), np.array([], dtype=int), np.array([]))
+    assert tf.nnz == 0
+    assert_allclose(tf.apply(np.zeros(1)), [0.0])
+    assert tf.quadform(np.zeros(1)) == 0.0
+    ctx = solver.SolveContext(tf)
+    assert ctx.on_tree(sp.csr_matrix((1, 1)))
 
 
 def test_context_from_laplacian_picks_heavy_tree():
