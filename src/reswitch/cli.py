@@ -324,10 +324,13 @@ def _cmd_solve(args) -> int:
 def _read_solution(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    rec = doc.get("record", doc)
-    if "switch_vector" not in rec:
+    rec = doc.get("record", doc) if isinstance(doc, dict) else None
+    if not isinstance(rec, dict) or "switch_vector" not in rec:
         raise InvalidInputError(f"{path} carries no switch_vector field")
-    return np.array(rec["switch_vector"], dtype=float)
+    try:
+        return np.array(rec["switch_vector"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{path}: switch_vector is not numeric: {exc}") from exc
 
 
 def _cmd_round(args) -> int:
@@ -489,7 +492,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidInputError, StructuralError, OSError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": "invalid input", "detail": str(exc)}),
               file=sys.stderr)
         return 2

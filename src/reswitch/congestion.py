@@ -38,48 +38,33 @@ class HessianInfo:
 
 def make_context(g: graphs.Graph,
                  cfg: solver.SolverConfig | None = None) -> solver.SolveContext:
-    """Solve context keyed to the graph's backbone (tree solve and preconditioner mode).
-
-    Only CG solves read a context, so build one only above the dense
-    threshold. The backbone's tree solve (solver.TreeFactor) is built here
-    in O(n) and kept only on the context, not on g. Every edge of g is in the pattern the context may solve, so
-    the context takes the graph's plan (Graph.plan), and the mode is its
-    fill verdict on all of them, probed once per graph. The graph alone
-    picks the mode; cfg is accepted, for the benchmark's calls, and not used.
-    """
-    bb = g.backbone_mask
-    return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb], plan=g.plan)
+    """The graph's solve context (graphs.Graph.context), which every CG
+    solve on g reads; cfg is accepted, for the benchmark's call, and not used."""
+    return g.context
 
 
-def _voltages(g, s, d, cfg, context):
+def _voltages(g, s, d, cfg):
     # Assembly checks s and the solve checks d. At or below the threshold
     # solve takes its exact dense path; assembling dense here costs less
-    # than densifying a sparse matrix there.
+    # than densifying a sparse matrix there. Above it CG runs on the
+    # graph's context, which is built only there.
     if g.n <= solver.SolverConfig.dense_threshold:
         L = graphs.assemble_laplacian_dense(g, s)
         return solver.solve(L, d, cfg).x
-    # Without a context, solve on a fresh one over the graph's backbone:
-    # check_switch pins the backbone closed, so L_s dominates L_T and the
-    # backbone bound holds.
-    if context is None:
-        context = make_context(g, cfg)
     L = graphs.assemble_laplacian(g, s)
-    return solver.solve(L, d, cfg, context=context).x
+    return solver.solve(L, d, cfg, context=g.context).x
 
 
 def phi(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
         cfg: solver.SolverConfig | None = None) -> float:
-    """Congestion d^T L_s^+ d of the switched graph; above the dense
-    threshold, solved on a fresh context over the graph's backbone."""
-    x = _voltages(g, s, d, cfg, None)
-    return float(d @ x)
+    """Congestion d^T L_s^+ d of the switched graph, from one solve."""
+    return float(d @ _voltages(g, s, d, cfg))
 
 
 def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
-                cfg: solver.SolverConfig | None = None,
-                context: solver.SolveContext | None = None) -> DiffResult:
+                cfg: solver.SolverConfig | None = None) -> DiffResult:
     """Value, voltage differences, and gradient from one solve."""
-    x = _voltages(g, s, d, cfg, context)
+    x = _voltages(g, s, d, cfg)
     delta = x[g.ei] - x[g.ej]
     return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=float(d @ x))
 

@@ -90,8 +90,8 @@ def fw_gap(grad: np.ndarray, s: np.ndarray, v_star: np.ndarray) -> float:
 def certificate(g: graphs.Graph, s: np.ndarray, d: np.ndarray, cfg: FWConfig) -> Certificate:
     """Evaluate the gap certificate at an arbitrary feasible point.
 
-    One solve gives it, on a fresh backbone context above the dense
-    threshold, as congestion.phi does. A point that closes more than q
+    One solve gives it, on the graph's solve context above the dense
+    threshold (graphs.Graph.context). A point that closes more than q
     edges is not feasible, and its gap bounds nothing, so it raises
     InvalidInputError.
     """
@@ -123,16 +123,15 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
     It returns early, uncertified, once phi has overflowed at both the
     iterate and its tried step. The budget ||s_t||_1 <= q and backbone
     pinning hold at every iterate. Above the dense threshold every solve
-    runs on one context over the graph's backbone, built here.
+    runs on the graph's solve context (graphs.Graph.context).
     """
     d = graphs.check_demand(g, d)
     graphs.check_budget(g, cfg.q)
-    context = congestion.make_context(g) if g.n > cfg.solver.dense_threshold else None
     bb = g.backbone_mask
 
     start = time.perf_counter()
     s = g.backbone_indicator()
-    diff = congestion.approx_diff(g, s, d, cfg.solver, context)
+    diff = congestion.approx_diff(g, s, d, cfg.solver)
     records = []
     # The guard keeps phi non-increasing, so the best iterate is the last
     # one, except that a tie goes to the earliest iterate with that phi.
@@ -157,7 +156,7 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
         s_try[bb] = 1.0
         np.clip(s_try, 0.0, 1.0, out=s_try)
         assert s_try.sum() <= cfg.q + BUDGET_SLACK
-        diff_try = congestion.approx_diff(g, s_try, d, cfg.solver, context)
+        diff_try = congestion.approx_diff(g, s_try, d, cfg.solver)
         # Overflowed on both sides, no step can be compared or certified.
         if not (np.isfinite(diff.phi) or np.isfinite(diff_try.phi)):
             break

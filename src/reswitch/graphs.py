@@ -16,7 +16,8 @@ position an edge touches, the data position of each edge's four terms and,
 when the graph's fill verdict is direct, the minimum-degree order of the
 grounded Laplacian; so sparse assembly is one np.bincount, and no solve
 redoes symbolic work. The plan is built on first use and kept on the
-graph.
+graph, and so is the solve context of every CG solve on it (Graph.context):
+the backbone's tree solve beside the plan.
 """
 from __future__ import annotations
 
@@ -72,15 +73,6 @@ class Graph:
         return frozenset(np.flatnonzero(self.backbone_mask).tolist())
 
     @cached_property
-    def low_fill(self) -> bool:
-        """The solver's fill probe on every edge, run once per graph.
-
-        The verdict is a function of n, ei and ej alone, so it is kept on the
-        graph; the solves it picks the mode for are not.
-        """
-        return solver._low_fill(self.n, self.ei, self.ej)
-
-    @cached_property
     def dense_index(self) -> np.ndarray:
         """Flat n x n positions of the entries (i, i), (j, j), (i, j) and
         (j, i) of every edge: four blocks of m, each in edge order, which is
@@ -93,15 +85,28 @@ class Graph:
 
         Its CSR pattern holds every position an edge touches, so every
         switch vector, zeros included, assembles into it; slot maps the 4m
-        terms of dense_index's order to their data positions. When the
-        graph's fill verdict is direct, the plan also holds the grounded
-        minimum-degree order that every direct factor on the graph reuses
-        (solver.LaplacianPlan). It is built on first use.
+        terms of dense_index's order to their data positions. Its fill
+        verdict is the solver's probe on every edge, and when it is direct,
+        the plan also holds the grounded minimum-degree order that every
+        direct factor on the graph reuses (solver.LaplacianPlan). It is
+        built on first use.
         """
         n = self.n
         flat, slot = np.unique(_flat_positions(self), return_inverse=True)
         indptr = np.searchsorted(flat, np.arange(n + 1) * n)
-        return solver.LaplacianPlan(n, indptr, flat % n, self.low_fill, slot)
+        return solver.LaplacianPlan(n, indptr, flat % n,
+                                    solver._low_fill(n, self.ei, self.ej), slot)
+
+    @cached_property
+    def context(self) -> solver.SolveContext:
+        """The solve context of every CG solve on the graph: the backbone's
+        tree solve (solver.TreeFactor, 3n numbers) and the graph's plan. It
+        is built on first use. check_switch pins the backbone closed, so
+        every L_s on the graph dominates L_T and the bound holds; solves
+        only read the context, so sharing it changes no result."""
+        bb = self.backbone_mask
+        return solver.context_from_edges(self.n, self.ei[bb], self.ej[bb], self.w[bb],
+                                         plan=self.plan)
 
     def backbone_indicator(self) -> np.ndarray:
         """Switch vector with backbone edges closed and all others open."""
@@ -263,11 +268,11 @@ def algebraic_connectivity(g: Graph, s: np.ndarray) -> float:
 # backbone edges, then n demand values (one per line).
 
 def read_instance(path) -> tuple[Graph, np.ndarray, int]:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = re.sub(r"#.*", "", fh.read()).split()
-    if len(tokens) < 3:
-        raise InvalidInputError("instance file truncated: missing header")
     try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = re.sub(r"#.*", "", fh.read()).split()
+        if len(tokens) < 3:
+            raise InvalidInputError("instance file truncated: missing header")
         n, m, q = int(tokens[0]), int(tokens[1]), int(tokens[2])
         need = 3 + 4 * m + n
         if len(tokens) != need:
@@ -282,7 +287,8 @@ def read_instance(path) -> tuple[Graph, np.ndarray, int]:
         bad = np.flatnonzero((b != 0) & (b != 1))
         if bad.size:
             raise InvalidInputError(f"backbone flag at edge {bad[0]} must be 0 or 1")
-    except ValueError as exc:
+    # UnicodeDecodeError is a ValueError; int64 conversion raises OverflowError.
+    except (ValueError, OverflowError) as exc:
         raise InvalidInputError(f"instance file parse error: {exc}") from exc
     g = _checked_graph(n, i, j, w, b == 1)
     return g, check_demand(g, d), q

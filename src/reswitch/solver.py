@@ -22,9 +22,9 @@ requires a solve context, which fixes the preconditioner when it is built,
 at every size: direct (a sparse LU of the grounded L_s itself, built once
 per solve) when a fill probe finds the widest pattern the context will
 solve low-fill, and jacobi otherwise. The probe compares the envelope of a
-reverse Cuthill-McKee order with FILL_BUDGET nonzeros per edge; a context
-over a graph's backbone takes the graph's verdict, probed once per graph
-(graphs.Graph.low_fill). Planar, grid-like and ring-like graphs pass it
+reverse Cuthill-McKee order with FILL_BUDGET nonzeros per edge; a graph's
+own context (graphs.Graph.context) takes the verdict of its plan, probed
+once per graph. Planar, grid-like and ring-like graphs pass it
 and their factor is cheap; expander-like graphs fail it, and there Jacobi
 needs only tens of iterations. The symbolic work of a direct factor is
 done once per pattern, not per solve: a LaplacianPlan keeps the grounded
@@ -411,13 +411,14 @@ class SolveContext:
     """Backbone tree solve and preconditioner mode, shared by CG solves on one graph.
 
     A solve keeps no state here, so the order of solves changes no result.
-    tree is the TreeFactor of the backbone, built per context and kept on
-    nothing else. plan is the LaplacianPlan of the widest Laplacian the
-    context will solve; its fill verdict fixes mode when the context is
-    built: direct if it holds, jacobi otherwise or without a plan (module
-    docstring). A direct solve on an L without the plan's pattern is
-    refused. A Laplacian with the tree's sparsity pattern is preconditioned
-    by the tree solve whatever the mode, since it is exact there.
+    tree is the TreeFactor of the backbone; a graph keeps one context
+    (graphs.Graph.context), so its tree is built once per graph. plan is
+    the LaplacianPlan of the widest Laplacian the context will solve; its
+    fill verdict fixes mode when the context is built: direct if it holds,
+    jacobi otherwise or without a plan (module docstring). A direct solve
+    on an L without the plan's pattern is refused. A Laplacian with the
+    tree's sparsity pattern is preconditioned by the tree solve whatever
+    the mode, since it is exact there.
     """
 
     def __init__(self, tree: TreeFactor, plan: LaplacianPlan | None = None):

@@ -307,11 +307,36 @@ def test_resample_exhaustion_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_solution_without_switch_vector_exits_2(tmp_path):
+def test_solution_without_switch_vector_exits_2(tmp_path, capsys):
+    # Valid JSON of the wrong shape is invalid input, not a traceback.
     inst = gen(tmp_path, n=8, extra=2, seed=1)
     sol = tmp_path / "empty.json"
-    sol.write_text(json.dumps({"record": {}}))
-    assert cli.main(["round", "--input", str(inst), "--solution", str(sol)]) == 2
+    for doc in ({"record": {}}, [1, 2], "switch_vector", {"record": 1},
+                {"switch_vector": ["a"]}, {"switch_vector": {"a": 1}},
+                {"switch_vector": [[1.0], [1.0, 0.0]]}, {"switch_vector": [10 ** 400]}):
+        sol.write_text(json.dumps(doc))
+        assert cli.main(["round", "--input", str(inst), "--solution", str(sol)]) == 2, doc
+        assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["instance", "config", "solution"])
+def test_non_ascii_input_file_exits_2(tmp_path, capsys, reader):
+    # Every reader opens its file as ASCII; a byte beyond it is invalid input.
+    inst = gen(tmp_path, n=8, extra=2, seed=1)
+    bad = tmp_path / "bad"
+    if reader == "instance":
+        bad.write_bytes(b"# caf\xc3\xa9\n" + inst.read_bytes())
+        argv = ["solve", "--input", str(bad)]
+    elif reader == "config":
+        bad.write_bytes(b'{"n": 8, "extra": 2, "demand": "caf\xc3\xa9"}')
+        argv = ["experiment", "--config", str(bad)]
+    else:
+        run_json(["solve", "--input", str(inst)], tmp_path / "sol.json")
+        bad.write_bytes(b"\xff" + (tmp_path / "sol.json").read_bytes())
+        argv = ["round", "--input", str(inst), "--solution", str(bad)]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid input" and "ascii" in err["detail"]
 
 
 # --- output formats and replay --------------------------------------------------------

@@ -180,7 +180,7 @@ def test_dense_only_operations_respect_cap(monkeypatch, op):
         op(g, s, d)
 
 
-# --- calls without a context ------------------------------------------------------
+# --- the graph's one solve context ------------------------------------------------
 
 def solved_instance(g, d, extra_on):
     """Certified Frank-Wolfe point of g at a budget of extra_on free edges."""
@@ -196,8 +196,9 @@ def draw(g, s, q, seed):
 
 
 def test_no_context_solves_on_the_backbone_factor(monkeypatch):
-    # Above the dense threshold a call without a context solves on the
-    # graph's backbone factor; it extracts no spanning tree of L_s.
+    # Above the dense threshold phi and approx_diff, which take no context,
+    # solve on the graph's backbone tree; neither extracts a spanning tree
+    # of L_s.
     def extract(L):
         raise AssertionError("context_from_laplacian ran")
     monkeypatch.setattr(solver, "context_from_laplacian", extract)
@@ -224,6 +225,24 @@ def test_fill_probe_runs_once_per_graph(monkeypatch):
     assert len(calls) == 2
 
 
+def test_backbone_tree_is_built_once_per_graph(monkeypatch):
+    # Frank-Wolfe, every draw's phi and a certificate all solve on the
+    # graph's one context, so the backbone's tree solve is built once.
+    built = []
+
+    class Counted(solver.TreeFactor):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+    monkeypatch.setattr(solver, "TreeFactor", Counted)
+    g, d = oracles.chord_ring(300, seed=2)
+    s, q = solved_instance(g, d, 20)
+    draws = cli._draw(g, d, q, s, cli.ExperimentConfig(repeats=3, seed=4))
+    cert = frankwolfe.certificate(g, s, d, frankwolfe.FWConfig(q=q, alpha=0.05))
+    assert len(draws) == 3 and cert.certified
+    assert len(built) == 1 and isinstance(g.context.tree, Counted)
+
+
 def test_phi_does_not_depend_on_earlier_calls():
     # phi of one switch vector is bitwise the same on a fresh graph and on
     # one that has run Frank-Wolfe and evaluated other draws.
@@ -235,19 +254,20 @@ def test_phi_does_not_depend_on_earlier_calls():
     cli._draw(g, d, q, s, cli.ExperimentConfig(repeats=3, seed=7))
     assert congestion.phi(g, sbin, d) == first
     assert congestion.phi(fresh, sbin, d) == first
-    # Every solve starts from zero, so neither does it depend on earlier
-    # solves on the same context, under either preconditioner mode.
-    for (g, d), mode in ((oracles.chord_ring(1500, seed=1), "direct"),
-                         (cli.generate_instance(2000, 4000, seed=1, demand="gauss",
-                                                multigraph=True), "jacobi")):
+    # Every solve starts from zero and only reads the graph's context, so
+    # the same holds under either preconditioner mode.
+    for make, mode in ((lambda: oracles.chord_ring(1500, seed=1), "direct"),
+                       (lambda: cli.generate_instance(2000, 4000, seed=1, demand="gauss",
+                                                      multigraph=True), "jacobi")):
+        g, d = make()
         q = int(g.backbone_mask.sum()) + int((~g.backbone_mask).sum()) // 2
         s, _, _ = frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05))
-        ctx = congestion.make_context(g)
-        assert ctx.mode == mode
-        congestion.approx_diff(g, s, d, context=ctx)
+        assert g.context.mode == mode
+        congestion.approx_diff(g, s, d)
         sbin = draw(g, s, q, seed=0)
-        assert congestion.approx_diff(g, sbin, d, context=ctx).phi == \
-            congestion.phi(g, sbin, d), mode
+        fresh, _ = make()
+        assert congestion.approx_diff(g, sbin, d).phi == \
+            congestion.phi(fresh, sbin, d), mode
 
 
 @pytest.mark.parametrize("family", ["chord-ring", "cli-expander"])

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from reswitch import congestion, graphs
+from reswitch import graphs
 from reswitch.errors import InvalidInputError
 
 
@@ -189,7 +189,7 @@ def test_sparse_assembly_keeps_one_pattern_per_graph():
             assert_array_equal(L.toarray(), graphs.assemble_laplacian_dense(g, s))
         at_backbone = graphs.assemble_laplacian(g, g.backbone_indicator())
         assert np.count_nonzero(at_backbone.data == 0.0) > 0
-        ctx = congestion.make_context(g)
+        ctx = g.context
         assert ctx.on_tree(at_backbone)
         assert not ctx.on_tree(graphs.assemble_laplacian(g, off))
 
@@ -314,6 +314,8 @@ def test_read_instance_rejects_bad_backbone_flag(tmp_path):
     ("1 2 1.0 1\n2 3 1.0 2", "backbone flag at edge 1"),
     ("1 2 1.0 1\n2 1.5 1.0 1", "parse error"),
     ("1 2 x 1\n2 3 1.0 1", "parse error"),
+    # Beyond int64: numpy raises OverflowError, not ValueError.
+    ("1 2 1.0 1\n1 99999999999999999999 1.0 1", "parse error"),
 ])
 def test_read_instance_rejects_malformed_tokens(tmp_path, edge_lines, message):
     path = tmp_path / "bad.txt"

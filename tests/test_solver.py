@@ -188,7 +188,7 @@ def test_tree_factor_bounds_a_backbone_with_a_cycle():
     extra = [(0, 149, 0.7), (i, j, 1.3)]
     backbone = list(base.backbone) + [len(edges), len(edges) + 1]
     g = graphs.make_graph(base.n, edges + extra, backbone)
-    ctx = congestion.make_context(g)
+    ctx = g.context
     L_T = graphs.assemble_laplacian_dense(g, g.backbone_indicator())
     Lp = oracles.pinv(L_T)
     # The tree is not the whole backbone, so a backbone solve is not on it.
@@ -286,7 +286,7 @@ def test_solve_contract_per_preconditioner(monkeypatch, mode):
         g, d = make()
         s = oracles.random_fractional(np.random.default_rng(6), g)
         L = graphs.assemble_laplacian(g, s)
-        ctx = congestion.make_context(g, cfg)
+        ctx = g.context
         assert ctx.mode == mode, family
         assert not ctx.on_tree(L), family
         res = solver.solve(L, d, cfg, context=ctx)
@@ -338,7 +338,7 @@ def test_cold_direct_solve_evaluates_the_bound_once():
     # At x = 0 the bound cannot fire, so it is first evaluated after the
     # single CG step that the direct factor needs.
     g, d = oracles.chord_ring(1500, 1)
-    ctx = congestion.make_context(g)
+    ctx = g.context
     assert ctx.mode == "direct"
     calls = []
     quadform = ctx.tree.quadform
@@ -436,9 +436,9 @@ def test_fill_probe_picks_the_mode_at_every_size():
     # No size rule comes before the probe: a chord ring of 1500 nodes
     # factors with little fill, an expander of 2000 nodes does not.
     g, _ = oracles.chord_ring(1500, 1)
-    assert congestion.make_context(g).mode == "direct"
+    assert g.context.mode == "direct"
     g, _ = cli.generate_instance(2000, 4000, seed=1, demand="gauss", multigraph=True)
-    assert congestion.make_context(g).mode == "jacobi"
+    assert g.context.mode == "jacobi"
 
 
 def test_dense_path_never_runs_the_fill_probe(monkeypatch):
@@ -480,23 +480,23 @@ def test_auto_mode_resolves_by_fill_probe(monkeypatch):
     # A grid factors with little fill and the library default solves it
     # directly, except at the backbone's own pattern; an expander of the
     # CLI family does not, and stays on Jacobi.
-    cfg = solver.SolverConfig()
     g, d = oracles.grid_comb(80, 80, seed=1)
-    ctx = congestion.make_context(g, cfg)
+    ctx = g.context
     L = graphs.assemble_laplacian(g, np.ones(g.m))
     assert ctx.mode == "direct" and not ctx.on_tree(L)
     assert ctx.on_tree(graphs.assemble_laplacian(g, g.backbone_indicator()))
     assert solver.context_from_laplacian(L).mode == "direct"
-    # frankwolfe.run with default settings builds the same context.
-    made = []
-    make = congestion.make_context
-    monkeypatch.setattr(congestion, "make_context",
-                        lambda *args: made.append(make(*args)) or made[-1])
+    # frankwolfe.run with default settings solves on that same context and
+    # builds no other.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second context was built")
+    monkeypatch.setattr(solver, "context_from_edges", refuse)
     q = int(g.backbone_mask.sum()) + 1
     frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05, max_iterations=1))
-    assert [c.mode for c in made] == ["direct"]
+    assert g.context is ctx
+    monkeypatch.undo()
     g, _ = cli.generate_instance(3000, 6000, seed=1, demand="gauss", multigraph=True)
-    assert make(g, cfg).mode == "jacobi"
+    assert g.context.mode == "jacobi"
     L = graphs.assemble_laplacian(g, np.ones(g.m))
     assert solver.context_from_laplacian(L).mode == "jacobi"
 
@@ -509,7 +509,7 @@ def test_auto_direct_certifies_a_300_by_300_grid():
     q = int(g.backbone_mask.sum()) + int((~g.backbone_mask).sum()) // 2
     cfg = frankwolfe.FWConfig(q=q, alpha=0.05)
     s, cert, _ = frankwolfe.run(g, d, cfg)
-    ctx = congestion.make_context(g, cfg.solver)
+    ctx = g.context
     assert ctx.mode == "direct" and cert.certified
     L = graphs.assemble_laplacian(g, s)
     res = solver.solve(L, d, cfg.solver, context=ctx)
@@ -534,7 +534,7 @@ def test_direct_factor_takes_superlu_own_order(family):
     # its NATURAL factor has the same fill, and the solves agree.
     g, d = oracles.grid_comb(20, 20, seed=3) if family == "grid-comb" else \
         oracles.chord_ring(300, seed=3)
-    assert g.n > solver.SolverConfig.dense_threshold and g.low_fill
+    assert g.n > solver.SolverConfig.dense_threshold and g.plan.low_fill
     plan = g.plan
     for s in (np.ones(g.m), oracles.random_fractional(np.random.default_rng(3), g)):
         L = graphs.assemble_laplacian(g, s)
@@ -542,7 +542,7 @@ def test_direct_factor_takes_superlu_own_order(family):
         assert np.array_equal(plan.order, np.argsort(own.perm_c))
         lu = plan.lu(L)
         assert lu.L.nnz + lu.U.nnz == own.L.nnz + own.U.nnz
-        x = congestion.make_context(g).preconditioner(L)(d)
+        x = g.context.preconditioner(L)(d)
         ref = np.concatenate([[0.0], own.solve(d[1:])])
         ref -= ref.mean()
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -553,7 +553,7 @@ def test_direct_solve_refuses_a_foreign_pattern(monkeypatch):
     # carries its graph's pattern: another format of the same entries is
     # solved alike, and any other L is refused before a gather or a factor.
     g, d = oracles.chord_ring(300, seed=4)
-    ctx = congestion.make_context(g)
+    ctx = g.context
     assert ctx.mode == "direct"
     s = np.ones(g.m)
     s[np.flatnonzero(~g.backbone_mask)[::2]] = 0.0
@@ -601,7 +601,7 @@ def test_context_from_laplacian_solves_its_own_l_directly(form):
     assert ctx.mode == "direct"
     res = solver.solve(L, d, solver.SolverConfig(), ctx)
     assert res.iterations <= 1
-    ref = solver.solve(A, d, solver.SolverConfig(), congestion.make_context(g))
+    ref = solver.solve(A, d, solver.SolverConfig(), g.context)
     assert_allclose(res.x, ref.x, rtol=0, atol=1e-12 * np.linalg.norm(ref.x))
 
 
