@@ -44,13 +44,12 @@ def make_context(g: graphs.Graph,
 
 
 def _voltages(g, s, d, cfg):
-    # Assembly checks s and the solve checks d. At or below the threshold
-    # solve takes its exact dense path; assembling dense here costs less
-    # than densifying a sparse matrix there. Above it CG runs on the
+    # The one place a kernel is picked, by size. At or below the threshold
+    # one dense Cholesky solve is exact and cheaper than CG; assembly
+    # checks s and the kernel checks d. Above it, certified CG runs on the
     # graph's context, which is built only there.
     if g.n <= solver.SolverConfig.dense_threshold:
-        L = graphs.assemble_laplacian_dense(g, s)
-        return solver.solve(L, d, cfg).x
+        return solver.exact_pinv_apply(graphs.assemble_laplacian_dense(g, s), d)
     L = graphs.assemble_laplacian(g, s)
     return solver.solve(L, d, cfg, context=g.context).x
 

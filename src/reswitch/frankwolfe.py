@@ -90,8 +90,9 @@ def fw_gap(grad: np.ndarray, s: np.ndarray, v_star: np.ndarray) -> float:
 def certificate(g: graphs.Graph, s: np.ndarray, d: np.ndarray, cfg: FWConfig) -> Certificate:
     """Evaluate the gap certificate at an arbitrary feasible point.
 
-    One solve gives it, on the graph's solve context above the dense
-    threshold (graphs.Graph.context). A point that closes more than q
+    One solve gives it: the exact dense kernel at or below the dense
+    threshold, certified CG on the graph's solve context
+    (graphs.Graph.context) above it. A point that closes more than q
     edges is not feasible, and its gap bounds nothing, so it raises
     InvalidInputError.
     """
@@ -122,8 +123,9 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
     certificate, and the iteration trace of at most max_iterations records.
     It returns early, uncertified, once phi has overflowed at both the
     iterate and its tried step. The budget ||s_t||_1 <= q and backbone
-    pinning hold at every iterate. Above the dense threshold every solve
-    runs on the graph's solve context (graphs.Graph.context).
+    pinning hold at every iterate. Every solve is congestion's: the exact
+    dense kernel at or below the dense threshold, certified CG on the
+    graph's solve context (graphs.Graph.context) above it.
     """
     d = graphs.check_demand(g, d)
     graphs.check_budget(g, cfg.q)

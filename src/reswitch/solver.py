@@ -14,31 +14,27 @@ which the backbone's Laplacian dominates, so the bound holds with it.
 Combined with the lower bound 2 d^T x - x^T L x <= d^T L^+ d this yields a
 deterministic certificate, whatever preconditioner drives the iteration.
 
-The input picks the path, and no option overrides it: epsilon is the only
-setting. solve checks its demand once, then takes the exact dense path up
-to SolverConfig.dense_threshold nodes, a constant (64). Above it, solve
-runs CG, at most SolverConfig.max_iterations (5000) iterations, and
-requires a solve context, which fixes the preconditioner when it is built,
-at every size: direct (a sparse LU of the grounded L_s itself, built once
-per solve) when a fill probe finds the widest pattern the context will
-solve low-fill, and jacobi otherwise. The probe compares the envelope of a
-reverse Cuthill-McKee order with FILL_BUDGET nonzeros per edge; a graph's
-own context (graphs.Graph.context) takes the verdict of its plan, probed
-once per graph. Planar, grid-like and ring-like graphs pass it
-and their factor is cheap; expander-like graphs fail it, and there Jacobi
-needs only tens of iterations. The symbolic work of a direct factor is
-done once per pattern, not per solve: a LaplacianPlan keeps the grounded
-block's minimum-degree order, so each factor is one gather of L_s's values
-and one LU in that order, and a direct solve refuses an L_s that does not
-carry the plan's pattern. On a Laplacian with the tree's own sparsity
-pattern (the switch vector at the backbone indicator, where optimization
-starts, when the backbone is a tree) the tree solve is used whatever the
-mode, since it is exact there: L_s = L_T. Under direct or the tree solve CG
-takes one iteration, and the solution still has to pass the stopping bound
-below, so a poor factor can cost time but never accuracy. The exact dense
-path solves one matrix at a time by a Cholesky factorization of the
-positive definite L + 1/n, refused unless its residual is small; the tests
-compare it against an LU oracle of their own.
+solve runs preconditioned CG at every size, at most
+SolverConfig.max_iterations (5000) iterations, and requires a solve
+context, which fixes the preconditioner when it is built: direct (a sparse
+LU of the grounded L_s itself, built once per solve) when a fill probe
+finds the widest pattern the context will solve low-fill, and jacobi
+otherwise. No option overrides the choice: epsilon is the only setting.
+The probe compares the envelope of a reverse Cuthill-McKee order with
+FILL_BUDGET nonzeros per edge; a graph's own context (graphs.Graph.context)
+takes the verdict of its plan, probed once per graph. Planar, grid-like and
+ring-like graphs pass it and their factor is cheap; expander-like graphs
+fail it, and there Jacobi needs only tens of iterations. The symbolic work
+of a direct factor is done once per pattern, not per solve: a
+LaplacianPlan keeps the grounded block's minimum-degree order, so each
+factor is one gather of L_s's values and one LU in that order, and a direct
+solve refuses an L_s that does not carry the plan's pattern. On a Laplacian
+with the tree's own sparsity pattern (the switch vector at the backbone
+indicator, where optimization starts, when the backbone is a tree) the tree
+solve is used whatever the mode, since it is exact there: L_s = L_T. Under
+direct or the tree solve CG takes one iteration, and the solution still has
+to pass the stopping bound below, so a poor factor can cost time but never
+accuracy.
 
 Every solve starts from x = 0 and only reads its context, so no solve
 depends on the ones before it. Under the tree solve the bound
@@ -80,8 +76,10 @@ DENSE_CAP = 2000
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """epsilon, the solve accuracy, is the only setting; the dense
-    threshold and CG's iteration cap are class constants, not fields."""
+    """epsilon, the solve accuracy, is the only setting; CG's iteration cap
+    is a class constant, not a field. dense_threshold is the node count up
+    to which congestion solves with the exact dense kernel instead of
+    calling solve (congestion._voltages)."""
     epsilon: float = 1e-8
     # Only "auto" is accepted: the input picks the path (module docstring).
     preconditioner: str = "auto"
@@ -157,16 +155,27 @@ def _checked_demand(d, n: int) -> np.ndarray:
         raise InvalidInputError(f"demand vector has shape {d.shape}, expected ({n},)")
     # d @ d is finite unless an entry is not (or it overflows), so the
     # entrywise test runs only then. Its root is np.linalg.norm(d).
-    sq = float(d @ d)
-    if not math.isfinite(sq) and not np.isfinite(d).all():
-        raise InvalidInputError("demand entries must be finite")
-    if abs(d.sum()) > 1e-12 * max(math.sqrt(sq), 1e-300):
+    unit = d
+    with np.errstate(over="ignore"):
+        sq = float(d @ d)
+    if not math.isfinite(sq):
+        if not np.isfinite(d).all():
+            raise InvalidInputError("demand entries must be finite")
+        # d @ d overflowed: test d / max|d|, whose sum and norm do not.
+        unit = d / np.abs(d).max()
+        sq = float(unit @ unit)
+    if abs(unit.sum()) > 1e-12 * max(math.sqrt(sq), 1e-300):
         raise InvalidInputError("demand entries must sum to zero")
     return d
 
 
 def exact_pinv_apply(L, d: np.ndarray) -> np.ndarray:
-    """Machine-precision L^+ d for a connected Laplacian (dense path)."""
+    """Machine-precision L^+ d for a connected Laplacian: the dense kernel.
+
+    One Cholesky solve of the positive definite L + 1/n, refused unless its
+    residual is small (_shifted_solve); the tests compare it against an LU
+    oracle of their own. d is checked as every demand is (_checked_demand).
+    """
     Ld = _as_dense(L)
     d = _checked_demand(d, Ld.shape[0])
     if not d.any():
@@ -468,24 +477,24 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
           context: SolveContext | None = None) -> SolveResult:
     """Approximate x = L^+ d with ||x - L^+ d||_L <= epsilon ||L^+ d||_L.
 
-    d is checked once, on either path (_checked_demand). At or below
-    SolverConfig.dense_threshold nodes this is the exact dense path, and
-    any context is ignored. Above it, preconditioned conjugate gradient from
-    x = 0 on the singular consistent system, with the tree-dominance
-    stopping bound described in the module docstring; a context is required
-    there (InvalidInputError without one). The context is only read, so the
-    result does not depend on earlier solves.
+    Preconditioned conjugate gradient from x = 0 on the singular consistent
+    system, with the tree-dominance stopping bound described in the module
+    docstring, at every size; the context is required (InvalidInputError
+    without one) and only read, so the result does not depend on earlier
+    solves. d is checked once (_checked_demand). CG runs on d scaled by a
+    power of two to max|d| in [1/2, 1), and x is scaled back. Scaling by a
+    power of two is exact, so the iterates are d's own, but no energy
+    overflows on the way: a phi beyond the float range comes out as inf.
     """
+    if context is None:
+        raise InvalidInputError("a solve needs a context")
     cfg = cfg or SolverConfig()
     n = L.shape[0]
-    if n <= cfg.dense_threshold:
-        return SolveResult(exact_pinv_apply(L, d), 0, 0.0)
-    if context is None:
-        raise InvalidInputError(
-            f"a solve above dense_threshold={cfg.dense_threshold} nodes needs a context")
     d = _checked_demand(d, n)
     if not d.any():
         return SolveResult(np.zeros(n), 0, 0.0)
+    exponent = int(np.frexp(np.abs(d).max())[1])
+    d = np.ldexp(d, -exponent)
 
     tree = context.tree
     tree_is_M = context.on_tree(L)
@@ -521,7 +530,7 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
             bound = rz_new if tree_is_M else tree.quadform(r)
             achieved = float(np.sqrt(max(bound, 0.0) / phi_lb)) if phi_lb > 0 else float("inf")
             if (phi_lb > 0.0 and bound <= eps2 * phi_lb) or bound <= 0.0:
-                return SolveResult(project_zero_mean(x), it, achieved)
+                return SolveResult(np.ldexp(project_zero_mean(x), exponent), it, achieved)
             if last:
                 raise NumericalError(
                     f"solve did not converge in {it} iterations "

@@ -292,6 +292,18 @@ def chord_ring(n: int, seed: int):
     return g, d / np.linalg.norm(d)
 
 
+# FILL_BUDGET under which the fill probe picks each solve mode: every
+# envelope is over a zero budget and under a vast one.
+POLICY = {"jacobi": 0, "direct": 10 ** 9}
+
+
+def ring(n: int) -> Graph:
+    """Unit-weight cycle on n nodes: the path backbone plus one free edge
+    that closes it."""
+    return make_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)],
+                      range(n - 1))
+
+
 def lexsort_smallest(values, k: int) -> np.ndarray:
     """Positions of the k smallest values, ordered by (value, position)."""
     values = np.asarray(values)

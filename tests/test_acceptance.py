@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per release criterion, one verdict line each.
+"""Acceptance gate: one test per release criterion, one verdict line each;
+criterion 6 runs a second time above the dense threshold, on CG.
 
 Each test prints a single pass/fail line into the terminal summary (see
 conftest.record_acceptance) carrying the measured worst-case statistics,
@@ -11,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import conftest
 import oracles
@@ -141,6 +143,38 @@ def test_criterion_06_certificate_soundness():
     criterion(6, "alpha-certificate-soundness", violations == 0 and certified > 0,
               f"{violations} violations in {certified} certified runs "
               f"over 150 (instance, alpha) cases; worst ratio {worst:.6f}")
+
+
+@pytest.mark.parametrize("mode", oracles.POLICY)
+def test_criterion_06_certificate_soundness_on_cg(monkeypatch, mode):
+    # Criterion 6 above the dense threshold, where every solve runs CG on
+    # the graph's context, in each preconditioner mode.
+    monkeypatch.setattr(solver, "FILL_BUDGET", oracles.POLICY[mode])
+    rng = np.random.default_rng(606)
+    certified = 0
+    violations = 0
+    worst = 0.0
+    for k in range(12):
+        n = int(rng.integers(65, 121))
+        free = int(rng.integers(6, 13))
+        g, d = oracles.random_instance(rng, n, free, multigraph=True, demand="gauss")
+        assert g.context.mode == mode
+        q = (g.n - 1) + int(rng.integers(1, free + 1))
+        best = enumeration.enumerate_optimal(g, d, q).best_phi
+        for alpha in (0.05, 0.1, 0.5):
+            cfg = frankwolfe.FWConfig(q=q, alpha=alpha, max_iterations=600)
+            s, cert, _ = frankwolfe.run(g, d, cfg)
+            if not cert.certified:
+                continue
+            certified += 1
+            ratio = congestion.phi(g, s, d) / ((1.0 + alpha) * best)
+            worst = max(worst, ratio)
+            if ratio > 1.0 + 1e-6:
+                violations += 1
+    criterion(6, f"alpha-certificate-soundness-cg-{mode}",
+              violations == 0 and certified > 0,
+              f"{violations} violations in {certified} certified runs "
+              f"over 36 (instance, alpha) cases, n = 65-120; worst ratio {worst:.6f}")
 
 
 def test_criterion_07_iteration_bound():

@@ -246,6 +246,14 @@ def test_non_finite_input_exits_2(tmp_path, capsys, edges, demand):
     assert "finite" in capsys.readouterr().err
 
 
+def test_unbalanced_demand_exits_2_when_its_square_overflows(tmp_path, capsys):
+    # d @ d overflows here, and the zero-sum check still sees the 1e150.
+    inst = tmp_path / "inst.txt"
+    inst.write_text("3 3 3\n1 2 1.0 1\n2 3 1.0 1\n1 3 1.0 0\n1e155\n1e150\n-1e155\n")
+    assert cli.main(["solve", "--input", str(inst)]) == 2
+    assert "sum to zero" in capsys.readouterr().err
+
+
 def test_instance_without_nodes_exits_2(tmp_path, capsys):
     inst = tmp_path / "empty.txt"
     inst.write_text("0 0 0\n")
@@ -255,17 +263,24 @@ def test_instance_without_nodes_exits_2(tmp_path, capsys):
 
 
 def test_overflowed_phi_is_not_certified(tmp_path):
-    # phi = d^T L_s^+ d overflows to inf at every switch vector here.
-    inst = tmp_path / "inst.txt"
-    inst.write_text("3 3 3\n1 2 1.0 1\n2 3 1.0 1\n1 3 1.0 0\n1e155\n0\n-1e155\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        records = {cmd: run_json([cmd, "--input", str(inst)], tmp_path / f"{cmd}.json")["record"]
-                   for cmd in ("solve", "certify")}
-    for cmd, record in records.items():
-        cert = record["certificate"]
-        assert cert["certified"] is False and cert["phi_value"] == np.inf, cmd
-    # Frank-Wolfe stops at its first step, where neither phi is finite.
-    assert records["solve"]["iterations"] == 1
+    # phi = d^T L_s^+ d overflows to inf at every switch vector of these
+    # rings, on the dense kernel (3 nodes) and on CG (65 nodes).
+    small = tmp_path / "inst.txt"
+    small.write_text("3 3 3\n1 2 1.0 1\n2 3 1.0 1\n1 3 1.0 0\n1e155\n0\n-1e155\n")
+    large = tmp_path / "ring65.txt"
+    d = np.zeros(65)
+    d[0], d[-1] = 1e155, -1e155
+    graphs.write_instance(large, oracles.ring(65), d, 65)
+    for inst in (small, large):
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = {cmd: run_json([cmd, "--input", str(inst)],
+                                     tmp_path / f"{cmd}.json")["record"]
+                       for cmd in ("solve", "certify")}
+        for cmd, record in records.items():
+            cert = record["certificate"]
+            assert cert["certified"] is False and cert["phi_value"] == np.inf, (inst, cmd)
+        # Frank-Wolfe stops at its first step, where neither phi is finite.
+        assert records["solve"]["iterations"] == 1, inst
 
 
 def test_enumeration_cap_exits_4(tmp_path, capsys):

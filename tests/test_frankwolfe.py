@@ -211,21 +211,28 @@ def test_certificate_trivial_at_tight_budget():
 
 
 def test_overflowed_phi_never_certifies():
-    # At +-1e155 phi overflows at every point of the triangle, and
-    # inf <= tau * inf must not certify it. At +-1e154 only the backbone
-    # point overflows: run steps past it and certifies the all-closed point.
-    g = graphs.make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [0, 1])
+    # At +-1e155 phi overflows at every point of a unit ring, and
+    # inf <= tau * inf must not certify it, whether the dense kernel or CG
+    # (above the dense threshold) solves. At +-1e154 only the triangle's
+    # backbone point overflows: run steps past it and certifies the
+    # all-closed point.
+    g = oracles.ring(3)
     cfg = frankwolfe.FWConfig(q=3, alpha=0.05)
     with np.errstate(over="ignore", invalid="ignore"):
         s, cert, _ = frankwolfe.run(g, np.array([1e154, 0.0, -1e154]), cfg)
         assert cert.certified and np.isfinite(cert.phi_value) and np.isfinite(cert.gap)
         assert_array_equal(s, np.ones(3))
-        d = np.array([1e155, 0.0, -1e155])
-        _, cert, trace = frankwolfe.run(g, d, cfg)
-        assert not cert.certified and cert.bound_factor is None
-        assert len(trace.records) == 1  # no step past the start can be compared
-        for point in (g.backbone_indicator(), np.ones(3)):
-            assert not frankwolfe.certificate(g, point, d, cfg).certified
+        for n in (3, 65, 100):
+            g = oracles.ring(n)
+            cfg = frankwolfe.FWConfig(q=n, alpha=0.05)
+            d = np.zeros(n)
+            d[0], d[-1] = 1e155, -1e155
+            _, cert, trace = frankwolfe.run(g, d, cfg)
+            assert not cert.certified and cert.bound_factor is None, n
+            assert cert.phi_value == np.inf, n
+            assert len(trace.records) == 1, n  # no step past the start can be compared
+            for point in (g.backbone_indicator(), np.ones(n)):
+                assert not frankwolfe.certificate(g, point, d, cfg).certified, n
 
 
 def test_budget_monotonicity():

@@ -244,25 +244,28 @@ def test_context_from_laplacian_rejects_disconnected():
 
 # --- iterative solve ---------------------------------------------------------
 
-def test_solve_dense_path_is_exact():
+def test_solve_dense_path_is_exact(monkeypatch):
+    # At or below the dense threshold congestion takes the exact dense
+    # kernel and never calls solve.
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve ran")
+    monkeypatch.setattr(solver, "solve", refuse)
     g, s, d = instance(4, n=20, extra=12)
-    L = graphs.assemble_laplacian(g, s)
-    res = solver.solve(L, d, solver.SolverConfig())  # 20 <= dense_threshold
-    assert res.iterations == 0
-    assert_allclose(res.x, oracles.pinv(oracles.laplacian(g.n, g.edges, s)) @ d,
+    x_star = oracles.pinv(oracles.laplacian(g.n, g.edges, s)) @ d
+    assert_allclose(solver.exact_pinv_apply(graphs.assemble_laplacian(g, s), d), x_star,
                     atol=1e-10)
+    diff = congestion.approx_diff(g, s, d)
+    assert abs(diff.phi - d @ x_star) <= 1e-12 * (d @ x_star)
+    assert diff.phi == congestion.phi(g, s, d)
 
 
-def test_solve_zero_demand(monkeypatch):
-    g, s, _ = instance(5, n=10, extra=4)
-    L = graphs.assemble_laplacian(g, s)
-    res = solver.solve(L, np.zeros(g.n), solver.SolverConfig())
-    assert not res.x.any()
-    # On the CG path it returns without an iteration.
-    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
-    res = solver.solve(L, np.zeros(g.n), solver.SolverConfig(),
-                       context=solver.context_from_laplacian(L))
-    assert res.iterations == 0 and not res.x.any()
+def test_solve_zero_demand():
+    # solve is CG at every size; a zero demand returns without an iteration.
+    for n, extra in ((10, 4), (80, 40)):
+        g, s, _ = instance(5, n=n, extra=extra)
+        L = graphs.assemble_laplacian(g, s)
+        res = solver.solve(L, np.zeros(g.n), solver.SolverConfig(), context=g.context)
+        assert res.iterations == 0 and not res.x.any(), n
 
 
 # Small members of the benchmark's graph families that take the CG path.
@@ -272,15 +275,11 @@ FAMILIES = {
     "cli-expander": lambda: cli.generate_instance(80, 160, seed=1, demand="gauss",
                                                   multigraph=True),
 }
-# FILL_BUDGET under which the fill probe picks each mode: every envelope is
-# over a zero budget and under a vast one.
-POLICY = {"jacobi": 0, "direct": 10 ** 9}
 
 
-@pytest.mark.parametrize("mode", POLICY)
+@pytest.mark.parametrize("mode", oracles.POLICY)
 def test_solve_contract_per_preconditioner(monkeypatch, mode):
-    monkeypatch.setattr(solver, "FILL_BUDGET", POLICY[mode])
-    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
+    monkeypatch.setattr(solver, "FILL_BUDGET", oracles.POLICY[mode])
     cfg = solver.SolverConfig(epsilon=1e-6)
     for family, make in FAMILIES.items():
         g, d = make()
@@ -303,12 +302,11 @@ def backbone_context(g):
                                      g.w[g.backbone_mask])
 
 
-def test_auto_fallback_contract_cold_then_warm(monkeypatch):
+def test_auto_fallback_contract_cold_then_warm():
     # Without a pattern to probe, the context solves on the backbone factor
     # at the backbone indicator, where it is exact, and elsewhere with
     # Jacobi. Both solves start from zero on the one context.
     g, s, d = instance(15, n=80, extra=70)
-    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
     cfg = solver.SolverConfig(epsilon=1e-6)
     ctx = backbone_context(g)
     for point, most in ((g.backbone_indicator(), 1), (s, cfg.max_iterations)):
@@ -349,15 +347,19 @@ def test_cold_direct_solve_evaluates_the_bound_once():
 
 
 def test_solve_energy_identity():
+    # d^T x = x^T L x for the dense kernel, and for CG, whose residual is
+    # orthogonal to its iterate, in either mode.
     g, s, d = instance(7, n=30, extra=20)
     L = graphs.assemble_laplacian(g, s)
-    res = solver.solve(L, d, solver.SolverConfig())  # 30 <= dense_threshold
-    assert abs(float(d @ res.x) - float(res.x @ (L @ res.x))) < 1e-10 * abs(d @ res.x)
+    xs = [solver.exact_pinv_apply(L, d)]
+    for ctx in (g.context, backbone_context(g)):
+        xs.append(solver.solve(L, d, solver.SolverConfig(), context=ctx).x)
+    for x, mode in zip(xs, ("dense", g.context.mode, "jacobi")):
+        assert abs(float(d @ x) - float(x @ (L @ x))) < 1e-10 * abs(d @ x), mode
 
 
 def test_solve_raises_when_budget_exhausted(monkeypatch):
     g, s, d = instance(9, n=50, extra=40)
-    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
     monkeypatch.setattr(solver.SolverConfig, "max_iterations", 1)
     cfg = solver.SolverConfig(epsilon=1e-10)
     bb = g.backbone_mask
@@ -384,33 +386,39 @@ def test_solve_raises_when_budget_exhausted(monkeypatch):
         assert info.value.achieved_residual == pytest.approx(expected, rel=1e-9), on_tree
 
 
-def test_solve_rejects_bad_demand(monkeypatch):
-    # The same checks on the dense path and, with a context, on CG's, and
-    # through congestion.phi, which leaves them to the solve. A NaN or
-    # infinite demand is refused before any CG iteration runs.
-    g, s, d = instance(10, n=40, extra=20)
-    L = graphs.assemble_laplacian(g, s)
-    non_finite = [d.copy() for _ in range(3)]
-    for bad, value in zip(non_finite, (np.nan, np.inf, -np.inf)):
-        bad[0], bad[1] = value, -value
-    for ctx in (None, backbone_context(g)):
-        if ctx is not None:
-            monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
-        for bad in (np.ones(g.n), d[:-1], *non_finite):
+def test_solve_rejects_bad_demand():
+    # The same checks in the dense kernel, in CG's solve, and through
+    # congestion.phi on either side of the dense threshold, which leaves
+    # them to the kernel. A NaN or infinite demand is refused before any CG
+    # iteration runs, and so is one that does not sum to zero, also when
+    # d @ d overflows.
+    for seed, n, extra in ((10, 40, 20), (11, 80, 40)):
+        g, s, d = instance(seed, n=n, extra=extra)
+        L = graphs.assemble_laplacian(g, s)
+        non_finite = [d.copy() for _ in range(3)]
+        for bad, value in zip(non_finite, (np.nan, np.inf, -np.inf)):
+            bad[0], bad[1] = value, -value
+        unbalanced = np.zeros(g.n)
+        unbalanced[:3] = 1e155, 1e150, -1e155
+        for bad in (np.ones(g.n), d[:-1], *non_finite, unbalanced):
             with pytest.raises(InvalidInputError):
-                solver.solve(L, bad, solver.SolverConfig(), context=ctx)
+                solver.exact_pinv_apply(L, bad)
+            with pytest.raises(InvalidInputError):
+                solver.solve(L, bad, solver.SolverConfig(), context=g.context)
             with pytest.raises(InvalidInputError):
                 congestion.phi(g, s, bad)
 
 
-def test_cg_path_requires_a_context(monkeypatch):
-    g, s, d = instance(10, n=40, extra=20)
-    L = graphs.assemble_laplacian(g, s)
-    # At or below the threshold the dense path needs none.
-    assert solver.solve(L, d, solver.SolverConfig()).iterations == 0
-    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
-    with pytest.raises(InvalidInputError, match="needs a context"):
-        solver.solve(L, d, solver.SolverConfig())
+def test_cg_path_requires_a_context():
+    # solve is the CG path at every size, so it needs a context at every
+    # size; congestion passes the graph's above the dense threshold and
+    # needs none below it.
+    for n, extra in ((40, 20), (80, 40)):
+        g, s, d = instance(10, n=n, extra=extra)
+        L = graphs.assemble_laplacian(g, s)
+        with pytest.raises(InvalidInputError, match="needs a context"):
+            solver.solve(L, d, solver.SolverConfig())
+        assert congestion.phi(g, s, d) > 0.0
 
 
 # --- configuration and mode resolution ---------------------------------------
