@@ -56,16 +56,23 @@ def _voltages(g, s, d, cfg):
 
 def phi(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
         cfg: solver.SolverConfig | None = None) -> float:
-    """Congestion d^T L_s^+ d of the switched graph, from one solve."""
-    return float(d @ _voltages(g, s, d, cfg))
+    """Congestion d^T L_s^+ d of the switched graph, from one solve; a phi
+    beyond the float range comes out as inf."""
+    x = _voltages(g, s, d, cfg)
+    with np.errstate(over="ignore"):
+        return float(d @ x)
 
 
 def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
                 cfg: solver.SolverConfig | None = None) -> DiffResult:
-    """Value, voltage differences, and gradient from one solve."""
+    """Value, voltage differences, and gradient from one solve.
+
+    A phi or gradient entry beyond the float range comes out as inf.
+    """
     x = _voltages(g, s, d, cfg)
     delta = x[g.ei] - x[g.ej]
-    return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=float(d @ x))
+    with np.errstate(over="ignore"):
+        return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=float(d @ x))
 
 
 def exact_gradient(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> np.ndarray:

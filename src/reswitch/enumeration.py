@@ -16,8 +16,8 @@ s, so at any point s of that relaxation
 for every s' in it, where gap(s) = <grad phi(s), s - v> is the Frank-Wolfe
 duality gap and v, the linear minimization oracle, closes the unfixed
 edges with the most negative gradient entries. A node runs NODE_STEPS
-Frank-Wolfe steps on exact dense solves and keeps the largest phi - gap
-seen as its lower bound; it inherits its parent's bound and last point.
+Frank-Wolfe steps on exact solves and keeps the largest phi - gap seen as
+its lower bound; it inherits its parent's bound and last point.
 Every oracle vertex is a configuration of the node and is evaluated, once
 per search, as a candidate incumbent; its gradient sets the step length
 (a secant step on the derivative along the segment to it). A node is
@@ -25,15 +25,32 @@ pruned only when its bound exceeds the incumbent by the relative margin
 PRUNE_RTOL, so roundoff never prunes an optimum or a tie. Otherwise it
 branches on the unfixed edge whose value is nearest 1/2, nearer side
 first.
+
+Only the free edges change between solves, so each is exact in the
+free-edge space. With L_B the backbone's Laplacian, U the free edges'
+incidence vectors (n x F) and C = diag(s_F w_F), L_s = L_B + U C U^T. One
+dense solve per search, on F + 1 right-hand sides, gives b = U^T L_B^+ d,
+G = U^T L_B^+ U and phi_B = d^T L_B^+ d. Then M = I + C^1/2 G C^1/2 is
+positive definite with eigenvalues at least 1, and by the Woodbury identity
+(Hager, 1989), with z = M^-1 C^1/2 b,
+
+    phi(s) = phi_B - (C^1/2 b)^T z,    U^T L_s^+ d = b - G C^1/2 z,
+
+so a node solve is one F x F Cholesky. The search runs on d scaled by a
+power of two (solver._unit_scaled): every phi, gradient and bound is then
+scaled by one power of four, exactly, so no comparison changes and none
+overflows. The best_phi reported is the dense kernel's phi of the chosen
+configuration, a second n x n solve, scaled back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import graphs, solver
-from .errors import CapExceededError
+from .errors import CapExceededError, StructuralError
 
 # Most search nodes before the search gives up with CapExceededError.
 NODE_CAP = 10000
@@ -59,15 +76,29 @@ class _Search:
     """Incumbent, node count and exact solves of one branch and bound.
 
     Switch values and masks here are indexed by free edge, not by edge.
+    d is the demand scaled by 2^-exponent, and every phi and gradient here
+    is d's (module docstring).
     """
 
     def __init__(self, g: graphs.Graph, d: np.ndarray, head: int):
-        self.g, self.d = g, d
         self.free = free_edges(g)
         # Edges every configuration searched closes: phi never rises as one closes.
         self.k = min(head, len(self.free))
-        self.ei, self.ej = g.ei[self.free], g.ej[self.free]
         self.w = g.w[self.free]
+        self.d, self.exponent = solver._unit_scaled(d)
+        # The backbone's solve on [d, U], from the dense kernel on the d
+        # enumerate_optimal checked once.
+        ei, ej = g.ei[self.free], g.ej[self.free]
+        cols = np.arange(1, len(self.free) + 1)
+        rhs = np.zeros((g.n, len(cols) + 1))
+        rhs[:, 0] = self.d
+        rhs[ei, cols], rhs[ej, cols] = 1.0, -1.0
+        X = solver._shifted_solve(
+            graphs.assemble_laplacian_dense(g, g.backbone_indicator()), rhs)
+        drops = X[ei] - X[ej]
+        self.b = drops[:, 0]
+        self.G = 0.5 * (drops[:, 1:] + drops[:, 1:].T)
+        self.phi_B = float(self.d @ X[:, 0])
         self.best_phi = np.inf
         self.best_mask = None
         self.best_on = None
@@ -76,14 +107,21 @@ class _Search:
         self.leaves = {}
 
     def solve(self, sf: np.ndarray) -> tuple[float, np.ndarray]:
-        """phi and its gradient on the free edges at free-edge values sf, from
-        the dense kernel on d, which enumerate_optimal checked once."""
-        s = self.g.backbone_indicator()
-        s[self.free] = sf
-        L = graphs.assemble_laplacian_dense(self.g, s)
-        x = solver._shifted_solve(L, self.d[:, None])[:, 0]
-        delta = x[self.ei] - x[self.ej]
-        return float(self.d @ x), -self.w * delta ** 2
+        """phi and its gradient on the free edges at free-edge values sf: one
+        F x F Cholesky of M = I + C^1/2 G C^1/2 (module docstring)."""
+        if self.k == 0:
+            # The one configuration opens every free edge, and F = 0 leaves
+            # no M to factor: the backbone's own solve.
+            return self.phi_B, -self.w * self.b ** 2
+        r = np.sqrt(sf * self.w)
+        rb = r * self.b
+        M = r[:, None] * self.G * r
+        M.flat[::len(r) + 1] += 1.0
+        _, z, info = lapack.dposv(M, rb)
+        if info != 0:
+            raise StructuralError("free-edge system is not positive definite")
+        y = self.b - self.G @ (r * z)
+        return self.phi_B - float(rb @ z), -self.w * y ** 2
 
     def leaf(self, on: np.ndarray) -> tuple[float, np.ndarray]:
         """phi and gradient of configuration on, offered once as incumbent.
@@ -91,7 +129,7 @@ class _Search:
         It replaces the incumbent when phi is lower, or ties it and has
         the smaller bitmask.
         """
-        mask = sum(1 << int(b) for b in np.flatnonzero(on))
+        mask = int.from_bytes(np.packbits(on, bitorder="little").tobytes(), "little")
         hit = self.leaves.get(mask)
         if hit is None:
             hit = self.leaves[mask] = self.solve(on.astype(float))
@@ -122,9 +160,11 @@ class _Search:
             return []
         for _ in range(NODE_STEPS):
             phi_s, grad_s = self.solve(sf)
-            # Oracle vertex: the fixed-closed edges and the r most negative unfixed ones.
+            # Oracle vertex: the fixed-closed edges and the r most negative
+            # unfixed ones, ties toward the lower edge (graphs.smallest_k's
+            # set; a stable sort is cheaper on a few dozen entries).
             v = on.copy()
-            v[unfixed[graphs.smallest_k(grad_s[unfixed], r)]] = True
+            v[unfixed[np.argsort(grad_s[unfixed], kind="stable")[:r]]] = True
             gap = float(grad_s @ (sf - v))
             grad_v = self.leaf(v)[1]
             lb = max(lb, phi_s - gap)
@@ -160,6 +200,7 @@ def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int) -> EnumerationResu
     """
     d = graphs.check_demand(g, d)
     t_size = graphs.check_budget(g, q)
+    # The backbone's solve and the final phi are dense n x n solves.
     solver.require_dense(g.n)
     search = _Search(g, d, q - t_size)
     F = len(search.free)
@@ -173,6 +214,10 @@ def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int) -> EnumerationResu
 
     s_best = g.backbone_indicator()
     s_best[search.free] = search.best_on
+    x = solver._shifted_solve(graphs.assemble_laplacian_dense(g, s_best),
+                              search.d[:, None])[:, 0]
+    # A phi beyond the float range comes out as inf.
+    with np.errstate(over="ignore"):
+        best_phi = float(np.ldexp(search.d @ x, 2 * search.exponent))
     return EnumerationResult(best_config=graphs.Configuration(sbin=s_best),
-                             best_phi=search.best_phi,
-                             evaluated_count=search.nodes)
+                             best_phi=best_phi, evaluated_count=search.nodes)

@@ -83,8 +83,12 @@ def lmo_top_q(grad: np.ndarray, g: graphs.Graph, q: int) -> np.ndarray:
 
 
 def fw_gap(grad: np.ndarray, s: np.ndarray, v_star: np.ndarray) -> float:
-    """Certificate gap <grad, s - v*>; nonnegative when v* is the oracle output."""
-    return float(np.asarray(grad) @ (np.asarray(s) - np.asarray(v_star)))
+    """Certificate gap <grad, s - v*>; nonnegative when v* is the oracle output.
+
+    An overflowed gradient gives an infinite or NaN gap, which certifies nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.asarray(grad) @ (np.asarray(s) - np.asarray(v_star)))
 
 
 def certificate(g: graphs.Graph, s: np.ndarray, d: np.ndarray, cfg: FWConfig) -> Certificate:

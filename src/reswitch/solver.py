@@ -169,18 +169,32 @@ def _checked_demand(d, n: int) -> np.ndarray:
     return d
 
 
+def _unit_scaled(d: np.ndarray) -> tuple[np.ndarray, int]:
+    """d scaled by a power of two to max|d| in [1/2, 1), and the exponent k
+    with d = 2^k * scaled (k = 0 for d = 0).
+
+    Scaling by a power of two is exact, so a linear solve on the scaled d
+    gives the solution of d's own scaled back, bit for bit, but no square
+    of d overflows on the way.
+    """
+    exponent = int(np.frexp(np.abs(d).max())[1])
+    return np.ldexp(d, -exponent), exponent
+
+
 def exact_pinv_apply(L, d: np.ndarray) -> np.ndarray:
     """Machine-precision L^+ d for a connected Laplacian: the dense kernel.
 
-    One Cholesky solve of the positive definite L + 1/n, refused unless its
-    residual is small (_shifted_solve); the tests compare it against an LU
+    One Cholesky solve of the positive definite L + 1/n on d scaled by a
+    power of two (_unit_scaled), refused unless its residual is small
+    (_shifted_solve), and scaled back; the tests compare it against an LU
     oracle of their own. d is checked as every demand is (_checked_demand).
     """
     Ld = _as_dense(L)
     d = _checked_demand(d, Ld.shape[0])
     if not d.any():
         return np.zeros(Ld.shape[0])
-    return _shifted_solve(Ld, d[:, None])[:, 0]
+    d, exponent = _unit_scaled(d)
+    return np.ldexp(_shifted_solve(Ld, d[:, None])[:, 0], exponent)
 
 
 # SuperLU settings of every grounded factor. A grounded Laplacian is
@@ -482,9 +496,9 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
     docstring, at every size; the context is required (InvalidInputError
     without one) and only read, so the result does not depend on earlier
     solves. d is checked once (_checked_demand). CG runs on d scaled by a
-    power of two to max|d| in [1/2, 1), and x is scaled back. Scaling by a
-    power of two is exact, so the iterates are d's own, but no energy
-    overflows on the way: a phi beyond the float range comes out as inf.
+    power of two (_unit_scaled), and x is scaled back: the iterates are d's
+    own, but no energy overflows on the way, so a phi beyond the float range
+    comes out as inf.
     """
     if context is None:
         raise InvalidInputError("a solve needs a context")
@@ -493,8 +507,7 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
     d = _checked_demand(d, n)
     if not d.any():
         return SolveResult(np.zeros(n), 0, 0.0)
-    exponent = int(np.frexp(np.abs(d).max())[1])
-    d = np.ldexp(d, -exponent)
+    d, exponent = _unit_scaled(d)
 
     tree = context.tree
     tree_is_M = context.on_tree(L)

@@ -272,10 +272,9 @@ def test_overflowed_phi_is_not_certified(tmp_path):
     d[0], d[-1] = 1e155, -1e155
     graphs.write_instance(large, oracles.ring(65), d, 65)
     for inst in (small, large):
-        with np.errstate(over="ignore", invalid="ignore"):
-            records = {cmd: run_json([cmd, "--input", str(inst)],
-                                     tmp_path / f"{cmd}.json")["record"]
-                       for cmd in ("solve", "certify")}
+        records = {cmd: run_json([cmd, "--input", str(inst)],
+                                 tmp_path / f"{cmd}.json")["record"]
+                   for cmd in ("solve", "certify")}
         for cmd, record in records.items():
             cert = record["certificate"]
             assert cert["certified"] is False and cert["phi_value"] == np.inf, (inst, cmd)

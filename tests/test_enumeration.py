@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from reswitch import enumeration, graphs, solver
+from reswitch import cli, enumeration, graphs, solver
 from reswitch.errors import CapExceededError, InvalidInputError
 
 
@@ -225,3 +227,96 @@ def test_matches_oracle_on_random_instances():
             assert abs(res.best_phi - low) <= 1e-12 * low, (k, q)
             budgets += 1
     assert budgets > 1000
+
+
+def dense_node_solve(g, search, sf):
+    """phi and free-edge gradient at free-edge values sf on the search's
+    demand, from one n x n solve of the dense kernel: the node solve the
+    search made before it solved in the free-edge space."""
+    s = g.backbone_indicator()
+    s[search.free] = sf
+    x = solver._shifted_solve(graphs.assemble_laplacian_dense(g, s), search.d[:, None])[:, 0]
+    delta = x[g.ei[search.free]] - x[g.ej[search.free]]
+    return float(search.d @ x), -search.w * delta ** 2
+
+
+def test_free_edge_solve_matches_the_dense_kernel():
+    # A CLI instance; a chord ring on a path backbone, where the backbone's
+    # phi is many times the switched one's, so phi = phi_B - (C^1/2 b)^T z
+    # cancels most of its digits; and a backbone with a cycle beside a free
+    # edge parallel to a backbone edge. Free values include exact 0 and 1.
+    cycle = graphs.make_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (2, 3, 1.0),
+                                  (2, 3, 1.5), (0, 3, 0.7), (1, 3, 1.2)], [0, 1, 2, 3])
+    cases = [cli.generate_instance(30, 16, 3), oracles.chord_ring(300, 1),
+             (cycle, np.array([1.0, -0.5, 0.25, -0.75]))]
+    rng = np.random.default_rng(5)
+    for g, d in cases:
+        search = enumeration._Search(g, graphs.check_demand(g, d), 1)
+        F = len(search.free)
+        ratios = []
+        for _ in range(20):
+            sf = rng.random(F)
+            sf[rng.random(F) < 0.3] = 0.0
+            sf[rng.random(F) < 0.3] = 1.0
+            phi, grad = search.solve(sf)
+            phi_ref, grad_ref = dense_node_solve(g, search, sf)
+            assert phi == pytest.approx(phi_ref, rel=1e-12, abs=0), g.n
+            assert_allclose(grad, grad_ref, rtol=0, atol=1e-12 * np.abs(grad_ref).max())
+            ratios.append(search.phi_B / phi_ref)
+        if g.n == 300:
+            assert max(ratios) > 10
+
+
+def test_no_free_edge_or_none_to_close_gives_the_backbone():
+    # F = 0 (every edge in the backbone) and k = 0 (q = |T|): the backbone
+    # is the only configuration, the root its only node, and best_phi the
+    # dense kernel's.
+    path = graphs.make_graph(3, [(0, 1, 1.0), (1, 2, 2.0)], [0, 1])
+    d_path = np.array([1.0, 0.5, -1.5])
+    tree, d_tree = instance(3, n=7, extra=5, demand="gauss")
+    for g, d, q in ((path, d_path, 2), (path, d_path, 5), (tree, d_tree, tree.n - 1)):
+        res = enumeration.enumerate_optimal(g, d, q)
+        s = g.backbone_indicator()
+        assert_array_equal(res.best_config.sbin, s)
+        L = graphs.assemble_laplacian_dense(g, s)
+        assert res.best_phi == float(d @ solver.exact_pinv_apply(L, d))
+        assert res.evaluated_count == 1
+
+
+def test_overflowed_best_phi_is_inf():
+    # On the +-1e155 triangle phi overflows; the search runs on the scaled
+    # demand and reports inf, with no warning on the way.
+    d = np.array([1e155, 0.0, -1e155])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = enumeration.enumerate_optimal(triangle(), d, 3)
+    assert res.best_phi == np.inf
+    assert_array_equal(res.best_config.sbin, [1.0, 1.0, 1.0])
+
+
+def test_two_dense_solves_per_search(monkeypatch):
+    # The backbone's solve on [d, U] and the best configuration's phi are
+    # the only n x n solves; every node solve is F x F.
+    shapes = []
+    shifted = solver._shifted_solve
+    monkeypatch.setattr(solver, "_shifted_solve",
+                        lambda L, D: shapes.append(L.shape) or shifted(L, D))
+    g, d = cli.generate_instance(30, 16, 1)
+    res = enumeration.enumerate_optimal(g, d, cli.default_budget(g))
+    assert res.evaluated_count > 10
+    assert shapes == [(g.n, g.n)] * 2
+
+
+def test_matches_the_dense_node_search(monkeypatch):
+    # The same search with every node solve an n x n dense solve, as before
+    # the free-edge space, picks the same configuration and best_phi.
+    for n, extra, seed in ((100, 20, 1), (150, 20, 2), (200, 16, 5)):
+        g, d = cli.generate_instance(n, extra, seed)
+        q = cli.default_budget(g)
+        res = enumeration.enumerate_optimal(g, d, q)
+        with monkeypatch.context() as m:
+            m.setattr(enumeration._Search, "solve",
+                      lambda search, sf: dense_node_solve(g, search, sf))
+            ref = enumeration.enumerate_optimal(g, d, q)
+        assert_array_equal(res.best_config.sbin, ref.best_config.sbin)
+        assert res.best_phi == ref.best_phi

@@ -218,21 +218,20 @@ def test_overflowed_phi_never_certifies():
     # all-closed point.
     g = oracles.ring(3)
     cfg = frankwolfe.FWConfig(q=3, alpha=0.05)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, cert, _ = frankwolfe.run(g, np.array([1e154, 0.0, -1e154]), cfg)
-        assert cert.certified and np.isfinite(cert.phi_value) and np.isfinite(cert.gap)
-        assert_array_equal(s, np.ones(3))
-        for n in (3, 65, 100):
-            g = oracles.ring(n)
-            cfg = frankwolfe.FWConfig(q=n, alpha=0.05)
-            d = np.zeros(n)
-            d[0], d[-1] = 1e155, -1e155
-            _, cert, trace = frankwolfe.run(g, d, cfg)
-            assert not cert.certified and cert.bound_factor is None, n
-            assert cert.phi_value == np.inf, n
-            assert len(trace.records) == 1, n  # no step past the start can be compared
-            for point in (g.backbone_indicator(), np.ones(n)):
-                assert not frankwolfe.certificate(g, point, d, cfg).certified, n
+    s, cert, _ = frankwolfe.run(g, np.array([1e154, 0.0, -1e154]), cfg)
+    assert cert.certified and np.isfinite(cert.phi_value) and np.isfinite(cert.gap)
+    assert_array_equal(s, np.ones(3))
+    for n in (3, 65, 100):
+        g = oracles.ring(n)
+        cfg = frankwolfe.FWConfig(q=n, alpha=0.05)
+        d = np.zeros(n)
+        d[0], d[-1] = 1e155, -1e155
+        _, cert, trace = frankwolfe.run(g, d, cfg)
+        assert not cert.certified and cert.bound_factor is None, n
+        assert cert.phi_value == np.inf, n
+        assert len(trace.records) == 1, n  # no step past the start can be compared
+        for point in (g.backbone_indicator(), np.ones(n)):
+            assert not frankwolfe.certificate(g, point, d, cfg).certified, n
 
 
 def test_budget_monotonicity():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from hypothesis import example, given, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from reswitch import cli, congestion, frankwolfe, graphs, solver
@@ -98,6 +99,23 @@ def test_exact_pinv_apply_rejects_a_non_symmetric_matrix():
     assert lapack.dposv(U + 1.0 / g.n, d[:, None])[2] == 0
     with pytest.raises(StructuralError):
         solver.exact_pinv_apply(U, d)
+
+
+def test_exact_pinv_apply_scales_a_huge_demand():
+    # At +-1e155 the squares of d overflow. The kernel solves on d scaled by
+    # a power of two, so it warns of nothing, its x is d's own unscaled
+    # solve, bit for bit, and its residual check still refuses a
+    # non-symmetric matrix.
+    L = graphs.assemble_laplacian_dense(oracles.ring(3), np.ones(3))
+    d = np.array([1e155, 0.0, -1e155])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solver.exact_pinv_apply(L, d)
+    with np.errstate(over="ignore"):
+        assert_array_equal(x, solver._shifted_solve(L, d[:, None])[:, 0])
+    g, s, d = instance(4, n=12, extra=8)
+    with pytest.raises(StructuralError):
+        solver.exact_pinv_apply(np.triu(graphs.assemble_laplacian_dense(g, s)), 1e155 * d)
 
 
 def test_dense_solves_refuse_a_non_square_matrix():
