@@ -27,6 +27,8 @@ from .errors import (CapExceededError, InvalidInputError, NumericalError,
                      StructuralError)
 
 SCHEMA_VERSION = 1
+EPSILON_HELP = ("relative accuracy of every reported phi (default 1e-8); CG solves "
+                "stop at energy accuracy sqrt(epsilon)")
 
 
 @dataclass(frozen=True)
@@ -428,7 +430,7 @@ def _add_common(p: argparse.ArgumentParser, *names) -> None:
         "alpha": lambda: p.add_argument("--alpha", type=float),
         "delta": lambda: p.add_argument("--delta", type=float),
         "repeats": lambda: p.add_argument("--repeats", type=int),
-        "solver": lambda: (p.add_argument("--epsilon", type=float),
+        "solver": lambda: (p.add_argument("--epsilon", type=float, help=EPSILON_HELP),
                            p.add_argument("--max-iterations", dest="max_iterations", type=int)),
     }
     for name in names:
@@ -481,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="per-iteration timing across sizes")
     p.add_argument("--sizes", required=True, help="comma list of n:m pairs")
     p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--epsilon", type=float, help=EPSILON_HELP)
     _add_common(p, "output", "format", "seed", "alpha")
     p.set_defaults(func=_cmd_bench)
     return ap

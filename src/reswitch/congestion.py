@@ -1,7 +1,11 @@
 """Congestion objective phi(s) = d^T L_s^+ d and its derivatives.
 
 One approximate solve yields the value, the per-edge voltage differences
-Delta_e, and the full gradient (grad phi)_e = -w_e Delta_e^2 at once. The
+Delta_e, and the full gradient (grad phi)_e = -w_e Delta_e^2 at once.
+SolverConfig.epsilon is read as the relative accuracy of phi. CG from
+zero misses phi by exactly its error energy, so a solve to energy
+accuracy sqrt(epsilon) gives phi_lb <= phi <= phi_lb + bound <= (1 +
+epsilon) phi_lb, and the value d^T x_hat equals phi_lb up to round-off. The
 exact dense path backs the small-instance oracles: the gradient, and the
 Hessian via the factorization H = 2 diag(zeta) P diag(zeta) with zeta_e =
 sqrt(w_e) Delta_e and P = W^{1/2} A L^+ A^T W^{1/2}, A the signed
@@ -9,7 +13,8 @@ incidence matrix with rows a_e.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,12 +26,17 @@ class DiffResult:
     """Gradient bundle from a single solve.
 
     grad_e = -w_e * delta_e^2 holds by construction, so every entry is
-    nonpositive; phi is the congestion value d^T x_hat.
+    nonpositive; phi is the congestion value d^T x_hat. The true phi lies
+    in [phi_lb, phi_lb + bound], from the solve (solver.SolveResult); the
+    dense kernel gives phi_lb = phi, bound = 0 and cg_iterations = 0.
     """
 
     grad: np.ndarray
     delta: np.ndarray
     phi: float
+    phi_lb: float
+    bound: float
+    cg_iterations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,36 +53,43 @@ def make_context(g: graphs.Graph,
     return g.context
 
 
-def _voltages(g, s, d, cfg):
+def _voltages(g, s, d, cfg) -> solver.SolveResult:
     # The one place a kernel is picked, by size. At or below the threshold
     # one dense Cholesky solve is exact and cheaper than CG; assembly
     # checks s and the kernel checks d. Above it, certified CG runs on the
-    # graph's context, which is built only there.
+    # graph's context, which is built only there, to energy accuracy
+    # sqrt(epsilon): that puts phi itself within relative epsilon.
     if g.n <= solver.SolverConfig.dense_threshold:
-        return solver.exact_pinv_apply(graphs.assemble_laplacian_dense(g, s), d)
+        x = solver.exact_pinv_apply(graphs.assemble_laplacian_dense(g, s), d)
+        with np.errstate(over="ignore"):
+            return solver.SolveResult(x, 0, 0.0, float(d @ x), 0.0)
+    cfg = cfg or solver.SolverConfig()
     L = graphs.assemble_laplacian(g, s)
-    return solver.solve(L, d, cfg, context=g.context).x
+    return solver.solve(L, d, replace(cfg, epsilon=math.sqrt(cfg.epsilon)),
+                        context=g.context)
 
 
 def phi(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
         cfg: solver.SolverConfig | None = None) -> float:
-    """Congestion d^T L_s^+ d of the switched graph, from one solve; a phi
-    beyond the float range comes out as inf."""
-    x = _voltages(g, s, d, cfg)
+    """Congestion d^T L_s^+ d of the switched graph, within relative
+    epsilon, from one solve; a phi beyond the float range comes out as inf."""
+    x = _voltages(g, s, d, cfg).x
     with np.errstate(over="ignore"):
         return float(d @ x)
 
 
 def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
                 cfg: solver.SolverConfig | None = None) -> DiffResult:
-    """Value, voltage differences, and gradient from one solve.
+    """Value, voltage differences, gradient and phi's interval from one solve.
 
     A phi or gradient entry beyond the float range comes out as inf.
     """
-    x = _voltages(g, s, d, cfg)
-    delta = x[g.ei] - x[g.ej]
+    res = _voltages(g, s, d, cfg)
+    delta = res.x[g.ei] - res.x[g.ej]
     with np.errstate(over="ignore"):
-        return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=float(d @ x))
+        return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=float(d @ res.x),
+                          phi_lb=res.phi_lb, bound=res.bound,
+                          cg_iterations=res.iterations)
 
 
 def exact_gradient(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -3,9 +3,15 @@
 The feasible set is the unit cube with backbone entries pinned to 1 and
 total mass at most q. Its linear minimization oracle keeps the backbone
 and closes the q - |T| switchable edges with the most negative gradient
-entries. The gap <grad, s - v*> certifies approximation quality: once it
-falls below tau * phi(s) with tau = alpha/(1+alpha), the iterate is
-within a (1+alpha) factor of the constrained optimum.
+entries. The gap <grad, s - v*> certifies approximation quality through
+an interval that holds at any solve accuracy. With phi_lb and bound from
+the solve at s (congestion.DiffResult), every point s' of the polytope has
+phi(s') >= phi_lb + <grad, s' - s>, so the optimum is at least
+lower_bound = phi_lb - gap (Frank-Wolfe duality), while phi(s) is at most
+upper_bound = phi_lb + bound. Once upper_bound <= (1+alpha) lower_bound,
+the iterate is within a (1+alpha) factor of the constrained optimum. At an
+exact solve (bound = 0, phi_lb = phi) this is gap <= tau * phi with tau =
+alpha/(1+alpha).
 
 Steps follow the 2/(t+2) schedule, but each step's objective is evaluated
 first and a step that would increase it is skipped (the monotone guard),
@@ -14,6 +20,7 @@ analysis still applies.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -43,21 +50,33 @@ class FWConfig:
 
 @dataclass(frozen=True)
 class Certificate:
+    """The gap at a point, tau = alpha/(1+alpha), phi_value = d^T x_hat, and
+    the interval: the optimum is at least lower_bound and phi at the point
+    at most upper_bound (module docstring). certified holds iff both ends
+    are finite and upper_bound <= (1+alpha) lower_bound; bound_factor is
+    then 1 + alpha."""
     gap: float
     tau: float
     phi_value: float
     certified: bool
     bound_factor: float | None
+    lower_bound: float
+    upper_bound: float
 
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iterate: its phi and gap, the step size tried from it, ||s||_1,
+    and cg_iterations, the CG iterations of the solve made since the
+    previous record (the start's solve, then the step tried from the
+    previous iterate, accepted or not; 0 on the dense kernel)."""
     iteration: int
     phi: float
     gap: float
     eta: float
     l1: float
     wall_time: float
+    cg_iterations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,16 +125,20 @@ def certificate(g: graphs.Graph, s: np.ndarray, d: np.ndarray, cfg: FWConfig) ->
             f"switch vector closes {s.sum():.12g} edges, above the budget q={cfg.q}")
     diff = congestion.approx_diff(g, s, d, cfg.solver)
     v = lmo_top_q(diff.grad, g, cfg.q)
-    gap = fw_gap(diff.grad, s, v)
-    return _certificate(gap, cfg.alpha, diff.phi)
+    return _certificate(diff, fw_gap(diff.grad, s, v), cfg.alpha)
 
 
-def _certificate(gap: float, alpha: float, phi_value: float) -> Certificate:
-    tau = alpha / (1.0 + alpha)
-    # An overflowed phi or gap bounds nothing (inf <= tau * inf holds).
-    certified = bool(np.isfinite(phi_value) and np.isfinite(gap)) and gap <= tau * phi_value
-    return Certificate(gap=gap, tau=tau, phi_value=phi_value, certified=certified,
-                       bound_factor=(1.0 + alpha) if certified else None)
+def _certificate(diff: congestion.DiffResult, gap: float, alpha: float) -> Certificate:
+    # phi* >= phi_lb - gap over the budget polytope, and phi(s) <= phi_lb + bound.
+    # An overflowed bound bounds nothing (inf <= inf holds), and neither does NaN.
+    lower = diff.phi_lb - gap
+    upper = diff.phi_lb + diff.bound
+    certified = bool(math.isfinite(lower) and math.isfinite(upper)
+                     and upper <= (1.0 + alpha) * lower)
+    return Certificate(gap=gap, tau=alpha / (1.0 + alpha), phi_value=diff.phi,
+                       certified=certified,
+                       bound_factor=(1.0 + alpha) if certified else None,
+                       lower_bound=lower, upper_bound=upper)
 
 
 def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
@@ -139,11 +162,11 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
     s = g.backbone_indicator()
     diff = congestion.approx_diff(g, s, d, cfg.solver)
     records = []
+    spent = diff.cg_iterations
     # The guard keeps phi non-increasing, so the best iterate is the last
     # one, except that a tie goes to the earliest iterate with that phi.
     best_phi = np.inf
-    best_s = s
-    best_gap = np.inf
+    best_s, best_cert = s, None
 
     for t in range(cfg.max_iterations):
         v = lmo_top_q(diff.grad, g, cfg.q)
@@ -151,18 +174,20 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
         eta = 2.0 / (t + 2.0)
         records.append(IterationRecord(iteration=t, phi=diff.phi, gap=gap, eta=eta,
                                        l1=float(s.sum()),
-                                       wall_time=time.perf_counter() - start))
-        cert = _certificate(gap, cfg.alpha, diff.phi)
+                                       wall_time=time.perf_counter() - start,
+                                       cg_iterations=spent))
+        cert = _certificate(diff, gap, cfg.alpha)
         if cert.certified:
             return s, cert, FWTrace(tuple(records))
-        if diff.phi < best_phi:
-            best_phi, best_s, best_gap = diff.phi, s, gap
+        if best_cert is None or diff.phi < best_phi:
+            best_phi, best_s, best_cert = diff.phi, s, cert
 
         s_try = (1.0 - eta) * s + eta * v
         s_try[bb] = 1.0
         np.clip(s_try, 0.0, 1.0, out=s_try)
         assert s_try.sum() <= cfg.q + BUDGET_SLACK
         diff_try = congestion.approx_diff(g, s_try, d, cfg.solver)
+        spent = diff_try.cg_iterations
         # Overflowed on both sides, no step can be compared or certified.
         if not (np.isfinite(diff.phi) or np.isfinite(diff_try.phi)):
             break
@@ -171,9 +196,9 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
         s, diff = s_try, diff_try
 
     # The budget ran out: the last accepted step was solved but not yet
-    # compared, so certify it from that solve before choosing.
+    # compared, so certify it from its own solve before choosing.
     if diff.phi < best_phi:
-        best_phi, best_s = diff.phi, s
-        best_gap = fw_gap(diff.grad, s, lmo_top_q(diff.grad, g, cfg.q))
-    return best_s, _certificate(best_gap, cfg.alpha, best_phi), FWTrace(tuple(records))
-
+        best_s = s
+        best_cert = _certificate(diff, fw_gap(diff.grad, s, lmo_top_q(diff.grad, g, cfg.q)),
+                                 cfg.alpha)
+    return best_s, best_cert, FWTrace(tuple(records))

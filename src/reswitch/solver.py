@@ -11,8 +11,14 @@ and L_T^+ r is exact in O(n), with no factorization, when T is a spanning
 tree: two prefix sums over it (TreeFactor). For a backbone with cycles or
 parallel edges, T is a maximum-weight spanning tree of its merged edges,
 which the backbone's Laplacian dominates, so the bound holds with it.
-Combined with the lower bound 2 d^T x - x^T L x <= d^T L^+ d this yields a
-deterministic certificate, whatever preconditioner drives the iteration.
+Combined with the lower bound phi_lb = 2 d^T x - x^T L x <= d^T L^+ d this
+yields a deterministic certificate, whatever preconditioner drives the
+iteration. The same two numbers bound phi = d^T L^+ d itself: phi - phi_lb
+is exactly the error energy above, so phi_lb <= phi <= phi_lb + r^T L_T^+ r
+(Thomson's principle on the flow of x plus the tree flow of r gives the
+same upper end). A solve returns both, so energy accuracy epsilon puts phi
+within relative epsilon^2; congestion asks for the square root of the phi
+accuracy it wants.
 
 solve runs preconditioned CG at every size, at most
 SolverConfig.max_iterations (5000) iterations, and requires a solve
@@ -76,8 +82,10 @@ DENSE_CAP = 2000
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """epsilon, the solve accuracy, is the only setting; CG's iteration cap
-    is a class constant, not a field. dense_threshold is the node count up
+    """epsilon, the solve accuracy, is the only setting: solve reads it in
+    the energy norm, congestion as phi's relative accuracy, which it gets
+    by asking solve for sqrt(epsilon). CG's iteration cap is a class
+    constant, not a field. dense_threshold is the node count up
     to which congestion solves with the exact dense kernel instead of
     calling solve (congestion._voltages)."""
     epsilon: float = 1e-8
@@ -95,9 +103,14 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
+    """x_hat, CG's iterations, the certified relative energy error, and the
+    interval phi_lb <= d^T L^+ d <= phi_lb + bound from the last bound
+    evaluation (module docstring); a zero demand gives 0 for both."""
     x: np.ndarray
     iterations: int
     achieved_residual: float
+    phi_lb: float
+    bound: float
 
 
 def project_zero_mean(v: np.ndarray) -> np.ndarray:
@@ -498,7 +511,9 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
     solves. d is checked once (_checked_demand). CG runs on d scaled by a
     power of two (_unit_scaled), and x is scaled back: the iterates are d's
     own, but no energy overflows on the way, so a phi beyond the float range
-    comes out as inf.
+    comes out as inf. The result also carries phi_lb and bound from the
+    bound evaluation that stopped CG, scaled back by 4^k: phi_lb <= d^T L^+ d
+    <= phi_lb + bound <= (1 + epsilon^2) phi_lb.
     """
     if context is None:
         raise InvalidInputError("a solve needs a context")
@@ -506,7 +521,7 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
     n = L.shape[0]
     d = _checked_demand(d, n)
     if not d.any():
-        return SolveResult(np.zeros(n), 0, 0.0)
+        return SolveResult(np.zeros(n), 0, 0.0, 0.0, 0.0)
     d, exponent = _unit_scaled(d)
 
     tree = context.tree
@@ -543,7 +558,11 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
             bound = rz_new if tree_is_M else tree.quadform(r)
             achieved = float(np.sqrt(max(bound, 0.0) / phi_lb)) if phi_lb > 0 else float("inf")
             if (phi_lb > 0.0 and bound <= eps2 * phi_lb) or bound <= 0.0:
-                return SolveResult(np.ldexp(project_zero_mean(x), exponent), it, achieved)
+                # Energies scale by 4^k, which may overflow to inf.
+                with np.errstate(over="ignore"):
+                    phi_lb, bound = np.ldexp([phi_lb, max(bound, 0.0)], 2 * exponent)
+                return SolveResult(np.ldexp(project_zero_mean(x), exponent), it, achieved,
+                                   float(phi_lb), float(bound))
             if last:
                 raise NumericalError(
                     f"solve did not converge in {it} iterations "

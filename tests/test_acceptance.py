@@ -177,6 +177,90 @@ def test_criterion_06_certificate_soundness_on_cg(monkeypatch, mode):
               f"over 36 (instance, alpha) cases, n = 65-120; worst ratio {worst:.6f}")
 
 
+# Relative round-off allowed when an interval end meets the dense reference.
+ROUNDOFF = 1e-11
+
+
+def dense_phi(g, s, d):
+    """phi(s) from the dense kernel: one Cholesky solve, independent of CG."""
+    return float(d @ solver.exact_pinv_apply(graphs.assemble_laplacian_dense(g, s), d))
+
+
+def interval_problems(g, s, d, cert, scfg):
+    """How a certified output's interval fails the true phi, if it does.
+
+    The true phi of s must lie in [phi_lb, upper_bound], and phi_value
+    within epsilon of it. The certificate's phi_lb and bound are those of
+    congestion's solve at s, which a second solve reproduces.
+    """
+    diff = congestion.approx_diff(g, s, d, scfg)
+    true = dense_phi(g, s, d)
+    problems = []
+    if not (cert.lower_bound == diff.phi_lb - cert.gap
+            and cert.upper_bound == diff.phi_lb + diff.bound):
+        problems.append("interval is not the solve's")
+    if not diff.phi_lb <= true * (1.0 + ROUNDOFF):
+        problems.append(f"phi_lb {diff.phi_lb!r} above phi {true!r}")
+    if not true <= cert.upper_bound * (1.0 + ROUNDOFF):
+        problems.append(f"phi {true!r} above upper_bound {cert.upper_bound!r}")
+    if not abs(cert.phi_value / true - 1.0) <= scfg.epsilon + ROUNDOFF:
+        problems.append(f"phi_value {cert.phi_value!r} not within epsilon of {true!r}")
+    return problems
+
+
+# Graph families the benchmark runs, well above the dense threshold.
+AT_SCALE = {
+    "cli-expander": lambda: cli.generate_instance(1000, 2000, seed=1, demand="gauss",
+                                                  multigraph=True),
+    "chord-ring": lambda: oracles.chord_ring(1000, seed=1),
+    "grid-comb": lambda: oracles.grid_comb(25, 25, seed=1),
+}
+
+
+@pytest.mark.parametrize("mode", oracles.POLICY)
+def test_criterion_06_certificate_interval_on_cg(monkeypatch, mode):
+    # Criterion 6's interval on the path that runs at scale: each certified
+    # output's true phi, from the dense kernel, lies in [phi_lb,
+    # upper_bound], at the default epsilon and at a loose one whose
+    # interval is wide enough to miss; on instances small enough to
+    # enumerate, the exact binary optimum lies above lower_bound.
+    monkeypatch.setattr(solver, "FILL_BUDGET", oracles.POLICY[mode])
+    problems = []
+    checked = 0
+    widest = 0.0
+    cases = [(name, make()) for name, make in AT_SCALE.items()]
+    rng = np.random.default_rng(616)
+    for k in range(6):
+        n = int(rng.integers(65, 121))
+        free = int(rng.integers(6, 13))
+        cases.append((f"random-{n}", oracles.random_instance(
+            rng, n, free, multigraph=True, demand="gauss")))
+    for name, (g, d) in cases:
+        assert g.context.mode == mode, name
+        free = int((~g.backbone_mask).sum())
+        q = int(g.backbone_mask.sum()) + free // 2
+        best = enumeration.enumerate_optimal(g, d, q).best_phi if free <= 12 else None
+        for eps in (1e-8, 1e-4):
+            scfg = solver.SolverConfig(epsilon=eps)
+            for alpha in (0.05, 0.5):
+                cfg = frankwolfe.FWConfig(q=q, alpha=alpha, solver=scfg)
+                s, cert, _ = frankwolfe.run(g, d, cfg)
+                if not cert.certified:
+                    problems.append(f"{name}, eps {eps}, alpha {alpha}: not certified")
+                    continue
+                checked += 1
+                widest = max(widest, (cert.upper_bound - cert.lower_bound) / cert.phi_value)
+                problems += [f"{name}, eps {eps}, alpha {alpha}: {p}"
+                             for p in interval_problems(g, s, d, cert, scfg)]
+                if best is not None and best < cert.lower_bound * (1.0 - ROUNDOFF):
+                    problems.append(f"{name}, eps {eps}, alpha {alpha}: best binary "
+                                    f"{best!r} below lower_bound {cert.lower_bound!r}")
+    criterion(6, f"certificate-interval-cg-{mode}", not problems and checked == 36,
+              f"{len(problems)} problems in {checked} certified runs over 9 instances "
+              f"x 2 epsilons x 2 alphas, n = 65-1000; widest (UB - LB)/phi "
+              f"{widest:.3f}; {problems[:1]}")
+
+
 def test_criterion_07_iteration_bound():
     rng = np.random.default_rng(107)
     violations = 0
@@ -328,6 +412,39 @@ def test_criterion_11_solver_contract(monkeypatch):
     criterion(11, "solver-energy-contract", violations == 0,
               f"{violations} violations over 200 instances x 2 epsilons; "
               f"worst err/eps {worst:.3f}")
+
+
+def test_criterion_11_solver_contract_direct():
+    # Criterion 11 on the direct path, which its backbone-only contexts
+    # never take: grid combs and chord rings above the dense threshold, on
+    # the graph's own context. The solve's interval holds the exact phi.
+    rng = np.random.default_rng(1111)
+    worst = 0.0
+    violations = 0
+    for k in range(40):
+        if k % 2:
+            g, d = oracles.chord_ring(int(rng.integers(65, 401)), seed=k)
+        else:
+            g, d = oracles.grid_comb(int(rng.integers(9, 21)), int(rng.integers(9, 21)), seed=k)
+        assert g.context.mode == "direct"
+        s = oracles.random_fractional(rng, g)
+        L = graphs.assemble_laplacian(g, s)
+        Ld = L.toarray()
+        x_star = solver.pinv_laplacian(Ld) @ d
+        den = float(x_star @ (Ld @ x_star))
+        for eps in (1e-2, 1e-6):
+            res = solver.solve(L, d, solver.SolverConfig(epsilon=eps), context=g.context)
+            e = res.x - x_star
+            rel = np.sqrt(max(float(e @ (Ld @ e)), 0.0) / den)
+            worst = max(worst, rel / eps)
+            inside = (res.phi_lb <= den * (1.0 + 1e-11)
+                      and den <= (res.phi_lb + res.bound) * (1.0 + 1e-11))
+            # The reference itself carries round-off of about 1e-14.
+            if rel > eps or res.achieved_residual < rel - 1e-12 or not inside:
+                violations += 1
+    criterion(11, "solver-energy-contract-direct", violations == 0,
+              f"{violations} violations over 40 grid-comb and chord-ring instances, "
+              f"n = 65-400, x 2 epsilons; worst err/eps {worst:.2e}")
 
 
 def test_criterion_12_performance_scaling():

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from reswitch import cli, congestion, frankwolfe, graphs
+from reswitch import cli, congestion, frankwolfe, graphs, solver
 from reswitch.errors import InvalidInputError
 
 
@@ -177,6 +179,65 @@ def test_run_out_of_iterations_keeps_the_last_accepted_step():
     again = frankwolfe.certificate(g, s, d, cfg)
     assert (cert.phi_value, cert.gap) == pytest.approx((again.phi_value, again.gap),
                                                        rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", oracles.POLICY)
+def test_run_out_of_iterations_certifies_its_iterate_from_that_solve(monkeypatch, mode):
+    # When the budget ends just after the guard rejected a step, the run
+    # returns the iterate before it, certified from that iterate's own
+    # solve, interval included, not from the rejected step's: its
+    # certificate is the one a fresh certificate at it gives, on the dense
+    # kernel (n = 10) and on CG (n = 80).
+    monkeypatch.setattr(solver, "FILL_BUDGET", oracles.POLICY[mode])
+    for (g, d), head, k in ((instance(9, n=10, extra=9, demand="gauss"), 2, 8),
+                            (instance(1, n=80, extra=12, demand="gauss"), 1, 2)):
+        cfg = frankwolfe.FWConfig(q=g.n + head, alpha=0.005, max_iterations=k)
+        s, cert, _ = frankwolfe.run(g, d, cfg)
+        _, _, longer = frankwolfe.run(g, d, replace(cfg, max_iterations=k + 1))
+        assert longer.records[k].phi == longer.records[k - 1].phi, g.n  # rejected
+        assert not cert.certified, g.n
+        assert cert == frankwolfe.certificate(g, s, d, cfg), g.n
+
+
+def test_dense_verdict_is_the_gap_test():
+    # On the dense kernel phi_lb = phi and bound = 0, so upper_bound <=
+    # (1 + alpha) lower_bound is the gap test gap <= tau * phi.
+    rng = np.random.default_rng(23)
+    verdicts = []
+    for _ in range(20):
+        g, d = oracles.random_instance(rng, int(rng.integers(5, 12)), int(rng.integers(3, 9)),
+                                       demand="gauss")
+        q = g.n - 1 + int(rng.integers(1, g.m - g.n + 2))
+        for alpha in (0.05, 0.5):
+            for k in (1, 2, 4, 8, 100):
+                cfg = frankwolfe.FWConfig(q=q, alpha=alpha, max_iterations=k)
+                s, _, _ = frankwolfe.run(g, d, cfg)
+                cert = frankwolfe.certificate(g, s, d, cfg)
+                assert cert.upper_bound == cert.phi_value
+                assert cert.lower_bound == cert.phi_value - cert.gap
+                assert cert.certified == (cert.gap <= cert.tau * cert.phi_value)
+                verdicts.append(cert.certified)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_trace_counts_each_solve_cg_iterations():
+    # Each record carries the CG iterations of the solve made since the one
+    # before: the tree solve at the backbone indicator takes one, and a step
+    # on an expander, solved for phi to epsilon, takes about half of a
+    # solve to energy accuracy epsilon.
+    g, d = cli.generate_instance(2000, 4000, seed=1, demand="gauss", multigraph=True)
+    cfg = frankwolfe.FWConfig(q=cli.default_budget(g), alpha=0.05)
+    s, cert, trace = frankwolfe.run(g, d, cfg)
+    assert g.context.mode == "jacobi" and cert.certified
+    its = [rec.cg_iterations for rec in trace.records]
+    assert its[0] == 1 and min(its[1:]) > 1
+    step = congestion.approx_diff(g, s, d, cfg.solver).cg_iterations
+    full = solver.solve(graphs.assemble_laplacian(g, s), d, cfg.solver, context=g.context)
+    assert 0.35 * full.iterations <= step <= 0.7 * full.iterations
+    # The dense kernel runs no CG.
+    g, d = instance(3)
+    _, _, trace = frankwolfe.run(g, d, frankwolfe.FWConfig(q=g.n, alpha=0.05))
+    assert all(rec.cg_iterations == 0 for rec in trace.records)
 
 
 def test_run_is_deterministic():

@@ -275,6 +275,8 @@ def test_solve_dense_path_is_exact(monkeypatch):
     diff = congestion.approx_diff(g, s, d)
     assert abs(diff.phi - d @ x_star) <= 1e-12 * (d @ x_star)
     assert diff.phi == congestion.phi(g, s, d)
+    # Its interval is the point phi, and it runs no CG.
+    assert (diff.phi_lb, diff.bound, diff.cg_iterations) == (diff.phi, 0.0, 0)
 
 
 def test_solve_zero_demand():
@@ -374,6 +376,24 @@ def test_solve_energy_identity():
         xs.append(solver.solve(L, d, solver.SolverConfig(), context=ctx).x)
     for x, mode in zip(xs, ("dense", g.context.mode, "jacobi")):
         assert abs(float(d @ x) - float(x @ (L @ x))) < 1e-10 * abs(d @ x), mode
+
+
+def test_solve_interval_holds_phi_and_scales_with_the_demand():
+    # phi_lb <= phi <= phi_lb + bound, and the interval of 2^k d is 4^k
+    # times d's, bit for bit, until it overflows to inf without a warning.
+    g, s, d = instance(17, n=200, extra=300)
+    L = graphs.assemble_laplacian(g, s)
+    cfg = solver.SolverConfig(epsilon=1e-3)
+    ctx = backbone_context(g)
+    assert ctx.mode == "jacobi"
+    res = solver.solve(L, d, cfg, context=ctx)
+    phi = oracles.phi(g, s, d)
+    assert res.bound > 0.0
+    assert res.phi_lb <= phi * (1 + 1e-12) and phi <= (res.phi_lb + res.bound) * (1 + 1e-12)
+    assert res.bound <= cfg.epsilon ** 2 * res.phi_lb
+    big = solver.solve(L, np.ldexp(d, 300), cfg, context=ctx)
+    assert (big.phi_lb, big.bound) == (np.ldexp(res.phi_lb, 600), np.ldexp(res.bound, 600))
+    assert solver.solve(L, np.ldexp(d, 520), cfg, context=ctx).phi_lb == np.inf
 
 
 def test_solve_raises_when_budget_exhausted(monkeypatch):
