@@ -5,11 +5,11 @@ Delta_e, and the full gradient (grad phi)_e = -w_e Delta_e^2 at once.
 SolverConfig.epsilon is read as the relative accuracy of phi. CG from
 zero misses phi by exactly its error energy, so a solve to energy
 accuracy sqrt(epsilon) gives phi_lb <= phi <= phi_lb + bound <= (1 +
-epsilon) phi_lb, and the value d^T x_hat equals phi_lb up to round-off. The
-exact dense path backs the small-instance oracles: the gradient, and the
-Hessian via the factorization H = 2 diag(zeta) P diag(zeta) with zeta_e =
-sqrt(w_e) Delta_e and P = W^{1/2} A L^+ A^T W^{1/2}, A the signed
-incidence matrix with rows a_e.
+epsilon) phi_lb, and phi_lb is the one value reported. The exact dense
+path backs the small-instance oracles: the gradient, and the Hessian via
+the factorization H = 2 diag(zeta) P diag(zeta) with zeta_e = sqrt(w_e)
+Delta_e and P = W^{1/2} A L^+ A^T W^{1/2}, A the signed incidence matrix
+with rows a_e.
 """
 from __future__ import annotations
 
@@ -26,15 +26,14 @@ class DiffResult:
     """Gradient bundle from a single solve.
 
     grad_e = -w_e * delta_e^2 holds by construction, so every entry is
-    nonpositive; phi is the congestion value d^T x_hat. The true phi lies
-    in [phi_lb, phi_lb + bound], from the solve (solver.SolveResult); the
-    dense kernel gives phi_lb = phi, bound = 0 and cg_iterations = 0.
+    nonpositive. phi is the solve's certified lower end (solver.SolveResult
+    phi_lb), and the true phi lies in [phi, phi + bound]; the dense kernel
+    gives phi = d^T x, bound = 0 and cg_iterations = 0.
     """
 
     grad: np.ndarray
     delta: np.ndarray
     phi: float
-    phi_lb: float
     bound: float
     cg_iterations: int
 
@@ -56,13 +55,12 @@ def make_context(g: graphs.Graph,
 def _voltages(g, s, d, cfg) -> solver.SolveResult:
     # The one place a kernel is picked, by size. At or below the threshold
     # one dense Cholesky solve is exact and cheaper than CG; assembly
-    # checks s and the kernel checks d. Above it, certified CG runs on the
+    # checks s, then d is checked. Above it, certified CG runs on the
     # graph's context, which is built only there, to energy accuracy
     # sqrt(epsilon): that puts phi itself within relative epsilon.
     if g.n <= solver.SolverConfig.dense_threshold:
-        x = solver.exact_pinv_apply(graphs.assemble_laplacian_dense(g, s), d)
-        with np.errstate(over="ignore"):
-            return solver.SolveResult(x, 0, 0.0, float(d @ x), 0.0)
+        return solver._exact_solve(graphs.assemble_laplacian_dense(g, s),
+                                  graphs.check_demand(g, d))
     cfg = cfg or solver.SolverConfig()
     L = graphs.assemble_laplacian(g, s)
     return solver.solve(L, d, replace(cfg, epsilon=math.sqrt(cfg.epsilon)),
@@ -73,9 +71,7 @@ def phi(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
         cfg: solver.SolverConfig | None = None) -> float:
     """Congestion d^T L_s^+ d of the switched graph, within relative
     epsilon, from one solve; a phi beyond the float range comes out as inf."""
-    x = _voltages(g, s, d, cfg).x
-    with np.errstate(over="ignore"):
-        return float(d @ x)
+    return _voltages(g, s, d, cfg).phi_lb
 
 
 def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
@@ -87,9 +83,8 @@ def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
     res = _voltages(g, s, d, cfg)
     delta = res.x[g.ei] - res.x[g.ej]
     with np.errstate(over="ignore"):
-        return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=float(d @ res.x),
-                          phi_lb=res.phi_lb, bound=res.bound,
-                          cg_iterations=res.iterations)
+        return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=res.phi_lb,
+                          bound=res.bound, cg_iterations=res.iterations)
 
 
 def exact_gradient(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> np.ndarray:

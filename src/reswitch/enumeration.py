@@ -40,7 +40,7 @@ so a node solve is one F x F Cholesky. The search runs on d scaled by a
 power of two (solver._unit_scaled): every phi, gradient and bound is then
 scaled by one power of four, exactly, so no comparison changes and none
 overflows. The best_phi reported is the dense kernel's phi of the chosen
-configuration, a second n x n solve, scaled back.
+configuration, a second n x n solve (solver._exact_solve).
 """
 from __future__ import annotations
 
@@ -76,8 +76,8 @@ class _Search:
     """Incumbent, node count and exact solves of one branch and bound.
 
     Switch values and masks here are indexed by free edge, not by edge.
-    d is the demand scaled by 2^-exponent, and every phi and gradient here
-    is d's (module docstring).
+    d is the demand scaled by a power of two, and every phi and gradient
+    here is d's (module docstring).
     """
 
     def __init__(self, g: graphs.Graph, d: np.ndarray, head: int):
@@ -85,7 +85,7 @@ class _Search:
         # Edges every configuration searched closes: phi never rises as one closes.
         self.k = min(head, len(self.free))
         self.w = g.w[self.free]
-        self.d, self.exponent = solver._unit_scaled(d)
+        self.d = solver._unit_scaled(d)[0]
         # The backbone's solve on [d, U], from the dense kernel on the d
         # enumerate_optimal checked once.
         ei, ej = g.ei[self.free], g.ej[self.free]
@@ -214,10 +214,6 @@ def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int) -> EnumerationResu
 
     s_best = g.backbone_indicator()
     s_best[search.free] = search.best_on
-    x = solver._shifted_solve(graphs.assemble_laplacian_dense(g, s_best),
-                              search.d[:, None])[:, 0]
-    # A phi beyond the float range comes out as inf.
-    with np.errstate(over="ignore"):
-        best_phi = float(np.ldexp(search.d @ x, 2 * search.exponent))
+    best_phi = solver._exact_solve(graphs.assemble_laplacian_dense(g, s_best), d).phi_lb
     return EnumerationResult(best_config=graphs.Configuration(sbin=s_best),
                              best_phi=best_phi, evaluated_count=search.nodes)

@@ -4,13 +4,13 @@ The feasible set is the unit cube with backbone entries pinned to 1 and
 total mass at most q. Its linear minimization oracle keeps the backbone
 and closes the q - |T| switchable edges with the most negative gradient
 entries. The gap <grad, s - v*> certifies approximation quality through
-an interval that holds at any solve accuracy. With phi_lb and bound from
-the solve at s (congestion.DiffResult), every point s' of the polytope has
-phi(s') >= phi_lb + <grad, s' - s>, so the optimum is at least
-lower_bound = phi_lb - gap (Frank-Wolfe duality), while phi(s) is at most
-upper_bound = phi_lb + bound. Once upper_bound <= (1+alpha) lower_bound,
-the iterate is within a (1+alpha) factor of the constrained optimum. At an
-exact solve (bound = 0, phi_lb = phi) this is gap <= tau * phi with tau =
+an interval that holds at any solve accuracy. With phi, the certified
+lower end, and bound from the solve at s (congestion.DiffResult), every
+point s' of the polytope has phi(s') >= phi + <grad, s' - s>, so the
+optimum is at least lower_bound = phi - gap (Frank-Wolfe duality), while
+phi(s) is at most upper_bound = phi + bound. Once upper_bound <= (1+alpha)
+lower_bound, the iterate is within a (1+alpha) factor of the constrained
+optimum. At an exact solve (bound = 0) this is gap <= tau * phi with tau =
 alpha/(1+alpha).
 
 Steps follow the 2/(t+2) schedule, but each step's objective is evaluated
@@ -50,11 +50,12 @@ class FWConfig:
 
 @dataclass(frozen=True)
 class Certificate:
-    """The gap at a point, tau = alpha/(1+alpha), phi_value = d^T x_hat, and
-    the interval: the optimum is at least lower_bound and phi at the point
-    at most upper_bound (module docstring). certified holds iff both ends
-    are finite and upper_bound <= (1+alpha) lower_bound; bound_factor is
-    then 1 + alpha."""
+    """The gap at a point, tau = alpha/(1+alpha), phi_value, the solve's
+    phi at the point, and the interval: the optimum is at least lower_bound
+    = phi_value - gap and phi at the point at most upper_bound = phi_value
+    + bound (module docstring), so lower_bound <= phi_value <= upper_bound.
+    certified holds iff both ends are finite and upper_bound <= (1+alpha)
+    lower_bound; bound_factor is then 1 + alpha."""
     gap: float
     tau: float
     phi_value: float
@@ -129,10 +130,10 @@ def certificate(g: graphs.Graph, s: np.ndarray, d: np.ndarray, cfg: FWConfig) ->
 
 
 def _certificate(diff: congestion.DiffResult, gap: float, alpha: float) -> Certificate:
-    # phi* >= phi_lb - gap over the budget polytope, and phi(s) <= phi_lb + bound.
+    # phi* >= phi - gap over the budget polytope, and phi(s) <= phi + bound.
     # An overflowed bound bounds nothing (inf <= inf holds), and neither does NaN.
-    lower = diff.phi_lb - gap
-    upper = diff.phi_lb + diff.bound
+    lower = diff.phi - gap
+    upper = diff.phi + diff.bound
     certified = bool(math.isfinite(lower) and math.isfinite(upper)
                      and upper <= (1.0 + alpha) * lower)
     return Certificate(gap=gap, tau=alpha / (1.0 + alpha), phi_value=diff.phi,
@@ -146,13 +147,14 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
     """Optimize from the backbone indicator; stop on certificate or budget.
 
     Returns the certified iterate or, when max_iterations runs out, the
-    lowest-phi iterate seen (the last accepted step included), with its
-    certificate, and the iteration trace of at most max_iterations records.
-    It returns early, uncertified, once phi has overflowed at both the
-    iterate and its tried step. The budget ||s_t||_1 <= q and backbone
-    pinning hold at every iterate. Every solve is congestion's: the exact
-    dense kernel at or below the dense threshold, certified CG on the
-    graph's solve context (graphs.Graph.context) above it.
+    last accepted iterate, whose phi is the lowest seen, with the
+    certificate of its own solve, and the iteration trace of at most
+    max_iterations records. It returns early, uncertified, once phi has
+    overflowed at both the iterate and its tried step. The budget
+    ||s_t||_1 <= q and backbone pinning hold at every iterate. Every solve
+    is congestion's: the exact dense kernel at or below the dense
+    threshold, certified CG on the graph's solve context
+    (graphs.Graph.context) above it.
     """
     d = graphs.check_demand(g, d)
     graphs.check_budget(g, cfg.q)
@@ -163,10 +165,6 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
     diff = congestion.approx_diff(g, s, d, cfg.solver)
     records = []
     spent = diff.cg_iterations
-    # The guard keeps phi non-increasing, so the best iterate is the last
-    # one, except that a tie goes to the earliest iterate with that phi.
-    best_phi = np.inf
-    best_s, best_cert = s, None
 
     for t in range(cfg.max_iterations):
         v = lmo_top_q(diff.grad, g, cfg.q)
@@ -179,8 +177,6 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
         cert = _certificate(diff, gap, cfg.alpha)
         if cert.certified:
             return s, cert, FWTrace(tuple(records))
-        if best_cert is None or diff.phi < best_phi:
-            best_phi, best_s, best_cert = diff.phi, s, cert
 
         s_try = (1.0 - eta) * s + eta * v
         s_try[bb] = 1.0
@@ -195,10 +191,7 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
             continue
         s, diff = s_try, diff_try
 
-    # The budget ran out: the last accepted step was solved but not yet
-    # compared, so certify it from its own solve before choosing.
-    if diff.phi < best_phi:
-        best_s = s
-        best_cert = _certificate(diff, fw_gap(diff.grad, s, lmo_top_q(diff.grad, g, cfg.q)),
-                                 cfg.alpha)
-    return best_s, best_cert, FWTrace(tuple(records))
+    # The guard never accepts a higher phi, so the last accepted iterate is
+    # the best one; certify it from its own solve.
+    cert = _certificate(diff, fw_gap(diff.grad, s, lmo_top_q(diff.grad, g, cfg.q)), cfg.alpha)
+    return s, cert, FWTrace(tuple(records))

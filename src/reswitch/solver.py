@@ -203,11 +203,23 @@ def exact_pinv_apply(L, d: np.ndarray) -> np.ndarray:
     oracle of their own. d is checked as every demand is (_checked_demand).
     """
     Ld = _as_dense(L)
-    d = _checked_demand(d, Ld.shape[0])
+    return _exact_solve(Ld, _checked_demand(d, Ld.shape[0])).x
+
+
+def _exact_solve(Ld: np.ndarray, d: np.ndarray) -> SolveResult:
+    """The dense kernel on a dense Laplacian and a demand already checked:
+    x = L^+ d and phi = d^T x, with bound 0 and no CG iteration.
+
+    phi is the scaled demand's, scaled back by 4^k, so a phi beyond the
+    float range comes out as inf, never as the NaN of inf - inf in d @ x.
+    """
     if not d.any():
-        return np.zeros(Ld.shape[0])
+        return SolveResult(np.zeros(Ld.shape[0]), 0, 0.0, 0.0, 0.0)
     d, exponent = _unit_scaled(d)
-    return np.ldexp(_shifted_solve(Ld, d[:, None])[:, 0], exponent)
+    x = _shifted_solve(Ld, d[:, None])[:, 0]
+    with np.errstate(over="ignore"):
+        phi = float(np.ldexp(d @ x, 2 * exponent))
+    return SolveResult(np.ldexp(x, exponent), 0, 0.0, phi, 0.0)
 
 
 # SuperLU settings of every grounded factor. A grounded Laplacian is

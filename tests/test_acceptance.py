@@ -189,18 +189,18 @@ def dense_phi(g, s, d):
 def interval_problems(g, s, d, cert, scfg):
     """How a certified output's interval fails the true phi, if it does.
 
-    The true phi of s must lie in [phi_lb, upper_bound], and phi_value
-    within epsilon of it. The certificate's phi_lb and bound are those of
-    congestion's solve at s, which a second solve reproduces.
+    The true phi of s must lie in [phi_value, upper_bound], and phi_value
+    within epsilon of it. The certificate's phi_value and bound are those
+    of congestion's solve at s, which a second solve reproduces.
     """
     diff = congestion.approx_diff(g, s, d, scfg)
     true = dense_phi(g, s, d)
     problems = []
-    if not (cert.lower_bound == diff.phi_lb - cert.gap
-            and cert.upper_bound == diff.phi_lb + diff.bound):
+    if not (cert.lower_bound == diff.phi - cert.gap
+            and cert.upper_bound == diff.phi + diff.bound):
         problems.append("interval is not the solve's")
-    if not diff.phi_lb <= true * (1.0 + ROUNDOFF):
-        problems.append(f"phi_lb {diff.phi_lb!r} above phi {true!r}")
+    if not diff.phi <= true * (1.0 + ROUNDOFF):
+        problems.append(f"phi {diff.phi!r} above the true phi {true!r}")
     if not true <= cert.upper_bound * (1.0 + ROUNDOFF):
         problems.append(f"phi {true!r} above upper_bound {cert.upper_bound!r}")
     if not abs(cert.phi_value / true - 1.0) <= scfg.epsilon + ROUNDOFF:
@@ -220,7 +220,7 @@ AT_SCALE = {
 @pytest.mark.parametrize("mode", oracles.POLICY)
 def test_criterion_06_certificate_interval_on_cg(monkeypatch, mode):
     # Criterion 6's interval on the path that runs at scale: each certified
-    # output's true phi, from the dense kernel, lies in [phi_lb,
+    # output's true phi, from the dense kernel, lies in [phi_value,
     # upper_bound], at the default epsilon and at a loose one whose
     # interval is wide enough to miss; on instances small enough to
     # enumerate, the exact binary optimum lies above lower_bound.

@@ -45,6 +45,24 @@ def test_phi_iterative_path_matches_reference():
     assert abs(got - want) < 1e-6 * want
 
 
+def test_overflowed_dense_phi_is_inf():
+    # A Gaussian demand of size 1e155 on the dense kernel: the products in
+    # d @ x overflow to both +inf and -inf, and their sum to NaN. phi comes
+    # from the scaled demand, so it is inf on every layer, with no warning.
+    g, d = cli.generate_instance(30, 16, seed=2, demand="gauss")
+    d = 1e155 * d
+    cfg = frankwolfe.FWConfig(q=cli.default_budget(g), alpha=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = solver.exact_pinv_apply(graphs.assemble_laplacian_dense(g, g.backbone_indicator()), d)
+        assert np.isnan(d @ x)
+    s = g.backbone_indicator()
+    assert congestion.phi(g, s, d) == np.inf
+    assert congestion.approx_diff(g, s, d).phi == np.inf
+    assert frankwolfe.certificate(g, s, d, cfg).phi_value == np.inf
+    assert frankwolfe.run(g, d, cfg)[1].phi_value == np.inf
+    assert enumeration.enumerate_optimal(g, d, cfg.q).best_phi == np.inf
+
+
 def test_approx_diff_triangle_values():
     g = triangle()
     diff = congestion.approx_diff(g, np.ones(3), [1.0, 0.0, -1.0])

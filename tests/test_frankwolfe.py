@@ -199,6 +199,30 @@ def test_run_out_of_iterations_certifies_its_iterate_from_that_solve(monkeypatch
         assert cert == frankwolfe.certificate(g, s, d, cfg), g.n
 
 
+@pytest.mark.parametrize("mode", oracles.POLICY)
+def test_phi_value_lies_in_its_own_interval(monkeypatch, mode):
+    # phi_value is the solve's certified lower end, so lower_bound <=
+    # phi_value <= upper_bound holds exactly, with no round-off allowance,
+    # for run's certificate (certified, or at the end of a short budget)
+    # and for certificate at the backbone indicator and at run's output.
+    # On a grid comb and on trees, where the tree solve is exact in one
+    # step, d^T x_hat can lie an ulp above phi_lb + bound.
+    monkeypatch.setattr(solver, "FILL_BUDGET", oracles.POLICY[mode])
+    cases = {"grid-comb": oracles.grid_comb(30, 30, seed=1),
+             "cli-tree-1": cli.generate_instance(3000, 0, seed=1),
+             "cli-tree-2": cli.generate_instance(3000, 0, seed=2)}
+    for name, (g, d) in cases.items():
+        assert g.context.mode == mode, name
+        cfg = frankwolfe.FWConfig(q=cli.default_budget(g), alpha=0.1)
+        s, cert, _ = frankwolfe.run(g, d, cfg)
+        assert cert.certified, name
+        certs = [cert, frankwolfe.run(g, d, replace(cfg, max_iterations=2))[1],
+                 frankwolfe.certificate(g, g.backbone_indicator(), d, cfg),
+                 frankwolfe.certificate(g, s, d, cfg)]
+        for k, c in enumerate(certs):
+            assert c.lower_bound <= c.phi_value <= c.upper_bound, (name, k, c)
+
+
 def test_dense_verdict_is_the_gap_test():
     # On the dense kernel phi_lb = phi and bound = 0, so upper_bound <=
     # (1 + alpha) lower_bound is the gap test gap <= tau * phi.

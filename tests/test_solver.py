@@ -270,13 +270,13 @@ def test_solve_dense_path_is_exact(monkeypatch):
     monkeypatch.setattr(solver, "solve", refuse)
     g, s, d = instance(4, n=20, extra=12)
     x_star = oracles.pinv(oracles.laplacian(g.n, g.edges, s)) @ d
-    assert_allclose(solver.exact_pinv_apply(graphs.assemble_laplacian(g, s), d), x_star,
-                    atol=1e-10)
+    x = solver.exact_pinv_apply(graphs.assemble_laplacian(g, s), d)
+    assert_allclose(x, x_star, atol=1e-10)
     diff = congestion.approx_diff(g, s, d)
     assert abs(diff.phi - d @ x_star) <= 1e-12 * (d @ x_star)
     assert diff.phi == congestion.phi(g, s, d)
-    # Its interval is the point phi, and it runs no CG.
-    assert (diff.phi_lb, diff.bound, diff.cg_iterations) == (diff.phi, 0.0, 0)
+    # Its interval is the point phi = d^T x, and it runs no CG.
+    assert (diff.phi, diff.bound, diff.cg_iterations) == (float(d @ x), 0.0, 0)
 
 
 def test_solve_zero_demand():
