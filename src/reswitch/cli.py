@@ -28,7 +28,8 @@ from .errors import (CapExceededError, InvalidInputError, NumericalError,
 
 SCHEMA_VERSION = 1
 EPSILON_HELP = ("relative accuracy of every reported phi (default 1e-8); CG solves "
-                "stop at energy accuracy sqrt(epsilon)")
+                "stop at energy accuracy sqrt(epsilon), the steps Frank-Wolfe tries "
+                "more loosely")
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,31 @@ lower_bound, the iterate is within a (1+alpha) factor of the constrained
 optimum. At an exact solve (bound = 0) this is gap <= tau * phi with tau =
 alpha/(1+alpha).
 
-Steps follow the 2/(t+2) schedule, but each step's objective is evaluated
-first and a step that would increase it is skipped (the monotone guard),
-so the value trace is non-increasing while the classic convergence
-analysis still applies.
+Since the interval holds at any accuracy, only the certificate that is
+returned needs a solve at SolverConfig.epsilon, phi's relative accuracy.
+run solves the start there, but each step tried at eta = 2/(t+2) only to
+max(epsilon, min(alpha, eta * gap / phi) / 10): a tenth of the decrease
+eta * gap that the step predicts, and at most a tenth of alpha, so that a
+loose interval still certifies with nine tenths of the slack. An iterate
+read loosely (bound > epsilon * phi) whose interval certifies is read again
+at epsilon before it is returned, and so is a loosely read last iterate of
+a run that ends on its budget.
+
+Steps follow the 2/(t+2) schedule, but each step's lower end phi is
+evaluated first and a step that would raise it is skipped (the monotone
+guard), while the classic convergence analysis still applies. The
+recorded phi is non-increasing except where a loosely read iterate is read
+again at epsilon: CG restarts from zero with the same preconditioner and
+repeats the loose solve's iterates, so the lower end can only rise, and by
+at most the loose read's bound, since the true phi lies in its interval.
+An accepted step does not raise the lower end, and can raise the true phi
+by at most the trial's bound.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,7 +85,10 @@ class IterationRecord:
     """One iterate: its phi and gap, the step size tried from it, ||s||_1,
     and cg_iterations, the CG iterations of the solve made since the
     previous record (the start's solve, then the step tried from the
-    previous iterate, accepted or not; 0 on the dense kernel)."""
+    previous iterate, accepted or not, or the previous iterate read again
+    at epsilon; 0 on the dense kernel). bound is the width of the
+    iterate's phi interval, [phi, phi + bound]: above epsilon * phi the
+    iterate was read loosely, as a tried step (frankwolfe.run)."""
     iteration: int
     phi: float
     gap: float
@@ -78,6 +96,7 @@ class IterationRecord:
     l1: float
     wall_time: float
     cg_iterations: int
+    bound: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,21 +167,34 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
 
     Returns the certified iterate or, when max_iterations runs out, the
     last accepted iterate, whose phi is the lowest seen, with the
-    certificate of its own solve, and the iteration trace of at most
+    certificate of a solve at it, and the iteration trace of at most
     max_iterations records. It returns early, uncertified, once phi has
     overflowed at both the iterate and its tried step. The budget
     ||s_t||_1 <= q and backbone pinning hold at every iterate. Every solve
     is congestion's: the exact dense kernel at or below the dense
     threshold, certified CG on the graph's solve context
     (graphs.Graph.context) above it.
+
+    The start is solved to cfg.solver's phi accuracy epsilon, each tried
+    step more loosely (module docstring). When an iterate read loosely,
+    bound > epsilon * phi, certifies, the next pass reads the same point
+    again at epsilon and records that solve, so each record still stands
+    for one solve and one oracle call; a run that ends on a loose read
+    reads its iterate again at epsilon after the loop. The returned
+    certificate is thus always from a solve at epsilon, and equals the one
+    certificate gives at the returned point.
     """
     d = graphs.check_demand(g, d)
     graphs.check_budget(g, cfg.q)
     bb = g.backbone_mask
+    tight = cfg.solver
+
+    def loose(diff):
+        return diff.bound > tight.epsilon * diff.phi
 
     start = time.perf_counter()
     s = g.backbone_indicator()
-    diff = congestion.approx_diff(g, s, d, cfg.solver)
+    diff = congestion.approx_diff(g, s, d, tight)
     records = []
     spent = diff.cg_iterations
 
@@ -173,16 +205,28 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
         records.append(IterationRecord(iteration=t, phi=diff.phi, gap=gap, eta=eta,
                                        l1=float(s.sum()),
                                        wall_time=time.perf_counter() - start,
-                                       cg_iterations=spent))
+                                       cg_iterations=spent, bound=diff.bound))
         cert = _certificate(diff, gap, cfg.alpha)
         if cert.certified:
-            return s, cert, FWTrace(tuple(records))
+            if not loose(diff):
+                return s, cert, FWTrace(tuple(records))
+            # Certified from a loose read: re-read the same point at
+            # epsilon, the solve the next pass records.
+            diff = congestion.approx_diff(g, s, d, tight)
+            spent = diff.cg_iterations
+            continue
 
         s_try = (1.0 - eta) * s + eta * v
         s_try[bb] = 1.0
         np.clip(s_try, 0.0, 1.0, out=s_try)
         assert s_try.sum() <= cfg.q + BUDGET_SLACK
-        diff_try = congestion.approx_diff(g, s_try, d, cfg.solver)
+        # The step's phi to a tenth of the decrease eta * gap it predicts,
+        # and of alpha: the guard compares lower ends, and a read whose
+        # slack exceeds the decrease can reject every later step.
+        eps_try = tight.epsilon
+        if diff.phi > 0.0:
+            eps_try = max(eps_try, 0.1 * min(cfg.alpha, eta * gap / diff.phi))
+        diff_try = congestion.approx_diff(g, s_try, d, replace(tight, epsilon=eps_try))
         spent = diff_try.cg_iterations
         # Overflowed on both sides, no step can be compared or certified.
         if not (np.isfinite(diff.phi) or np.isfinite(diff_try.phi)):
@@ -191,7 +235,9 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
             continue
         s, diff = s_try, diff_try
 
-    # The guard never accepts a higher phi, so the last accepted iterate is
-    # the best one; certify it from its own solve.
+    # The guard never accepts a higher lower end, so the last accepted
+    # iterate is the best one; certify it from a solve at epsilon.
+    if loose(diff):
+        diff = congestion.approx_diff(g, s, d, tight)
     cert = _certificate(diff, fw_gap(diff.grad, s, lmo_top_q(diff.grad, g, cfg.q)), cfg.alpha)
     return s, cert, FWTrace(tuple(records))

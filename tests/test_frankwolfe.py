@@ -160,12 +160,51 @@ def test_run_respects_budget_and_backbone():
     assert all(rec.l1 <= q + 1e-9 for rec in trace.records)
 
 
-def test_monotone_guard_trace_never_increases():
+def spied_run(monkeypatch, g, d, cfg):
+    """run's output, and the point, solver config and result of each
+    congestion.approx_diff call it made, in order."""
+    calls = []
+    real = congestion.approx_diff
+
+    def spy(g, s, d, scfg=None):
+        res = real(g, s, d, scfg)
+        calls.append((s.copy(), scfg, res))
+        return res
+    with monkeypatch.context() as m:
+        m.setattr(congestion, "approx_diff", spy)
+        out = frankwolfe.run(g, d, cfg)
+    return out, calls
+
+
+def test_monotone_guard_trace_never_increases(monkeypatch):
+    # On the dense kernel every read is exact and the recorded phi never
+    # rises. On Jacobi CG (n = 80) tried steps are read loosely, and phi
+    # may rise only where a loosely read iterate that certified is read
+    # again at epsilon, at the same point, by at most the previous
+    # record's bound. This run reads twice: the first second reading does
+    # not certify and the run steps on.
     g, d = instance(9, n=10, extra=9, demand="gauss")
     cfg = frankwolfe.FWConfig(q=g.n + 2, alpha=0.005, max_iterations=80)
     _, _, trace = frankwolfe.run(g, d, cfg)
     phis = [rec.phi for rec in trace.records]
     assert all(b <= a + 1e-12 for a, b in zip(phis, phis[1:]))
+
+    monkeypatch.setattr(solver, "FILL_BUDGET", oracles.POLICY["jacobi"])
+    g, d = instance(3, n=80, extra=40, demand="gauss")
+    cfg = frankwolfe.FWConfig(q=g.n + 3, alpha=0.02, max_iterations=80)
+    (_, cert, trace), calls = spied_run(monkeypatch, g, d, cfg)
+    assert g.context.mode == "jacobi" and cert.certified
+    eps = cfg.solver.epsilon
+    recs = trace.records
+    rises = [k for k in range(1, len(recs)) if recs[k].phi > recs[k - 1].phi]
+    assert len(rises) == 2
+    for k in rises:
+        point, scfg, _ = calls[k]
+        prev = recs[k - 1]
+        assert scfg.epsilon == eps and prev.bound > eps * prev.phi, k
+        assert any(np.array_equal(p, point) and res.phi == prev.phi
+                   for p, _, res in calls[:k]), k
+        assert recs[k].phi - prev.phi <= prev.bound * (1.0 + 1e-12), k
 
 
 def test_run_out_of_iterations_keeps_the_last_accepted_step():
@@ -262,6 +301,60 @@ def test_trace_counts_each_solve_cg_iterations():
     g, d = instance(3)
     _, _, trace = frankwolfe.run(g, d, frankwolfe.FWConfig(q=g.n, alpha=0.05))
     assert all(rec.cg_iterations == 0 for rec in trace.records)
+
+
+def test_loose_steps_certify_at_epsilon_on_jacobi(monkeypatch):
+    # On a Jacobi expander each tried step is read to a looser phi
+    # accuracy, in fewer CG iterations than a read at epsilon at the same
+    # point. The run still makes one solve per record, and the point that
+    # certified loosely is read again at epsilon, so run's certificate is
+    # the one certificate gives at run's output, and its phi lies within
+    # epsilon of a 1e-11 reference solve.
+    g, d = cli.generate_instance(2000, 4000, seed=1, demand="gauss", multigraph=True)
+    cfg = frankwolfe.FWConfig(q=cli.default_budget(g), alpha=0.05)
+    (s, cert, trace), calls = spied_run(monkeypatch, g, d, cfg)
+    assert g.context.mode == "jacobi" and cert.certified
+    assert cert == frankwolfe.certificate(g, s, d, cfg)
+    ref = congestion.phi(g, s, d, solver.SolverConfig(epsilon=1e-11))
+    assert abs(cert.phi_value - ref) <= cfg.solver.epsilon * ref
+    assert len(calls) == len(trace.records)
+    eps = cfg.solver.epsilon
+    trials = 0
+    for (point, scfg, res), rec in zip(calls, trace.records):
+        assert rec.cg_iterations == res.cg_iterations
+        if scfg.epsilon > eps:
+            trials += 1
+            full = congestion.approx_diff(g, point, d, cfg.solver)
+            assert res.cg_iterations < full.cg_iterations, rec.iteration
+    assert trials == len(trace.records) - 2  # all but the start and the second reading
+    assert trace.records[-2].bound > eps * trace.records[-2].phi
+    assert trace.records[-1].bound <= eps * trace.records[-1].phi
+
+
+@pytest.mark.parametrize("case", ["grid-comb", "dense"])
+def test_exact_solves_read_each_record_once(monkeypatch, case):
+    # A direct factor (30 x 30 grid comb) and the dense kernel (n = 40)
+    # meet epsilon whatever accuracy a tried step asks for, so no point is
+    # read twice: one solve per record, every record within epsilon, and
+    # the records those of a run whose every solve asks for epsilon.
+    if case == "grid-comb":
+        g, d = oracles.grid_comb(30, 30, seed=1)
+        assert g.context.mode == "direct"
+    else:
+        g, d = cli.generate_instance(40, 60, seed=5, demand="gauss")
+        assert g.n <= solver.SolverConfig.dense_threshold
+    cfg = frankwolfe.FWConfig(q=cli.default_budget(g), alpha=0.05)
+    (s, cert, trace), calls = spied_run(monkeypatch, g, d, cfg)
+    assert cert.certified and len(calls) == len(trace.records) > 2
+    assert all(rec.bound <= cfg.solver.epsilon * rec.phi for rec in trace.records)
+    real = congestion.approx_diff
+    monkeypatch.setattr(congestion, "approx_diff",
+                        lambda g, s, d, scfg=None: real(g, s, d, cfg.solver))
+    s_eps, cert_eps, trace_eps = frankwolfe.run(g, d, cfg)
+    assert_array_equal(s, s_eps)
+    assert cert == cert_eps
+    assert ([replace(r, wall_time=0.0) for r in trace.records]
+            == [replace(r, wall_time=0.0) for r in trace_eps.records])
 
 
 def test_run_is_deterministic():
