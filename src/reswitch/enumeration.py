@@ -29,10 +29,11 @@ first.
 Only the free edges change between solves, so each is exact in the
 free-edge space. With L_B the backbone's Laplacian, U the free edges'
 incidence vectors (n x F) and C = diag(s_F w_F), L_s = L_B + U C U^T. One
-dense solve per search, on F + 1 right-hand sides, gives b = U^T L_B^+ d,
-G = U^T L_B^+ U and phi_B = d^T L_B^+ d. Then M = I + C^1/2 G C^1/2 is
-positive definite with eigenvalues at least 1, and by the Woodbury identity
-(Hager, 1989), with z = M^-1 C^1/2 b,
+grounded dense solve per search (solver._grounded_solve), on F + 1
+right-hand sides, gives b = U^T L_B^+ d, G = U^T L_B^+ U and phi_B =
+d^T L_B^+ d. Then M = I + C^1/2 G C^1/2 is positive definite with
+eigenvalues at least 1, and by the Woodbury identity (Hager, 1989), with
+z = M^-1 C^1/2 b,
 
     phi(s) = phi_B - (C^1/2 b)^T z,    U^T L_s^+ d = b - G C^1/2 z,
 
@@ -40,7 +41,8 @@ so a node solve is one F x F Cholesky. The search runs on d scaled by a
 power of two (solver._unit_scaled): every phi, gradient and bound is then
 scaled by one power of four, exactly, so no comparison changes and none
 overflows. The best_phi reported is the dense kernel's phi of the chosen
-configuration, a second n x n solve (solver._exact_solve).
+configuration, a second grounded n x n solve (solver._exact_solve). A
+dense residual that shows an edge lost to round-off raises NumericalError.
 """
 from __future__ import annotations
 
@@ -93,7 +95,7 @@ class _Search:
         rhs = np.zeros((g.n, len(cols) + 1))
         rhs[:, 0] = self.d
         rhs[ei, cols], rhs[ej, cols] = 1.0, -1.0
-        X = solver._shifted_solve(
+        X = solver._grounded_solve(
             graphs.assemble_laplacian_dense(g, g.backbone_indicator()), rhs)
         drops = X[ei] - X[ej]
         self.b = drops[:, 0]

@@ -164,11 +164,8 @@ def sandwich_epsilon(g: graphs.Graph, sbar: np.ndarray, delta: float) -> float:
 def sandwich_check(g: graphs.Graph, sbar: np.ndarray, sampled: np.ndarray,
                    epsilon: float) -> bool:
     """Verify (1-eps) L_sbar <= L_s~ <= (1+eps) L_sbar on the zero-mean subspace."""
-    # Shifting both Laplacians by 1/n adds the pencil eigenvalue 1 on the
-    # ones vector, which lies inside [1 - eps, 1 + eps] and so never changes
-    # the verdict, and leaves the zero-mean subspace as it is.
-    L0 = graphs.assemble_laplacian_dense(g, np.asarray(sbar, dtype=float)) + 1.0 / g.n
-    L1 = graphs.assemble_laplacian_dense(g, np.asarray(sampled, dtype=float)) + 1.0 / g.n
+    # x^T L x ignores shifts along 1, so the grounded blocks' pencil is the zero-mean one.
+    L0, L1 = (graphs.assemble_laplacian_dense(g, s)[1:, 1:] for s in (sbar, sampled))
     vals = scipy.linalg.eigh(L1, L0, eigvals_only=True)
     return bool(vals.min() >= 1.0 - epsilon - 1e-9 and
                 vals.max() <= 1.0 + epsilon + 1e-9)

@@ -123,6 +123,8 @@ def _as_dense(L) -> np.ndarray:
     Ld = L.toarray() if sp.issparse(L) else np.asarray(L, dtype=float)
     if Ld.ndim != 2 or Ld.shape[0] != Ld.shape[1]:
         raise InvalidInputError(f"matrix has shape {Ld.shape}, expected (n, n)")
+    if not np.array_equal(Ld, Ld.T):
+        raise StructuralError("matrix is not symmetric")
     return Ld
 
 
@@ -132,24 +134,23 @@ def require_dense(n: int) -> None:
         raise CapExceededError(f"dense-only operation: n={n} exceeds the dense cap {DENSE_CAP}")
 
 
-def _shifted_solve(L: np.ndarray, D: np.ndarray) -> np.ndarray:
+def _grounded_solve(L: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Zero-mean X with L X = D, for one connected Laplacian L (n x n).
 
-    The columns of D (n x r) must sum to zero. Adding 1/n to every entry
-    of L adds the eigenvalue 1 on the ones vector and leaves L unchanged on
-    the zero-mean subspace, so L + 1/n is positive definite exactly when L
-    is a connected Laplacian, and one Cholesky solve with it gives L^+ D up
-    to a multiple of the ones vector. Cholesky reads one triangle only; the
-    residual check on the whole matrix refuses a non-symmetric L.
+    The columns of D (n x r) must sum to zero. Node 0 is grounded, as in
+    LaplacianPlan.factor: one Cholesky solve with L[1:, 1:], projected to
+    zero mean. Nothing is added to L, so no unit of w is special. A residual
+    on L above 1e-8 ||d|| in a column, compared squared, is NumericalError.
     """
-    B = L + 1.0 / L.shape[0]
-    _, X, info = lapack.dposv(B, D)
-    if info != 0:
-        raise StructuralError("matrix is not a connected graph Laplacian")
-    # ||B x - d|| <= 1e-8 ||d|| for every column, compared squared.
-    R = B @ X - D
-    if not ((R * R).sum(axis=0) <= 1e-16 * (D * D).sum(axis=0)).all():
-        raise StructuralError("matrix is not a connected graph Laplacian")
+    X = np.zeros(D.shape)
+    if len(L) > 1:
+        _, X[1:], info = lapack.dposv(L[1:, 1:], D[1:])
+        if info != 0:
+            raise StructuralError("matrix is not a connected graph Laplacian")
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = L @ X - D
+        if not ((R * R).sum(axis=0) <= 1e-16 * (D * D).sum(axis=0)).all():
+            raise NumericalError("dense solve missed its residual bound")
     return X - X.sum(axis=0) / X.shape[0]
 
 
@@ -157,7 +158,7 @@ def pinv_laplacian(L) -> np.ndarray:
     """Exact pseudoinverse of a connected Laplacian: the zero-mean X with L X = I - 1/n."""
     Ld = _as_dense(L)
     n = Ld.shape[0]
-    return _shifted_solve(Ld, np.eye(n) - 1.0 / n)
+    return _grounded_solve(Ld, np.eye(n) - 1.0 / n)
 
 
 def _checked_demand(d, n: int) -> np.ndarray:
@@ -197,10 +198,10 @@ def _unit_scaled(d: np.ndarray) -> tuple[np.ndarray, int]:
 def exact_pinv_apply(L, d: np.ndarray) -> np.ndarray:
     """Machine-precision L^+ d for a connected Laplacian: the dense kernel.
 
-    One Cholesky solve of the positive definite L + 1/n on d scaled by a
-    power of two (_unit_scaled), refused unless its residual is small
-    (_shifted_solve), and scaled back; the tests compare it against an LU
-    oracle of their own. d is checked as every demand is (_checked_demand).
+    One grounded Cholesky solve (_grounded_solve) on d scaled by a power of
+    two (_unit_scaled), refused unless its residual on L is small, and
+    scaled back; the tests compare it against an LU oracle of their own. L
+    must be symmetric and d is checked as every demand is (_checked_demand).
     """
     Ld = _as_dense(L)
     return _exact_solve(Ld, _checked_demand(d, Ld.shape[0])).x
@@ -216,7 +217,7 @@ def _exact_solve(Ld: np.ndarray, d: np.ndarray) -> SolveResult:
     if not d.any():
         return SolveResult(np.zeros(Ld.shape[0]), 0, 0.0, 0.0, 0.0)
     d, exponent = _unit_scaled(d)
-    x = _shifted_solve(Ld, d[:, None])[:, 0]
+    x = _grounded_solve(Ld, d[:, None])[:, 0]
     with np.errstate(over="ignore"):
         phi = float(np.ldexp(d @ x, 2 * exponent))
     return SolveResult(np.ldexp(x, exponent), 0, 0.0, phi, 0.0)

@@ -323,9 +323,9 @@ def stack_pinv_apply(Ls: np.ndarray, d) -> np.ndarray:
     """L^+ d for each connected Laplacian L of a stack (k, n, n), as (k, n).
 
     One batched LU solve with L + 1/n, refused (StructuralError) unless
-    every residual is within 1e-8 of ||d||: the package's shifted dense
-    solve, but by LU on the whole stack where the package runs a Cholesky
-    per matrix.
+    every residual is within 1e-8 of ||d||: the independent reference for
+    the package's dense kernel, a shifted LU on the whole stack where the
+    package grounds node 0 and runs a Cholesky per matrix.
     """
     B = Ls + 1.0 / Ls.shape[-1]
     D = np.asarray(d, dtype=float)[:, None]

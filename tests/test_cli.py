@@ -282,6 +282,54 @@ def test_overflowed_phi_is_not_certified(tmp_path):
         assert records["solve"]["iterations"] == 1, inst
 
 
+def test_small_conductances_certify_in_their_own_units(tmp_path):
+    # Every weight times 1e-9, 1e-12 or 1e-15: the dense kernel grounds
+    # node 0 and shifts no entry, so each run certifies, and its phi,
+    # scaled back, is the unit-scale instance's.
+    base = gen(tmp_path, "base.txt", n=40, extra=30, seed=3, demand="gauss")
+    g, d, q = graphs.read_instance(base)
+
+    def phis(inst, tag):
+        sol = tmp_path / f"sol{tag}.json"
+        records = [run_json(["solve", "--input", str(inst)], sol)["record"],
+                   run_json(["certify", "--input", str(inst), "--solution", str(sol)],
+                            tmp_path / f"cert{tag}.json")["record"]]
+        for record in records:
+            assert record["certificate"]["certified"] is True, (inst, record["kind"])
+        best = run_json(["enumerate", "--input", str(inst)], tmp_path / f"enum{tag}.json")
+        return np.array([*(r["certificate"]["phi_value"] for r in records),
+                         best["record"]["best_phi"]])
+
+    ref = phis(base, "")
+    for scale in (1e-9, 1e-12, 1e-15):
+        inst = tmp_path / f"scaled{scale}.txt"
+        graphs.write_instance(inst, graphs.Graph(g.n, g.ei, g.ej, scale * g.w,
+                                                 g.backbone_mask), d, q)
+        assert_allclose(phis(inst, scale) * scale, ref, rtol=1e-12, atol=0)
+
+
+def test_conductances_beyond_double_precision_exit_3(tmp_path, capsys):
+    # A backbone path 1e-300, 1e300, 1 with a switchable 1e300 edge between
+    # its ends. At the backbone indicator the demand crosses the path, so
+    # phi is the sum of its resistances, about 1e300; the 1e-300 edge is
+    # lost beside the 1e300 in the diagonal entry they share. The residual
+    # on L itself sees the loss, so certify exits 3 rather than report an
+    # interval that excludes phi.
+    path = tmp_path / "path.txt"
+    path.write_text("4 4 4\n1 2 1e-300 1\n2 3 1e300 1\n3 4 1.0 1\n1 4 1e300 0\n"
+                    "1\n0\n0\n-1\n")
+    assert cli.main(["certify", "--input", str(path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    # Every weight 1e308: each diagonal entry overflows, and every
+    # subcommand that solves exits 3, with no warning from the residual.
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text("3 3 3\n1 2 1e308 1\n2 3 1e308 1\n1 3 1e308 0\n0.5\n0\n-0.5\n")
+    for cmd in ("solve", "certify", "enumerate"):
+        assert cli.main([cmd, "--input", str(triangle)]) == 3, cmd
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Warning" not in err, cmd
+
+
 def test_enumeration_cap_exits_4(tmp_path, capsys):
     # 24 identical parallel free edges and q = |T| + 12: every configuration
     # ties, so no bound prunes and the search passes its node cap

@@ -235,7 +235,7 @@ def dense_node_solve(g, search, sf):
     search made before it solved in the free-edge space."""
     s = g.backbone_indicator()
     s[search.free] = sf
-    x = solver._shifted_solve(graphs.assemble_laplacian_dense(g, s), search.d[:, None])[:, 0]
+    x = solver._grounded_solve(graphs.assemble_laplacian_dense(g, s), search.d[:, None])[:, 0]
     delta = x[g.ei[search.free]] - x[g.ej[search.free]]
     return float(search.d @ x), -search.w * delta ** 2
 
@@ -268,13 +268,16 @@ def test_free_edge_solve_matches_the_dense_kernel():
 
 
 def test_no_free_edge_or_none_to_close_gives_the_backbone():
-    # F = 0 (every edge in the backbone) and k = 0 (q = |T|): the backbone
-    # is the only configuration, the root its only node, and best_phi the
-    # dense kernel's.
+    # F = 0 (every edge in the backbone, or one node and no edge, whose
+    # grounded block is empty) and k = 0 (q = |T|): the backbone is the
+    # only configuration, the root its only node, and best_phi the dense
+    # kernel's.
     path = graphs.make_graph(3, [(0, 1, 1.0), (1, 2, 2.0)], [0, 1])
     d_path = np.array([1.0, 0.5, -1.5])
     tree, d_tree = instance(3, n=7, extra=5, demand="gauss")
-    for g, d, q in ((path, d_path, 2), (path, d_path, 5), (tree, d_tree, tree.n - 1)):
+    node = graphs.make_graph(1, [], [])
+    for g, d, q in ((path, d_path, 2), (path, d_path, 5), (tree, d_tree, tree.n - 1),
+                    (node, np.zeros(1), 0)):
         res = enumeration.enumerate_optimal(g, d, q)
         s = g.backbone_indicator()
         assert_array_equal(res.best_config.sbin, s)
@@ -298,9 +301,9 @@ def test_two_dense_solves_per_search(monkeypatch):
     # The backbone's solve on [d, U] and the best configuration's phi are
     # the only n x n solves; every node solve is F x F.
     shapes = []
-    shifted = solver._shifted_solve
-    monkeypatch.setattr(solver, "_shifted_solve",
-                        lambda L, D: shapes.append(L.shape) or shifted(L, D))
+    grounded = solver._grounded_solve
+    monkeypatch.setattr(solver, "_grounded_solve",
+                        lambda L, D: shapes.append(L.shape) or grounded(L, D))
     g, d = cli.generate_instance(30, 16, 1)
     res = enumeration.enumerate_optimal(g, d, cli.default_budget(g))
     assert res.evaluated_count > 10

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import warnings
 
@@ -7,11 +8,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from reswitch import cli, congestion, frankwolfe, graphs, solver
+from reswitch import cli, congestion, enumeration, frankwolfe, graphs, solver
 from reswitch.errors import InvalidInputError, NumericalError, StructuralError
 
 
@@ -83,20 +84,21 @@ def test_exact_pinv_apply_rejects_disconnected():
     L = np.array([[1.0, -1.0, 0, 0], [-1.0, 1.0, 0, 0],
                   [0, 0, 1.0, -1.0], [0, 0, -1.0, 1.0]])
     d = np.array([1.0, 1.0, -1.0, -1.0])
-    # The Cholesky of L + 1/n itself fails here, before any residual.
-    assert lapack.dposv(L + 0.25, d[:, None])[2] != 0
+    # The Cholesky of the grounded block L[1:, 1:] itself fails here,
+    # before any residual.
+    assert lapack.dposv(L[1:, 1:], d[1:, None])[2] != 0
     with pytest.raises(StructuralError):
         solver.exact_pinv_apply(L, d)
 
 
 def test_exact_pinv_apply_rejects_a_non_symmetric_matrix():
     # Cholesky reads only the upper triangle, which is a connected
-    # Laplacian's, so the factor succeeds; only the residual check on the
-    # whole matrix refuses it.
+    # Laplacian's, so the factor of the grounded block succeeds; the
+    # symmetry check refuses the matrix before any solve.
     g, s, d = instance(4, n=12, extra=8)
     L = graphs.assemble_laplacian_dense(g, s)
     U = np.triu(L)
-    assert lapack.dposv(U + 1.0 / g.n, d[:, None])[2] == 0
+    assert lapack.dposv(U[1:, 1:], d[1:, None])[2] == 0
     with pytest.raises(StructuralError):
         solver.exact_pinv_apply(U, d)
 
@@ -104,15 +106,14 @@ def test_exact_pinv_apply_rejects_a_non_symmetric_matrix():
 def test_exact_pinv_apply_scales_a_huge_demand():
     # At +-1e155 the squares of d overflow. The kernel solves on d scaled by
     # a power of two, so it warns of nothing, its x is d's own unscaled
-    # solve, bit for bit, and its residual check still refuses a
-    # non-symmetric matrix.
+    # solve, bit for bit, and a non-symmetric matrix is still refused.
     L = graphs.assemble_laplacian_dense(oracles.ring(3), np.ones(3))
     d = np.array([1e155, 0.0, -1e155])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x = solver.exact_pinv_apply(L, d)
     with np.errstate(over="ignore"):
-        assert_array_equal(x, solver._shifted_solve(L, d[:, None])[:, 0])
+        assert_array_equal(x, solver._grounded_solve(L, d[:, None])[:, 0])
     g, s, d = instance(4, n=12, extra=8)
     with pytest.raises(StructuralError):
         solver.exact_pinv_apply(np.triu(graphs.assemble_laplacian_dense(g, s)), 1e155 * d)
@@ -152,6 +153,64 @@ def test_oracle_stack_solve_matches_exact_pinv_apply():
         oracles.stack_pinv_apply(Ls, d)
     with pytest.raises(StructuralError):
         solver.exact_pinv_apply(Ls[4], d)
+
+
+# --- units of w --------------------------------------------------------------
+
+@functools.cache
+def unit_cases():
+    """One instance per solve path, each with its phi at unit scale.
+
+    phi at a fractional s on the dense kernel (CLI, n = 40), Jacobi CG (a
+    CLI expander, n = 1,600) and direct CG (a grid comb and a chord ring);
+    and the branch and bound's best_phi at n = 30 and n = 100.
+    """
+    rng = np.random.default_rng(13)
+    solves = []
+    for (g, d), path in ((cli.generate_instance(40, 30, 3, demand="gauss"), "dense"),
+                         (cli.generate_instance(1600, 3200, 1), "jacobi"),
+                         (oracles.grid_comb(12, 12, 1), "direct"),
+                         (oracles.chord_ring(300, 1), "direct")):
+        if path == "dense":
+            assert g.n <= solver.SolverConfig.dense_threshold
+        else:
+            assert g.n > solver.SolverConfig.dense_threshold and g.context.mode == path
+        solves.append((g, oracles.random_fractional(rng, g), d))
+    searches = [cli.generate_instance(30, 16, 1), cli.generate_instance(100, 16, 1)]
+    return solves, searches, unit_phis(solves, searches, 1.0)
+
+
+def unit_phis(solves, searches, scale):
+    """Each case's phi with every weight times scale, times scale."""
+    def scaled(g):
+        return graphs.Graph(g.n, g.ei, g.ej, scale * g.w, g.backbone_mask)
+    phis = [congestion.phi(scaled(g), s, d) for g, s, d in solves]
+    phis += [enumeration.enumerate_optimal(scaled(g), d, cli.default_budget(g)).best_phi
+             for g, d in searches]
+    return np.array(phis) * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-60, 60))
+@example(-60)
+@example(60)
+def test_phi_does_not_depend_on_the_units_of_w(k):
+    # phi(c w) = phi(w) / c. No kernel adds a fixed amount to L, so a power
+    # of two scales every path to round-off.
+    solves, searches, ref = unit_cases()
+    assert_allclose(unit_phis(solves, searches, 2.0 ** k), ref, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(-15, 15))
+@example(-15)
+@example(15)
+def test_phi_within_epsilon_under_a_power_of_ten(p):
+    # A power of ten rounds every weight, and CG may stop elsewhere: both
+    # lower ends lie within epsilon below the true phi.
+    solves, searches, ref = unit_cases()
+    assert_allclose(unit_phis(solves, searches, 10.0 ** p), ref,
+                    rtol=solver.SolverConfig().epsilon, atol=0)
 
 
 # --- tree factorization ------------------------------------------------------
