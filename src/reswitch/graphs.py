@@ -86,16 +86,17 @@ class Graph:
         Its CSR pattern holds every position an edge touches, so every
         switch vector, zeros included, assembles into it; slot maps the 4m
         terms of dense_index's order to their data positions. Its fill
-        verdict is the solver's probe on every edge, and when it is direct,
-        the plan also holds the grounded minimum-degree order that every
-        direct factor on the graph reuses (solver.LaplacianPlan). It is
-        built on first use.
+        verdict is the solver's probe on that pattern, with a budget for each
+        of the m edges, and when it is direct, the plan also holds the
+        grounded minimum-degree order that every direct factor on the graph
+        reuses (solver.LaplacianPlan). It is built on first use.
         """
         n = self.n
         flat, slot = np.unique(_flat_positions(self), return_inverse=True)
-        indptr = np.searchsorted(flat, np.arange(n + 1) * n)
-        return solver.LaplacianPlan(n, indptr, flat % n,
-                                    solver._low_fill(n, self.ei, self.ej), slot)
+        indptr = np.searchsorted(flat, np.arange(n + 1) * n).astype(np.int32)
+        indices = (flat % n).astype(np.int32)
+        return solver.LaplacianPlan(n, indptr, indices,
+                                    solver._low_fill(indptr, indices, self.m), slot)
 
     @cached_property
     def context(self) -> solver.SolveContext:
@@ -265,12 +266,21 @@ def algebraic_connectivity(g: Graph, s: np.ndarray) -> float:
 #
 # Line-oriented text; '#' starts a comment. First data line is "n m q",
 # then m lines "i j w b" with 1-based node ids and b in {0,1} marking
-# backbone edges, then n demand values (one per line).
+# backbone edges, then n demand values (one per line). A node id is plain
+# decimal digits within int64 and a flag is exactly 0 or 1; weights and
+# demands are anything Python's float reads.
+
+# np.fromstring saturates an int64 overflow to the limit.
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 def read_instance(path) -> tuple[Graph, np.ndarray, int]:
     try:
         with open(path, "r", encoding="ascii") as fh:
-            tokens = re.sub(r"#.*", "", fh.read()).split()
+            text = fh.read()
+        if "#" in text:
+            text = re.sub(r"#.*", "", text)
+        tokens = text.split()
         if len(tokens) < 3:
             raise InvalidInputError("instance file truncated: missing header")
         n, m, q = int(tokens[0]), int(tokens[1]), int(tokens[2])
@@ -279,19 +289,39 @@ def read_instance(path) -> tuple[Graph, np.ndarray, int]:
             raise InvalidInputError(
                 f"instance file has {len(tokens)} fields, expected {need}")
         end = 3 + 4 * m
-        i = np.array(tokens[3:end:4], dtype=np.int64) - 1
-        j = np.array(tokens[4:end:4], dtype=np.int64) - 1
+        i, j = _node_ids(tokens[3:end:4] + tokens[4:end:4], m)
         w = np.array(tokens[5:end:4], dtype=float)
-        b = np.array(tokens[6:end:4], dtype=np.int64)
+        b = _backbone_flags(tokens[6:end:4])
         d = np.array(tokens[end:], dtype=float)
-        bad = np.flatnonzero((b != 0) & (b != 1))
-        if bad.size:
-            raise InvalidInputError(f"backbone flag at edge {bad[0]} must be 0 or 1")
-    # UnicodeDecodeError is a ValueError; int64 conversion raises OverflowError.
-    except (ValueError, OverflowError) as exc:
+    # InvalidInputError and UnicodeDecodeError are ValueErrors.
+    except ValueError as exc:
         raise InvalidInputError(f"instance file parse error: {exc}") from exc
-    g = _checked_graph(n, i, j, w, b == 1)
+    g = _checked_graph(n, i, j, w, b)
     return g, check_demand(g, d), q
+
+
+def _node_ids(col: list[str], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based endpoints from the 1-based i tokens of m edges, then their j
+    tokens, read by numpy's C parser once the text is digits and spaces."""
+    text = " ".join(col)
+    if text.encode("ascii").translate(None, b"0123456789 "):
+        k = next(k for k, t in enumerate(col) if not t.isdigit())
+        raise InvalidInputError(f"node id {col[k]!r} at edge {k % m} is not a decimal integer")
+    ids = np.fromstring(text, dtype=np.int64, sep=" ")
+    if ids.size and ids.max() == _INT64_MAX:
+        k = int(np.argmax(ids))
+        raise InvalidInputError(f"node id {col[k]!r} at edge {k % m} is too large for int64")
+    ids -= 1
+    return ids[:m], ids[m:]
+
+
+def _backbone_flags(col: list[str]) -> np.ndarray:
+    """The backbone mask of the flag tokens, each exactly 0 or 1."""
+    flags = "".join(col)
+    if len(flags) != len(col) or flags.strip("01"):
+        k = next(k for k, t in enumerate(col) if t not in ("0", "1"))
+        raise InvalidInputError(f"backbone flag at edge {k} must be 0 or 1")
+    return np.frombuffer(flags.encode("ascii"), dtype=np.uint8) == ord("1")
 
 
 def write_instance(path, g: Graph, d: np.ndarray, q: int) -> None:

@@ -26,26 +26,28 @@ context, which fixes the preconditioner when it is built: direct (a sparse
 LU of the grounded L_s itself, built once per solve) when a fill probe
 finds the widest pattern the context will solve low-fill, and jacobi
 otherwise. No option overrides the choice: epsilon is the only setting.
-The probe compares the envelope of a reverse Cuthill-McKee order with
-FILL_BUDGET nonzeros per edge; a graph's own context (graphs.Graph.context)
-takes the verdict of its plan, probed once per graph. Planar, grid-like and
-ring-like graphs pass it and their factor is cheap; expander-like graphs
-fail it, and there Jacobi needs only tens of iterations. The symbolic work
-of a direct factor is done once per pattern, not per solve: a
-LaplacianPlan keeps the grounded block's minimum-degree order, so each
-factor is one gather of L_s's values and one LU in that order, and a direct
-solve refuses an L_s that does not carry the plan's pattern. On a Laplacian
-with the tree's own sparsity pattern (the switch vector at the backbone
-indicator, where optimization starts, when the backbone is a tree) the tree
-solve is used whatever the mode, since it is exact there: L_s = L_T. Under
-direct or the tree solve CG takes one iteration, and the solution still has
-to pass the stopping bound below, so a poor factor can cost time but never
-accuracy.
+The probe compares the envelope of a reverse Cuthill-McKee order of the
+plan's own pattern with FILL_BUDGET nonzeros per edge; a graph's own
+context (graphs.Graph.context) takes the verdict of its plan, probed once
+per graph. Planar, grid-like and ring-like graphs pass it and their factor
+is cheap; expander-like graphs fail it, and there Jacobi needs only tens
+of iterations. The symbolic work of a direct factor is done once per
+pattern, not per solve: a LaplacianPlan keeps the grounded block's
+minimum-degree order, so each factor is one gather of L_s's values and one
+LU in that order, and a direct solve refuses an L_s that does not carry
+the plan's pattern. On a Laplacian with the tree's own sparsity pattern
+(the switch vector at the backbone indicator, where optimization starts,
+when the backbone is a tree) the tree solve is used whatever the mode,
+since it is exact there: L_s = L_T. Under direct or the tree solve CG
+takes one iteration, and the solution still has to pass the stopping bound
+below, so a poor factor can cost time but never accuracy.
 
 Every solve starts from x = 0 and only reads its context, so no solve
 depends on the ones before it. Under the tree solve the bound
 r^T L_T^+ r is the CG quantity r^T z and costs nothing. Under any other
-preconditioner it costs one pass over the tree, so it is evaluated only
+preconditioner it costs one pass over the tree. A direct solve evaluates
+it at the end of every iteration, before the factor is applied again,
+since one iteration mostly certifies there. Jacobi evaluates it only
 when it can fire: its next value is predicted from the last measured ratio
 bound / r^T z (1 at the start), and it is evaluated when the prediction
 meets the target or BOUND_INTERVAL iterations have passed since the last
@@ -271,12 +273,6 @@ class LaplacianPlan:
         if low_fill and n > 1:
             self._order()
 
-    @classmethod
-    def of(cls, L, low_fill: bool) -> "LaplacianPlan":
-        """The plan of L's own canonical CSR pattern."""
-        Ls = _canonical_csr(L)
-        return cls(Ls.shape[0], Ls.indptr, Ls.indices, low_fill)
-
     def _order(self):
         n = self.n
         rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
@@ -341,23 +337,34 @@ class LaplacianPlan:
         return apply
 
 
-def _low_fill(n: int, ei: np.ndarray, ej: np.ndarray) -> bool:
-    """O(m) fill probe: is the graph's Cuthill-McKee envelope within FILL_BUDGET?
+def _low_fill(indptr, indices, m: int) -> bool:
+    """O(nnz) fill probe: is a pattern's Cuthill-McKee envelope within
+    FILL_BUDGET per edge?
 
-    The graph has n nodes and edges (ei, ej); the budget is per edge. In the
-    reverse Cuthill-McKee order the envelope counts, row by row of the
-    Laplacian, the entries between the first nonzero and the diagonal; a
-    factor in that order fills no more than that.
+    The pattern is a canonical CSR pattern of an n-node Laplacian
+    (LaplacianPlan's) and m counts the graph's edges, the budget's unit.
     """
-    ones = np.ones(len(ei), dtype=np.int32)
-    A = sp.csr_matrix((ones, (ei, ej)), shape=(n, n))
-    order = reverse_cuthill_mckee(A + A.T, symmetric_mode=True)
+    return _envelope(indptr, indices) <= FILL_BUDGET * m
+
+
+def _envelope(indptr, indices) -> int:
+    """The envelope of a symmetric CSR pattern in reverse Cuthill-McKee order.
+
+    Row by row of the ordered pattern it counts the entries between the
+    first nonzero and the diagonal; a factor in that order fills no more
+    than that.
+    """
+    n = len(indptr) - 1
+    P = sp.csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
     pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    pi, pj = pos[ei], pos[ej]
-    first = np.arange(n)
-    np.minimum.at(first, np.maximum(pi, pj), np.minimum(pi, pj))
-    return int((np.arange(n) - first).sum()) <= FILL_BUDGET * len(ei)
+    pos[reverse_cuthill_mckee(P, symmetric_mode=True)] = np.arange(n)
+    # Each row's first position in the order: its own, or a nonzero's before it.
+    rows = np.flatnonzero(np.diff(indptr))
+    first = pos.copy()
+    if rows.size:
+        first[rows] = np.minimum(pos[rows],
+                                 np.minimum.reduceat(pos[indices], indptr[rows]))
+    return int((pos - first).sum())
 
 
 def _ancestor_levels(parent: np.ndarray):
@@ -504,13 +511,16 @@ def context_from_edges(n: int, ei, ej, w, plan: LaplacianPlan | None = None) -> 
 def context_from_laplacian(L) -> SolveContext:
     """Build a solve context from L alone: a TreeFactor over L's off-diagonal
     edges (a maximum-weight spanning tree of them) for the stopping bound,
-    and the plan of L's own pattern, fill probe included."""
-    Ls = sp.csr_matrix(L) if not sp.issparse(L) else L.tocsr()
+    and the plan of L's own canonical CSR pattern, fill probe included, with
+    one edge per entry below the diagonal."""
+    Ls = _canonical_csr(L)
     n = Ls.shape[0]
-    off = sp.tril(Ls, k=-1).tocoo()
-    keep = off.data < 0
-    tree = TreeFactor(n, off.col[keep], off.row[keep], -off.data[keep])
-    return SolveContext(tree, LaplacianPlan.of(Ls, _low_fill(n, off.row, off.col)))
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(Ls.indptr))
+    below = rows > Ls.indices
+    edge = below & (Ls.data < 0)
+    tree = TreeFactor(n, Ls.indices[edge], rows[edge], -Ls.data[edge])
+    low_fill = _low_fill(Ls.indptr, Ls.indices, int(np.count_nonzero(below)))
+    return SolveContext(tree, LaplacianPlan(n, Ls.indptr, Ls.indices, low_fill))
 
 
 def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
@@ -540,7 +550,24 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
     tree = context.tree
     tree_is_M = context.on_tree(L)
     M = tree.apply if tree_is_M else context.preconditioner(L)
+    # A direct factor is near exact, so CG on it mostly stops after one
+    # iteration: there the bound is read at the end of every iteration,
+    # before M is applied again.
+    bound_first = context.mode == "direct" and not tree_is_M
     eps2 = cfg.epsilon ** 2
+
+    def stops(phi_lb, bound):
+        return (phi_lb > 0.0 and bound <= eps2 * phi_lb) or bound <= 0.0
+
+    def achieved(phi_lb, bound):
+        return float(np.sqrt(max(bound, 0.0) / phi_lb)) if phi_lb > 0 else float("inf")
+
+    def result(it, phi_lb, bound):
+        # Energies scale by 4^k, which may overflow to inf.
+        with np.errstate(over="ignore"):
+            lb, ub = np.ldexp([phi_lb, max(bound, 0.0)], 2 * exponent)
+        return SolveResult(np.ldexp(project_zero_mean(x), exponent), it,
+                           achieved(phi_lb, bound), float(lb), float(ub))
 
     x = np.zeros(n)
     Lx = np.zeros(n)
@@ -561,26 +588,25 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
         Lx += alpha * q
         r -= alpha * q
         r -= r.mean()
+        phi_lb = 2.0 * float(d @ x) - float(x @ Lx)
+        bound = tree.quadform(r) if bound_first else None
+        if bound is not None and stops(phi_lb, bound):
+            return result(it, phi_lb, bound)
         z = project_zero_mean(M(r))
         rz_new = float(r @ z)
-        phi_lb = 2.0 * float(d @ x) - float(x @ Lx)
         since += 1
         last = it == cfg.max_iterations or rz_new <= 0.0
-        if (last or tree_is_M or since >= BOUND_INTERVAL
-                or ratio * rz_new <= eps2 * phi_lb):
+        if bound is None and (last or tree_is_M or since >= BOUND_INTERVAL
+                              or ratio * rz_new <= eps2 * phi_lb):
             bound = rz_new if tree_is_M else tree.quadform(r)
-            achieved = float(np.sqrt(max(bound, 0.0) / phi_lb)) if phi_lb > 0 else float("inf")
-            if (phi_lb > 0.0 and bound <= eps2 * phi_lb) or bound <= 0.0:
-                # Energies scale by 4^k, which may overflow to inf.
-                with np.errstate(over="ignore"):
-                    phi_lb, bound = np.ldexp([phi_lb, max(bound, 0.0)], 2 * exponent)
-                return SolveResult(np.ldexp(project_zero_mean(x), exponent), it, achieved,
-                                   float(phi_lb), float(bound))
+            if stops(phi_lb, bound):
+                return result(it, phi_lb, bound)
+        if bound is not None:
             if last:
+                err = achieved(phi_lb, bound)
                 raise NumericalError(
                     f"solve did not converge in {it} iterations "
-                    f"(certified relative energy error {achieved:.3e})",
-                    achieved_residual=achieved)
+                    f"(certified relative energy error {err:.3e})", achieved_residual=err)
             since = 0
             ratio = bound / rz_new
         p = z + (rz_new / rz) * p

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from reswitch import congestion, graphs, solver
 from reswitch.errors import CapExceededError, InvalidInputError, StructuralError
@@ -302,6 +303,21 @@ def ring(n: int) -> Graph:
     that closes it."""
     return make_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)],
                       range(n - 1))
+
+
+def edge_envelope(n: int, ei, ej) -> int:
+    """The reverse Cuthill-McKee envelope of a graph, built from its edge
+    list: the order of the symmetric adjacency A + A^T, then, row by row,
+    the positions between each row's first neighbour and its diagonal. The
+    reference for solver._envelope, which reads a plan's CSR pattern."""
+    A = scipy.sparse.csr_matrix((np.ones(len(ei), dtype=np.int32), (ei, ej)), shape=(n, n))
+    order = reverse_cuthill_mckee(A + A.T, symmetric_mode=True)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    pi, pj = pos[ei], pos[ej]
+    first = np.arange(n)
+    np.minimum.at(first, np.maximum(pi, pj), np.minimum(pi, pj))
+    return int((np.arange(n) - first).sum())
 
 
 def lexsort_smallest(values, k: int) -> np.ndarray:

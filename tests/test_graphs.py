@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
@@ -314,13 +315,107 @@ def test_read_instance_rejects_bad_backbone_flag(tmp_path):
     ("1 2 1.0 1\n2 3 1.0 2", "backbone flag at edge 1"),
     ("1 2 1.0 1\n2 1.5 1.0 1", "parse error"),
     ("1 2 x 1\n2 3 1.0 1", "parse error"),
-    # Beyond int64: numpy raises OverflowError, not ValueError.
+    # Beyond int64: numpy's C parser saturates it, and the reader refuses
+    # the saturated value.
     ("1 2 1.0 1\n1 99999999999999999999 1.0 1", "parse error"),
 ])
 def test_read_instance_rejects_malformed_tokens(tmp_path, edge_lines, message):
     path = tmp_path / "bad.txt"
     path.write_text(f"3 2 2\n{edge_lines}\n0.5\n0.0\n-0.5\n")
     with pytest.raises(InvalidInputError, match=message):
+        graphs.read_instance(path)
+
+
+@st.composite
+def instances(draw):
+    """A valid instance: a random backbone tree on n nodes plus extra edges,
+    parallel ones included, with weights and a zero-sum demand."""
+    n = draw(st.integers(2, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges += draw(st.lists(pairs, max_size=6))
+    w = draw(st.lists(st.floats(1e-300, 1e300), min_size=len(edges), max_size=len(edges)))
+    backbone = [k < n - 1 or draw(st.booleans()) for k in range(len(edges))]
+    d = draw(st.lists(st.integers(-1000, 1000), min_size=n - 1, max_size=n - 1))
+    return n, edges, w, backbone, [float(x) for x in d] + [-float(sum(d))]
+
+
+def instance_lines(n, edges, w, backbone, d, q):
+    return ([f"{n} {len(edges)} {q}"]
+            + [f"{i + 1} {j + 1} {x!r} {int(b)}" for (i, j), x, b in zip(edges, w, backbone)]
+            + [repr(x) for x in d])
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.data())
+def test_read_instance_reads_valid_text_back_exactly(tmp_path_factory, inst, data):
+    n, edges, w, backbone, d = inst
+    lines = instance_lines(n, edges, w, backbone, d, len(edges))
+    # Comments, blank lines, padding, leading zeros on ids and CRLF line ends.
+    text = []
+    for line in lines:
+        if data.draw(st.booleans()):
+            text.append(data.draw(st.sampled_from(["", "# note", "  # 1 2 x 01", "\t"])))
+        fields = line.split()
+        if data.draw(st.booleans()) and len(fields) == 4:
+            fields[:2] = ["00" + f for f in fields[:2]]
+        tail = data.draw(st.sampled_from(["", " ", "\t", "  # 9 9 9"]))
+        text.append(data.draw(st.sampled_from([" ", "  ", "\t"])).join(fields) + tail)
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    path = tmp_path_factory.mktemp("valid") / "inst.txt"
+    path.write_bytes(newline.join(text).encode("ascii"))
+    g, d2, q = graphs.read_instance(path)
+    assert (g.n, g.m, q) == (n, len(edges), len(edges))
+    assert g.edges == tuple((min(i, j), max(i, j), x) for (i, j), x in zip(edges, w))
+    assert g.backbone == frozenset(k for k, b in enumerate(backbone) if b)
+    assert_array_equal(d2, d)
+
+
+# (token class, replacement, expected message); {k} is the edge.
+MALFORMED = [
+    ("id", "2.0", "parse error"),
+    ("id", "1.5", "parse error"),
+    ("id", "9223372036854775807", "parse error"),
+    ("id", "99999999999999999999", "parse error"),
+    ("id", "1_0", "parse error"),
+    ("id", "0x1", "parse error"),
+    ("flag", "2", "backbone flag at edge {k} "),
+    ("flag", "01", "backbone flag at edge {k} "),
+    ("flag", "x", "backbone flag at edge {k} "),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.data())
+def test_read_instance_refuses_each_malformed_token(tmp_path_factory, inst, data):
+    n, edges, w, backbone, d = inst
+    lines = instance_lines(n, edges, w, backbone, d, len(edges))
+    k = data.draw(st.integers(0, len(edges) - 1))
+    kind, token, message = data.draw(st.sampled_from(MALFORMED))
+    fields = lines[1 + k].split()
+    fields[data.draw(st.sampled_from([0, 1])) if kind == "id" else 3] = token
+    lines[1 + k] = " ".join(fields)
+    path = tmp_path_factory.mktemp("bad") / "inst.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError, match=message.format(k=k)) as info:
+        graphs.read_instance(path)
+    if kind == "id":
+        assert f"at edge {k} " in str(info.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(), st.data())
+def test_read_instance_refuses_a_missing_or_extra_field(tmp_path_factory, inst, data):
+    n, edges, w, backbone, d = inst
+    tokens = " ".join(instance_lines(n, edges, w, backbone, d, len(edges))).split()
+    k = data.draw(st.integers(3, len(tokens) - 1))
+    if data.draw(st.booleans()):
+        del tokens[k]
+    else:
+        tokens.insert(k, data.draw(st.sampled_from(["1", "0", "1.0"])))
+    path = tmp_path_factory.mktemp("fields") / "inst.txt"
+    path.write_text(" ".join(tokens) + "\n")
+    with pytest.raises(InvalidInputError, match="parse error"):
         graphs.read_instance(path)
 
 

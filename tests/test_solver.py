@@ -546,6 +546,38 @@ def test_fill_probe_picks_the_mode_at_every_size():
     assert g.context.mode == "jacobi"
 
 
+PROBE_GRAPHS = (
+    [("grid-comb", k, 1) for k in (20, 80)]
+    + [("chord-ring", n, seed) for n in (300, 1500, 15000) for seed in (1, 2)]
+    # 2n extra edges: the verdict turns from direct to jacobi between 1400
+    # and 1500 nodes, at FILL_BUDGET.
+    + [("expander", n, seed) for n in (800, 1400, 1450, 1500) for seed in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("family, size, seed", PROBE_GRAPHS)
+def test_fill_probe_on_the_plan_pattern_matches_the_edge_list(family, size, seed):
+    # The probe reads the plan's CSR pattern, diagonal included; the
+    # oracle builds the adjacency of the edge list, parallel edges summed.
+    if family == "grid-comb":
+        g, _ = oracles.grid_comb(size, size, seed)
+    elif family == "chord-ring":
+        g, _ = oracles.chord_ring(size, seed)
+    else:
+        g, _ = cli.generate_instance(size, 2 * size, seed, demand="gauss", multigraph=True)
+    envelope = oracles.edge_envelope(g.n, g.ei, g.ej)
+    assert solver._envelope(g.plan.indptr, g.plan.indices) == envelope
+    assert g.plan.low_fill == (envelope <= solver.FILL_BUDGET * g.m)
+
+
+def test_fill_probe_graphs_cross_the_budget():
+    # The expanders above hold both verdicts, so the budget's boundary is
+    # tested, not only graphs far from it.
+    verdicts = {cli.generate_instance(n, 2 * n, seed, demand="gauss", multigraph=True)[0]
+                .plan.low_fill for family, n, seed in PROBE_GRAPHS if family == "expander"}
+    assert verdicts == {True, False}
+
+
 def test_dense_path_never_runs_the_fill_probe(monkeypatch):
     # Only CG solves read a context, so run builds none on the dense path:
     # neither the backbone factor nor the fill probe runs.
@@ -724,7 +756,8 @@ def test_direct_rejects_disconnected_laplacian():
     tree = solver.TreeFactor(4, *path, np.ones(3))
     two_pieces = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0], [-1.0, 1.0, 0, 0],
                                          [0, 0, 1.0, -1.0], [0, 0, -1.0, 1.0]]))
-    ctx = solver.SolveContext(tree, plan=solver.LaplacianPlan.of(two_pieces, True))
+    plan = solver.LaplacianPlan(4, two_pieces.indptr, two_pieces.indices, True)
+    ctx = solver.SolveContext(tree, plan=plan)
     assert ctx.mode == "direct"
     with pytest.raises(StructuralError):
         ctx.preconditioner(two_pieces)
