@@ -12,16 +12,14 @@ at small scale.
 
 from .graphs import (Graph, Configuration, make_graph, validate,
                      assemble_laplacian, assemble_laplacian_dense,
-                     effective_resistances, leverages, algebraic_connectivity,
-                     read_instance, write_instance)
+                     algebraic_connectivity, read_instance, write_instance)
 from .solver import (SolverConfig, SolveResult, SolveContext, solve,
                      exact_pinv_apply, pinv_laplacian, project_zero_mean)
-from .congestion import (DiffResult, HessianInfo, phi, approx_diff,
-                         exact_gradient, hessian_dense)
+from .congestion import DiffResult, phi, approx_diff
 from .frankwolfe import (FWConfig, Certificate, FWTrace, IterationRecord,
                          lmo_top_q, fw_gap, certificate, run)
 from .rounding import (RoundingParams, RoundingReport, floor_probabilities,
-                       sample, shrinkage, sandwich_epsilon, sandwich_check)
+                       sample, shrinkage, sandwich_epsilon)
 from .enumeration import EnumerationResult, enumerate_optimal
 
 __version__ = "0.1.0"
@@ -29,16 +27,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph", "Configuration", "make_graph", "validate",
     "assemble_laplacian", "assemble_laplacian_dense",
-    "effective_resistances", "leverages", "algebraic_connectivity",
-    "read_instance", "write_instance",
+    "algebraic_connectivity", "read_instance", "write_instance",
     "SolverConfig", "SolveResult", "SolveContext", "solve",
     "exact_pinv_apply", "pinv_laplacian", "project_zero_mean",
-    "DiffResult", "HessianInfo", "phi", "approx_diff", "exact_gradient",
-    "hessian_dense",
+    "DiffResult", "phi", "approx_diff",
     "FWConfig", "Certificate", "FWTrace", "IterationRecord",
     "lmo_top_q", "fw_gap", "certificate", "run",
     "RoundingParams", "RoundingReport", "floor_probabilities", "sample",
-    "shrinkage", "sandwich_epsilon", "sandwich_check",
+    "shrinkage", "sandwich_epsilon",
     "EnumerationResult", "enumerate_optimal",
     "__version__",
 ]

@@ -101,6 +101,11 @@ def generate_instance(n: int, extra: int, seed: int,
         raise InvalidInputError(f"need at least 2 nodes, got n={n}")
     if extra < 0:
         raise InvalidInputError("extra edge count must be nonnegative")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    if not (np.isfinite(weight_lo) and np.isfinite(weight_hi) and weight_lo <= weight_hi):
+        raise InvalidInputError(
+            f"weight bounds must be finite and in order, got [{weight_lo}, {weight_hi}]")
     rng = np.random.default_rng(seed)
     # Node v attaches to parent[v], a uniform earlier node: one draw per node.
     parent = np.concatenate([[-1], rng.integers(0, np.arange(1, n))])
@@ -305,6 +310,7 @@ def _flatten(obj, prefix="") -> dict:
 
 def _cmd_generate(args) -> int:
     g, d, q = _load(_config_from_args(args))
+    graphs.check_budget(g, q)
     graphs.write_instance(args.output, g, d, q)
     print(f"wrote {args.output}: n={g.n} m={g.m} q={q} "
           f"digest={instance_digest(g, d, q)}")

@@ -5,11 +5,9 @@ Delta_e, and the full gradient (grad phi)_e = -w_e Delta_e^2 at once.
 SolverConfig.epsilon is read as the relative accuracy of phi. CG from
 zero misses phi by exactly its error energy, so a solve to energy
 accuracy sqrt(epsilon) gives phi_lb <= phi <= phi_lb + bound <= (1 +
-epsilon) phi_lb, and phi_lb is the one value reported. The exact dense
-path backs the small-instance oracles: the gradient, and the Hessian via
-the factorization H = 2 diag(zeta) P diag(zeta) with zeta_e = sqrt(w_e)
-Delta_e and P = W^{1/2} A L^+ A^T W^{1/2}, A the signed incidence matrix
-with rows a_e.
+epsilon) phi_lb, and phi_lb is the one value reported. The exact gradient
+and Hessian that check the analysis live beside the tests
+(tests/theory.py).
 """
 from __future__ import annotations
 
@@ -36,13 +34,6 @@ class DiffResult:
     phi: float
     bound: float
     cg_iterations: int
-
-
-@dataclass(frozen=True, eq=False)
-class HessianInfo:
-    H: np.ndarray
-    opnorm_bound: float
-    gsc_M: float
 
 
 def make_context(g: graphs.Graph,
@@ -85,43 +76,3 @@ def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
     with np.errstate(over="ignore"):
         return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=res.phi_lb,
                           bound=res.bound, cg_iterations=res.iterations)
-
-
-def exact_gradient(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Machine-precision gradient via the dense pseudoinverse."""
-    solver.require_dense(g.n)
-    s = graphs.check_switch(g, s)
-    d = graphs.check_demand(g, d)
-    L = graphs.assemble_laplacian_dense(g, s)
-    x = solver.exact_pinv_apply(L, d)
-    delta = x[g.ei] - x[g.ej]
-    return -g.w * delta ** 2
-
-
-def hessian_dense(g: graphs.Graph, s: np.ndarray, d: np.ndarray) -> HessianInfo:
-    """Exact Hessian of phi at s, built from the rank-structured factorization.
-
-    opnorm_bound is the generic operator-norm bound 2 * phi(s); gsc_M is
-    the self-concordance constant 3 ||w . rho_T||_2 with rho_T the edge
-    resistances measured in the backbone subgraph.
-    """
-    solver.require_dense(g.n)
-    s = graphs.check_switch(g, s)
-    d = graphs.check_demand(g, d)
-    L = graphs.assemble_laplacian_dense(g, s)
-    Lp = solver.pinv_laplacian(L)
-    x = Lp @ d
-    delta = x[g.ei] - x[g.ej]
-    zeta = np.sqrt(g.w) * delta
-    # Column e of C is L^+ a_e, so C[ei] - C[ej] is A L^+ A^T.
-    C = Lp[:, g.ei] - Lp[:, g.ej]
-    sw = np.sqrt(g.w)
-    P = (sw[:, None] * (C[g.ei] - C[g.ej])) * sw[None, :]
-    H = 2.0 * (zeta[:, None] * P * zeta[None, :])
-    H = 0.5 * (H + H.T)
-    phi_val = float(d @ x)
-
-    rho_t = graphs.effective_resistances(g, g.backbone_indicator())
-    gsc = 3.0 * float(np.linalg.norm(g.w * rho_t))
-    return HessianInfo(H=H, opnorm_bound=2.0 * phi_val, gsc_M=gsc)
-

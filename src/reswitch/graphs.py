@@ -130,14 +130,23 @@ def make_graph(n: int, edges, backbone) -> Graph:
     """Build a Graph from (i, j, w) triples and backbone edge indices.
 
     Endpoints are put in order i < j; invalid data raises InvalidInputError.
+    An endpoint or backbone index must be a whole number; none is truncated.
     """
     tri = np.array(list(edges), dtype=float).reshape(-1, 3)
-    idx = np.fromiter(backbone, dtype=np.int64)
-    bad = idx[(idx < 0) | (idx >= len(tri))]
-    if bad.size:
-        raise InvalidInputError("; ".join(f"backbone index {k} out of range" for k in bad))
-    return _checked_graph(n, tri[:, 0].astype(np.int64), tri[:, 1].astype(np.int64),
-                          tri[:, 2], np.bincount(idx, minlength=len(tri)) > 0)
+    ends, idx = tri[:, :2], np.fromiter(backbone, dtype=float)
+    # Checked as floats, so NaN fails quietly instead of warning in a cast.
+    whole, whole_idx = (np.isfinite(a) & (a == np.floor(a)) for a in (ends, idx))
+    problems = [f"edge {k} endpoint {ends[k, c]} is not an integer"
+                for k, c in zip(*np.nonzero(~whole))]
+    problems += [f"backbone index {k} is not an integer" for k in idx[~whole_idx]]
+    problems += [f"backbone index {k:.0f} out of range"
+                 for k in idx[whole_idx & ((idx < 0) | (idx >= len(tri)))]]
+    if problems:
+        raise InvalidInputError("; ".join(problems))
+    # Clipped first so that no cast overflows; -1 and n stay out of range.
+    i, j = np.clip(ends, -1, n).astype(np.int64).T
+    return _checked_graph(n, i, j, tri[:, 2],
+                          np.bincount(idx.astype(np.int64), minlength=len(tri)) > 0)
 
 
 def _checked_graph(n, i, j, w, backbone_mask) -> Graph:
@@ -234,22 +243,6 @@ def assemble_laplacian_dense(g: Graph, s: np.ndarray) -> np.ndarray:
     n = g.n
     return np.bincount(g.dense_index, np.concatenate([x, x, -x, -x]),
                        minlength=n * n).reshape(n, n)
-
-
-def effective_resistances(g: Graph, s: np.ndarray) -> np.ndarray:
-    """Per-edge effective resistance rho_e = a_e^T L_s^+ a_e (dense-only)."""
-    solver.require_dense(g.n)
-    Lp = solver.pinv_laplacian(assemble_laplacian_dense(g, s))
-    return Lp[g.ei, g.ei] + Lp[g.ej, g.ej] - 2.0 * Lp[g.ei, g.ej]
-
-
-def leverages(g: Graph, s: np.ndarray) -> np.ndarray:
-    """Leverage scores l_e = s_e * w_e * rho_e(s), each in [0,1].
-
-    For connected binary s the active leverages sum to n-1 (Foster).
-    """
-    s = check_switch(g, s)
-    return s * g.w * effective_resistances(g, s)
 
 
 def algebraic_connectivity(g: Graph, s: np.ndarray) -> float:

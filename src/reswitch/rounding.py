@@ -11,14 +11,13 @@ caller that wants the sandwich (1-eps) L_sbar <= L_s~ <= (1+eps) L_sbar on
 the zero-mean subspace takes eps once per sbar from sandwich_epsilon (the
 matrix concentration bound
 sqrt(3) * sqrt(2 max_e w_e log((n-1)/delta) / lambda2)) and verifies each
-draw with sandwich_check at dense scale.
+draw at dense scale with the check in tests/theory.py.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import graphs
 from .errors import (InfeasibleShrinkageError, InvalidInputError,
@@ -39,12 +38,15 @@ class RoundingParams:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise InvalidInputError("delta must lie in (0, 1)")
-        if self.p_min_constant < 0.0:
+        # Written so that NaN, which fails every comparison, fails the check.
+        if not self.p_min_constant >= 0.0:
             raise InvalidInputError("p_min_constant must be nonnegative")
         if self.repair not in REPAIR_MODES:
             raise InvalidInputError(f"unknown repair mode {self.repair!r}")
         if self.max_resamples < 0:
             raise InvalidInputError("max_resamples must be nonnegative")
+        if self.rng_seed < 0:
+            raise InvalidInputError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,13 +161,3 @@ def sandwich_epsilon(g: graphs.Graph, sbar: np.ndarray, delta: float) -> float:
     lam2 = graphs.algebraic_connectivity(g, graphs.check_switch(g, sbar))
     R = 2.0 * float(g.w.max())
     return float(np.sqrt(3.0) * np.sqrt(R * np.log((g.n - 1) / delta) / lam2))
-
-
-def sandwich_check(g: graphs.Graph, sbar: np.ndarray, sampled: np.ndarray,
-                   epsilon: float) -> bool:
-    """Verify (1-eps) L_sbar <= L_s~ <= (1+eps) L_sbar on the zero-mean subspace."""
-    # x^T L x ignores shifts along 1, so the grounded blocks' pencil is the zero-mean one.
-    L0, L1 = (graphs.assemble_laplacian_dense(g, s)[1:, 1:] for s in (sbar, sampled))
-    vals = scipy.linalg.eigh(L1, L0, eigvals_only=True)
-    return bool(vals.min() >= 1.0 - epsilon - 1e-9 and
-                vals.max() <= 1.0 + epsilon + 1e-9)

@@ -16,6 +16,7 @@ import pytest
 
 import conftest
 import oracles
+import theory
 from reswitch import (cli, congestion, enumeration, frankwolfe, graphs,
                       rounding, solver)
 
@@ -34,7 +35,7 @@ def test_criterion_01_gradient_matches_finite_differences():
         n = int(rng.integers(5, 41))
         g, d = oracles.random_instance(rng, n, int(rng.integers(3, n)), demand="gauss")
         s = oracles.random_fractional(rng, g, lo=0.2)
-        grad = congestion.exact_gradient(g, s, d)
+        grad = theory.exact_gradient(g, s, d)
         fd = oracles.gradient_fd(g, s, d, h=1e-5)
         # Central differences carry an absolute noise floor near 1e-9 times
         # the gradient scale, so entries far below that scale are held to an
@@ -68,7 +69,7 @@ def test_criterion_03_foster_leverage_sum():
                                        multigraph=True)
         s = (rng.random(g.m) < rng.uniform(0.2, 0.9)).astype(float)
         s[g.backbone_mask] = 1.0
-        worst = max(worst, abs(float(graphs.leverages(g, s).sum()) - (g.n - 1)))
+        worst = max(worst, abs(float(theory.leverages(g, s).sum()) - (g.n - 1)))
     criterion(3, "foster-leverage-sum", worst <= 1e-8,
               f"max |sum - (n-1)| = {worst:.2e} over 50 configurations")
 
@@ -81,7 +82,7 @@ def test_criterion_04_cauchy_schwarz_voltage_bound():
         g, d = oracles.random_instance(rng, n, int(rng.integers(2, n)), demand="gauss")
         s = oracles.random_fractional(rng, g)
         diff = congestion.approx_diff(g, s, d)
-        rho = graphs.effective_resistances(g, s)
+        rho = theory.effective_resistances(g, s)
         worst = max(worst, float(np.max(diff.delta ** 2 - rho * diff.phi)))
     criterion(4, "cauchy-schwarz-voltage-bound", worst <= 1e-10,
               f"max (delta^2 - rho phi) = {worst:.2e} over 50 instances")
@@ -98,19 +99,19 @@ def test_criterion_05_hessian_suite():
         g, d = oracles.random_instance(rng, n, int(rng.integers(3, n)), demand="gauss")
 
         s = oracles.random_fractional(rng, g)
-        info = congestion.hessian_dense(g, s, d)
+        info = theory.hessian_dense(g, s, d)
         ref = oracles.hessian_entrywise(g, s, d)
         scale = max(1.0, float(np.abs(ref).max()))
         worst_diff = max(worst_diff, float(np.abs(info.H - ref).max()) / scale)
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(info.H)[0]))
 
         ones = np.ones(g.m)
-        info1 = congestion.hessian_dense(g, ones, d)
+        info1 = theory.hessian_dense(g, ones, d)
         worst_ratio = max(worst_ratio,
                           float(np.linalg.norm(info1.H, 2)) / info1.opnorm_bound)
 
         gs, ds = oracles.scale_to_unit(g, d)
-        info_s = congestion.hessian_dense(gs, np.ones(gs.m), ds)
+        info_s = theory.hessian_dense(gs, np.ones(gs.m), ds)
         worst_scaled = max(worst_scaled, float(np.linalg.norm(info_s.H, 2)))
     ok = (worst_diff <= 1e-10 and worst_eig >= -1e-8
           and worst_ratio <= 1.0 + 1e-8 and worst_scaled <= 2.0 + 1e-8)
@@ -330,7 +331,7 @@ def test_criterion_08_rounding_statistics():
     for seed in range(sandwich_draws):
         rep = rounding.sample(sbar_s, gs, gs.m, rounding.RoundingParams(
             delta=delta, repair="resample", rng_seed=seed))
-        if not rounding.sandwich_check(gs, sbar_s, rep.sampled.sbin, eps):
+        if not theory.sandwich_check(gs, sbar_s, rep.sampled.sbin, eps):
             fails += 1
     slack = 3.0 * np.sqrt(delta * (1 - delta) / sandwich_draws)
     sandwich_ok = eps < 1.0 and fails / sandwich_draws <= delta + slack

@@ -62,11 +62,21 @@ def test_generate_multigraph_allows_parallels():
     assert len(set(pairs)) < len(pairs)
 
 
-def test_generate_rejects_impossible_extra(tmp_path):
-    # n = 2 has no node pair off the tree, not even for a multigraph.
-    for argv in (["--n", "3", "--extra", "10"], ["--n", "2", "--extra", "1", "--multigraph"]):
-        rc = cli.main(["generate", *argv, "--output", str(tmp_path / "x.txt")])
-        assert rc == 2
+def test_generate_rejects_impossible_extra(tmp_path, capsys):
+    # n = 2 has no node pair off the tree, not even for a multigraph. A
+    # negative seed, non-finite or reversed weight bounds and a budget below
+    # the backbone are refused before anything is written.
+    out = tmp_path / "x.txt"
+    for argv in (["--n", "3", "--extra", "10"], ["--n", "2", "--extra", "1", "--multigraph"],
+                 ["--n", "10", "--extra", "5", "--seed", "-1"],
+                 ["--n", "10", "--extra", "5", "--weight-lo", "nan"],
+                 ["--n", "10", "--extra", "5", "--weight-hi", "inf"],
+                 ["--n", "10", "--extra", "5", "--weight-lo", "3", "--weight-hi", "1"],
+                 ["--n", "10", "--extra", "5", "--q", "-3"]):
+        rc = cli.main(["generate", *argv, "--output", str(out)])
+        assert rc == 2, argv
+        assert "invalid input" in capsys.readouterr().err
+        assert not out.exists(), argv
 
 
 def test_default_budget_splits_free_edges():
@@ -224,6 +234,29 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         cfg.write_text(json.dumps(raw))
         assert cli.main(["experiment", "--config", str(cfg)]) == 2
         assert culprit in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["round", "bench", "experiment"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out.json"
+    if command == "round":
+        inst = gen(tmp_path, n=8, extra=4, seed=1)
+        run_json(["solve", "--input", str(inst)], tmp_path / "sol.json")
+        argv = ["round", "--input", str(inst), "--solution", str(tmp_path / "sol.json"),
+                "--seed", "-1"]
+    elif command == "bench":
+        argv = ["bench", "--sizes", "10:20", "--seed", "-2"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10, "extra": 5, "seed": -1}))
+        argv = ["experiment", "--config", str(cfg)]
+    capsys.readouterr()
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == "invalid input"
+    assert "nonnegative" in json.loads(err)["detail"]
+    assert not out.exists()
 
 
 def test_round_zero_repeats_exits_2(tmp_path, capsys):

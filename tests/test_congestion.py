@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+import theory
 from reswitch import cli, congestion, enumeration, frankwolfe, graphs, rounding, solver
 from reswitch.errors import CapExceededError
 
@@ -73,13 +74,13 @@ def test_approx_diff_triangle_values():
 
 def test_gradient_matches_finite_differences():
     g, s, d = instance(2)
-    grad = congestion.exact_gradient(g, s, d)
+    grad = theory.exact_gradient(g, s, d)
     assert_allclose(grad, oracles.gradient_fd(g, s, d), rtol=1e-6, atol=1e-10)
 
 
 def test_exact_gradient_agrees_with_approx_diff():
     g, s, d = instance(3)
-    assert_allclose(congestion.exact_gradient(g, s, d),
+    assert_allclose(theory.exact_gradient(g, s, d),
                     congestion.approx_diff(g, s, d).grad, atol=1e-10)
 
 
@@ -127,14 +128,14 @@ def test_cauchy_schwarz_voltage_bound():
     # delta_e^2 <= rho_e * phi for every edge
     g, s, d = instance(10, demand="gauss")
     diff = congestion.approx_diff(g, s, d)
-    rho = graphs.effective_resistances(g, s)
+    rho = theory.effective_resistances(g, s)
     assert np.all(diff.delta ** 2 <= rho * diff.phi + 1e-10)
 
 
 # --- Hessian ----------------------------------------------------------------------
 
 def test_hessian_two_node_value():
-    info = congestion.hessian_dense(two_node(2.0), np.ones(1), [1.0, -1.0])
+    info = theory.hessian_dense(two_node(2.0), np.ones(1), [1.0, -1.0])
     assert_allclose(info.H, [[1.0]], atol=1e-12)
     assert abs(info.opnorm_bound - 1.0) < 1e-12
 
@@ -142,28 +143,28 @@ def test_hessian_two_node_value():
 def test_hessian_matches_entrywise_reference():
     for seed in range(3):
         g, s, d = instance(seed + 11, demand="gauss")
-        info = congestion.hessian_dense(g, s, d)
+        info = theory.hessian_dense(g, s, d)
         assert_allclose(info.H, oracles.hessian_entrywise(g, s, d),
                         rtol=1e-8, atol=1e-10)
 
 
 def test_hessian_is_psd():
     g, s, d = instance(14)
-    info = congestion.hessian_dense(g, s, d)
+    info = theory.hessian_dense(g, s, d)
     assert np.linalg.eigvalsh(info.H)[0] >= -1e-10
 
 
 def test_hessian_norm_bound_on_binary_configurations():
     for seed in range(3):
         g, _, d = instance(seed + 15, demand="gauss")
-        info = congestion.hessian_dense(g, np.ones(g.m), d)
+        info = theory.hessian_dense(g, np.ones(g.m), d)
         norm = np.linalg.norm(info.H, 2)
         assert norm <= info.opnorm_bound * (1.0 + 1e-8)
 
 
 def test_hessian_gsc_constant_triangle():
     # backbone path resistances are (1, 1, 2), unit weights
-    info = congestion.hessian_dense(triangle(), np.ones(3), [1.0, 0.0, -1.0])
+    info = theory.hessian_dense(triangle(), np.ones(3), [1.0, 0.0, -1.0])
     assert abs(info.gsc_M - 3.0 * np.sqrt(6.0)) < 1e-12
 
 
@@ -171,7 +172,7 @@ def test_gsc_constant_below_remark_bound():
     # on generator-style instances the 2-norm form sits under 3n max w rho_T
     for seed in range(4):
         g, s, d = instance(seed + 18, n=12, extra=6, demand="gauss")
-        info = congestion.hessian_dense(g, s, d)
+        info = theory.hessian_dense(g, s, d)
         st = g.backbone_indicator()
         rho_t = np.array([oracles.resistance(g, st, e) for e in range(g.m)])
         off = ~g.backbone_mask
@@ -179,11 +180,11 @@ def test_gsc_constant_below_remark_bound():
 
 
 DENSE_ONLY = {
-    "effective_resistances": lambda g, s, d: graphs.effective_resistances(g, s),
-    "leverages": lambda g, s, d: graphs.leverages(g, s),
+    "effective_resistances": lambda g, s, d: theory.effective_resistances(g, s),
+    "leverages": lambda g, s, d: theory.leverages(g, s),
     "algebraic_connectivity": lambda g, s, d: graphs.algebraic_connectivity(g, s),
-    "exact_gradient": congestion.exact_gradient,
-    "hessian_dense": congestion.hessian_dense,
+    "exact_gradient": theory.exact_gradient,
+    "hessian_dense": theory.hessian_dense,
     "enumerate_optimal": lambda g, s, d: enumeration.enumerate_optimal(g, d, g.m),
 }
 
@@ -226,7 +227,7 @@ def test_no_context_solves_on_the_backbone_factor(monkeypatch):
     assert abs(congestion.phi(g, s, d, cfg) - want) <= 1e-8 * want
     diff = congestion.approx_diff(g, s, d, cfg)
     assert abs(diff.phi - want) <= 1e-8 * want
-    assert_allclose(diff.grad, congestion.exact_gradient(g, s, d), rtol=1e-6, atol=1e-10)
+    assert_allclose(diff.grad, theory.exact_gradient(g, s, d), rtol=1e-6, atol=1e-10)
 
 
 def test_fill_probe_runs_once_per_graph(monkeypatch):

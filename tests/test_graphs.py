@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
+import theory
 from reswitch import graphs
 from reswitch.errors import InvalidInputError
 
@@ -66,6 +67,21 @@ def test_make_graph_rejects_invalid():
         graphs.make_graph(3, [(0, 1, 1.0)], [0])  # backbone misses node 2
     with pytest.raises(InvalidInputError, match="backbone index 1 out of range"):
         graphs.make_graph(2, [(0, 1, 1.0)], [0, 1])
+
+
+@pytest.mark.parametrize("edges, backbone, culprit", [
+    ([(0, 1.5, 1.0), (1, 2, 1.0)], [0, 1], "edge 0 endpoint 1.5 is not an integer"),
+    ([(0, 1, 1.0), (1, 2, 1.0)], [0.7, 1], "backbone index 0.7 is not an integer"),
+    ([(np.nan, 1, 1.0), (1, 2, 1.0)], [0, 1], "edge 0 endpoint nan is not an integer"),
+    ([(0, 1, 1.0), (1, np.inf, 1.0)], [0, 1], "edge 1 endpoint inf is not an integer"),
+    ([(0, 1, 1.0), (1, 2, 1.0)], [0, np.nan], "backbone index nan is not an integer"),
+    ([(0, 1e30, 1.0), (1, 2, 1.0)], [0, 1], "edge 0 endpoint out of range"),
+], ids=["fraction", "fractional-index", "nan", "inf", "nan-index", "beyond-int64"])
+def test_make_graph_refuses_to_truncate(edges, backbone, culprit):
+    # A fraction is not cut to an integer, and NaN warns nothing on its way
+    # to the error (pytest turns a RuntimeWarning into a failure).
+    with pytest.raises(InvalidInputError, match=culprit):
+        graphs.make_graph(3, edges, backbone)
 
 
 def test_graph_arrays_are_read_only():
@@ -214,13 +230,13 @@ def test_laplacian_invariants():
 # --- resistances, leverages, connectivity ----------------------------------
 
 def test_triangle_resistances_are_two_thirds():
-    rho = graphs.effective_resistances(triangle(), np.ones(3))
+    rho = theory.effective_resistances(triangle(), np.ones(3))
     assert_allclose(rho, [2 / 3, 2 / 3, 2 / 3], atol=1e-12)
 
 
 def test_parallel_pair_resistance():
     # two unit edges in parallel behave like one edge of weight 2
-    rho = graphs.effective_resistances(parallel_pair(), np.ones(2))
+    rho = theory.effective_resistances(parallel_pair(), np.ones(2))
     assert_allclose(rho, [0.5, 0.5], atol=1e-14)
 
 
@@ -228,7 +244,7 @@ def test_resistances_match_reference():
     rng = np.random.default_rng(6)
     g, _ = oracles.random_instance(rng, 10, 8)
     s = oracles.random_fractional(rng, g)
-    rho = graphs.effective_resistances(g, s)
+    rho = theory.effective_resistances(g, s)
     want = [oracles.resistance(g, s, e) for e in range(g.m)]
     assert_allclose(rho, want, rtol=1e-10, atol=1e-12)
 
@@ -239,7 +255,7 @@ def test_foster_sum_for_connected_configurations():
         g, _ = oracles.random_instance(rng, 9, 7)
         s = (rng.random(g.m) < 0.5).astype(float)
         s[g.backbone_mask] = 1.0
-        lev = graphs.leverages(g, s)
+        lev = theory.leverages(g, s)
         assert np.all(lev >= -1e-12) and np.all(lev <= 1 + 1e-12)
         assert abs(lev.sum() - (g.n - 1)) < 1e-8
 
@@ -249,18 +265,18 @@ def test_foster_sum_holds_fractionally():
     rng = np.random.default_rng(9)
     g, _ = oracles.random_instance(rng, 8, 6)
     s = oracles.random_fractional(rng, g)
-    assert abs(graphs.leverages(g, s).sum() - (g.n - 1)) < 1e-8
+    assert abs(theory.leverages(g, s).sum() - (g.n - 1)) < 1e-8
 
 
 def test_rayleigh_monotonicity():
     rng = np.random.default_rng(10)
     g, _ = oracles.random_instance(rng, 8, 6)
     s = oracles.random_fractional(rng, g, hi=0.8)
-    rho = graphs.effective_resistances(g, s)
+    rho = theory.effective_resistances(g, s)
     for e in np.flatnonzero(~g.backbone_mask)[:3]:
         s_up = s.copy()
         s_up[e] = min(1.0, s_up[e] + 0.2)
-        rho_up = graphs.effective_resistances(g, s_up)
+        rho_up = theory.effective_resistances(g, s_up)
         assert np.all(rho_up <= rho + 1e-12)
 
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
+import theory
 from reswitch import graphs, rounding
 from reswitch.errors import (InfeasibleShrinkageError, InvalidInputError,
                              ResampleExhaustedError)
@@ -30,6 +31,10 @@ def test_params_validation():
         rounding.RoundingParams(delta=0.1, repair="reject")
     with pytest.raises(InvalidInputError):
         rounding.RoundingParams(delta=0.1, max_resamples=-1)
+    with pytest.raises(InvalidInputError, match="p_min_constant"):
+        rounding.RoundingParams(delta=0.1, p_min_constant=float("nan"))
+    with pytest.raises(InvalidInputError, match="rng_seed"):
+        rounding.RoundingParams(delta=0.1, rng_seed=-1)
 
 
 def test_floor_defaults_to_identity():
@@ -284,7 +289,7 @@ def test_sandwich_epsilon_is_scale_invariant():
 def test_sandwich_check_identity():
     g, _ = instance(21)
     s = np.ones(g.m)
-    assert rounding.sandwich_check(g, s, s, 0.0)
+    assert theory.sandwich_check(g, s, s, 0.0)
 
 
 def test_sandwich_check_tracks_leverage():
@@ -292,8 +297,8 @@ def test_sandwich_check_tracks_leverage():
     g = graphs.make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [0, 1])
     sbar = np.ones(3)
     sampled = np.array([1.0, 1.0, 0.0])
-    assert rounding.sandwich_check(g, sbar, sampled, 2 / 3 + 1e-6)
-    assert not rounding.sandwich_check(g, sbar, sampled, 2 / 3 - 1e-6)
+    assert theory.sandwich_check(g, sbar, sampled, 2 / 3 + 1e-6)
+    assert not theory.sandwich_check(g, sbar, sampled, 2 / 3 - 1e-6)
 
 
 def test_sandwich_check_matches_zero_mean_basis_reference():
@@ -306,8 +311,8 @@ def test_sandwich_check_matches_zero_mean_basis_reference():
         sampled = (rng.random(g.m) < sbar).astype(float)
         vals = oracles.sandwich_pencil_eigenvalues(g, sbar, sampled)
         gap = max(1.0 - vals.min(), vals.max() - 1.0)
-        assert rounding.sandwich_check(g, sbar, sampled, gap + 1e-7)
-        assert not rounding.sandwich_check(g, sbar, sampled, gap - 1e-7)
+        assert theory.sandwich_check(g, sbar, sampled, gap + 1e-7)
+        assert not theory.sandwich_check(g, sbar, sampled, gap - 1e-7)
 
 
 def test_sample_runs_sandwich_on_request():
@@ -317,7 +322,7 @@ def test_sample_runs_sandwich_on_request():
     report = rounding.sample(sbar, g, g.m, params)
     eps = rounding.sandwich_epsilon(g, sbar, params.delta)
     assert eps < 1.0
-    assert rounding.sandwich_check(g, sbar, report.sampled.sbin, eps) is True
+    assert theory.sandwich_check(g, sbar, report.sampled.sbin, eps) is True
 
 
 def test_sample_skips_vacuous_sandwich():
