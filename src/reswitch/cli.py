@@ -7,7 +7,7 @@ are JSON documents with a deterministic "record" payload (byte-identical
 across replays of the same config and seeds) plus volatile "timing" and
 "timestamp" fields kept outside it; a CSV summary mirrors the scalar
 fields. Exit codes: 0 success, 2 invalid input, 3 numerical failure,
-4 branch-and-bound node cap or dense cap exceeded.
+4 branch-and-bound node cap exceeded.
 """
 from __future__ import annotations
 
@@ -323,7 +323,7 @@ def _cmd_solve(args) -> int:
     timing = {}
     s_frac, cert, trace = _timed(timing, "optimize_s", frankwolfe.run, g, d,
                                      _fw_config(cfg, q))
-    record = {**_header("solve", g, q, d), "alpha": cfg.alpha, "seed": cfg.seed,
+    record = {**_header("solve", g, q, d), "alpha": cfg.alpha,
               **_solution_fields(cert, trace),
               "switch_vector": [float(v) for v in s_frac]}
     _write_output(_wrap(record, timing), cfg.output, cfg.format)
@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("solve", help="optimize and certify a fractional solution")
-    _add_common(p, "input", "output", "format", "seed", "q", "alpha", "solver")
+    _add_common(p, "input", "output", "format", "q", "alpha", "solver")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("round", help="round a fractional solution")

@@ -28,21 +28,22 @@ first.
 
 Only the free edges change between solves, so each is exact in the
 free-edge space. With L_B the backbone's Laplacian, U the free edges'
-incidence vectors (n x F) and C = diag(s_F w_F), L_s = L_B + U C U^T. One
-grounded dense solve per search (solver._grounded_solve), on F + 1
-right-hand sides, gives b = U^T L_B^+ d, G = U^T L_B^+ U and phi_B =
-d^T L_B^+ d. Then M = I + C^1/2 G C^1/2 is positive definite with
-eigenvalues at least 1, and by the Woodbury identity (Hager, 1989), with
-z = M^-1 C^1/2 b,
+incidence vectors (n x F) and C = diag(s_F w_F), L_s = L_B + U C U^T. Let
+b = U^T L_B^+ d, G = U^T L_B^+ U and phi_B = d^T L_B^+ d. Then M = I +
+C^1/2 G C^1/2 is positive definite with eigenvalues at least 1, and by the
+Woodbury identity (Hager, 1989), with z = M^-1 C^1/2 b,
 
     phi(s) = phi_B - (C^1/2 b)^T z,    U^T L_s^+ d = b - G C^1/2 z,
 
-so a node solve is one F x F Cholesky. The search runs on d scaled by a
-power of two (solver._unit_scaled): every phi, gradient and bound is then
+so a node solve is one F x F Cholesky. b, G and phi_B come from one block
+solve on [d, U] with the backbone's spanning tree T (solver.TreeFactor,
+O(n) per column). Backbone edges off T, when it has cycles, are folded in
+by the same identity, once: L_B = L_T + V W V^T is one P x P solve for
+their P incidence vectors V and weights W. The search runs on d scaled by
+a power of two (solver._unit_scaled): every phi, gradient and bound is then
 scaled by one power of four, exactly, so no comparison changes and none
-overflows. The best_phi reported is the dense kernel's phi of the chosen
-configuration, a second grounded n x n solve (solver._exact_solve). A
-dense residual that shows an edge lost to round-off raises NumericalError.
+overflows. best_phi is congestion.phi of the chosen configuration, exact
+at n <= 64 and certified within epsilon above; no step is n x n.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from . import graphs, solver
+from . import congestion, graphs, solver
 from .errors import CapExceededError, StructuralError
 
 # Most search nodes before the search gives up with CapExceededError.
@@ -88,19 +89,23 @@ class _Search:
         self.k = min(head, len(self.free))
         self.w = g.w[self.free]
         self.d = solver._unit_scaled(d)[0]
-        # The backbone's solve on [d, U], from the dense kernel on the d
-        # enumerate_optimal checked once.
-        ei, ej = g.ei[self.free], g.ej[self.free]
-        cols = np.arange(1, len(self.free) + 1)
-        rhs = np.zeros((g.n, len(cols) + 1))
-        rhs[:, 0] = self.d
-        rhs[ei, cols], rhs[ej, cols] = 1.0, -1.0
-        X = solver._grounded_solve(
-            graphs.assemble_laplacian_dense(g, g.backbone_indicator()), rhs)
-        drops = X[ei] - X[ej]
-        self.b = drops[:, 0]
-        self.G = 0.5 * (drops[:, 1:] + drops[:, 1:].T)
-        self.phi_B = float(self.d @ X[:, 0])
+        # Q = [d, U, V]^T L_T^+ [d, U, V] by one block tree solve, V the
+        # backbone edges off the tree, which Woodbury then folds into L_B.
+        bb = np.flatnonzero(g.backbone_mask)
+        tree = solver.TreeFactor(g.n, g.ei[bb], g.ej[bb], g.w[bb])
+        off = bb[(tree.pred[g.ei[bb]] != g.ej[bb]) & (tree.pred[g.ej[bb]] != g.ei[bb])]
+        edges = np.concatenate([self.free, off])
+        ei, ej, cols = g.ei[edges], g.ej[edges], np.arange(1, len(edges) + 1)
+        rows = np.zeros((len(edges) + 1, g.n))
+        rows[0], rows[cols, ei], rows[cols, ej] = self.d, 1.0, -1.0
+        X = tree.apply(rows.T)
+        Q = np.vstack([self.d @ X, X[ei] - X[ej]])
+        F = len(self.free)
+        if len(off):
+            Q = Q[:F + 1, :F + 1] - Q[:F + 1, F + 1:] @ np.linalg.solve(
+                np.diag(1.0 / g.w[off]) + Q[F + 1:, F + 1:], Q[F + 1:, :F + 1])
+        self.phi_B, self.b = float(Q[0, 0]), Q[1:, 0]
+        self.G = 0.5 * (Q[1:, 1:] + Q[1:, 1:].T)
         self.best_phi = np.inf
         self.best_mask = None
         self.best_on = None
@@ -202,8 +207,6 @@ def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int) -> EnumerationResu
     """
     d = graphs.check_demand(g, d)
     t_size = graphs.check_budget(g, q)
-    # The backbone's solve and the final phi are dense n x n solves.
-    solver.require_dense(g.n)
     search = _Search(g, d, q - t_size)
     F = len(search.free)
     none = np.zeros(F, dtype=bool)
@@ -216,6 +219,6 @@ def enumerate_optimal(g: graphs.Graph, d: np.ndarray, q: int) -> EnumerationResu
 
     s_best = g.backbone_indicator()
     s_best[search.free] = search.best_on
-    best_phi = solver._exact_solve(graphs.assemble_laplacian_dense(g, s_best), d).phi_lb
     return EnumerationResult(best_config=graphs.Configuration(sbin=s_best),
-                             best_phi=best_phi, evaluated_count=search.nodes)
+                             best_phi=congestion.phi(g, s_best, d),
+                             evaluated_count=search.nodes)

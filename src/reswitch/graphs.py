@@ -101,7 +101,7 @@ class Graph:
     @cached_property
     def context(self) -> solver.SolveContext:
         """The solve context of every CG solve on the graph: the backbone's
-        tree solve (solver.TreeFactor, 3n numbers) and the graph's plan. It
+        tree solve (solver.TreeFactor, 4n numbers) and the graph's plan. It
         is built on first use. check_switch pins the backbone closed, so
         every L_s on the graph dominates L_T and the bound holds; solves
         only read the context, so sharing it changes no result."""

@@ -77,8 +77,8 @@ from .errors import CapExceededError, InvalidInputError, NumericalError, Structu
 # when its plan is built.
 FILL_BUDGET = 128
 BOUND_INTERVAL = 16
-# Largest node count for the dense-only operations (resistances, Hessian,
-# exact baseline): an n x n dense matrix and its O(n^3) solve.
+# Largest node count for the dense-only operations (lambda_2 and the
+# theory checks): an n x n dense matrix and its O(n^3) solve.
 DENSE_CAP = 2000
 
 
@@ -396,6 +396,7 @@ class TreeFactor:
     node the sum of S_u / w_u over its path to the root, projected to zero
     mean, for r orthogonal to 1. nnz counts the nonzeros of L_T, which
     SolveContext.on_tree compares: L_T is the Laplacian solved exactly.
+    pred[v] is v's parent on T (negative at the root, node 0).
     """
 
     def __init__(self, n: int, ei: np.ndarray, ej: np.ndarray, w: np.ndarray):
@@ -415,6 +416,7 @@ class TreeFactor:
         bfs, pred = breadth_first_order(T, 0, directed=False, return_predecessors=True)
         if len(bfs) != n:
             raise StructuralError("edge set is not connected")
+        self.pred = pred
         parent = np.append(pred, n)
         parent[0] = n
         size = np.ones(n)
@@ -435,27 +437,33 @@ class TreeFactor:
         self._order[pos] = np.arange(n)
         self._end = np.empty(n, dtype=np.intp)
         self._end[pos] = pos + size
-        edges = T.tocoo()
-        child = np.where(pred[edges.col] == edges.row, edges.col, edges.row)
+        row = np.repeat(np.arange(n), np.diff(T.indptr))
+        child = np.where(pred[T.indices] == row, T.indices, row)
         self._inv_w = np.zeros(n)
-        self._inv_w[pos[child]] = 1.0 / edges.data
+        self._inv_w[pos[child]] = 1.0 / T.data
 
     def _subtree_sums(self, r: np.ndarray) -> np.ndarray:
-        """The sum of r over the subtree at each preorder position."""
-        c = np.empty(self.n + 1)
-        c[0] = 0.0
-        np.cumsum(r.take(self._order), out=c[1:])
-        return c.take(self._end) - c[:-1]
+        """The sum of r over the subtree at each preorder position, along
+        r's last axis."""
+        c = np.empty(r.shape[:-1] + (self.n + 1,))
+        c[..., 0] = 0.0
+        np.cumsum(r.take(self._order, axis=-1), axis=-1, out=c[..., 1:])
+        return c.take(self._end, axis=-1) - c[..., :-1]
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """L_T^+ r for r orthogonal to 1."""
+        """L_T^+ r for r orthogonal to 1. r may also be an n x k block; each
+        column comes out bit for bit as it does on its own."""
         n = self.n
-        drop = self._subtree_sums(r) * self._inv_w
+        # The node axis last, so a block's columns are contiguous rows.
+        rows = np.atleast_2d(r.T)
+        drop = self._subtree_sums(rows) * self._inv_w
         # Each drop adds to its whole subtree: a difference array, summed.
-        x = np.empty(n)
-        x[self._order] = np.cumsum(
-            drop - np.bincount(self._end, weights=drop, minlength=n + 1)[:n])
-        return project_zero_mean(x)
+        at = self._end + (n + 1) * np.arange(len(rows))[:, None]
+        ends = np.bincount(at.ravel(), weights=drop.ravel(), minlength=(n + 1) * len(rows))
+        x = np.empty_like(drop)
+        x[:, self._order] = np.cumsum(drop - ends.reshape(-1, n + 1)[:, :n], axis=1)
+        x -= x.mean(axis=1, keepdims=True)
+        return x.T if r.ndim == 2 else x[0]
 
     def quadform(self, r: np.ndarray) -> float:
         """r^T L_T^+ r, the stopping-bound numerator, for r orthogonal to 1."""

@@ -196,6 +196,17 @@ def test_no_subcommand_takes_a_preconditioner(capsys, argv):
     assert "unrecognized arguments: --preconditioner auto" in capsys.readouterr().err
 
 
+def test_solve_takes_no_seed(tmp_path, capsys):
+    # solve draws nothing, so a seed would only be copied into its record.
+    inst = gen(tmp_path, n=8, extra=4, seed=1)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["solve", "--input", str(inst), "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert "seed" not in run_json(["solve", "--input", str(inst)],
+                                  tmp_path / "sol.json")["record"]
+
+
 def test_round_respects_budget_with_custom_q(tmp_path):
     inst = gen(tmp_path, n=10, extra=8, seed=4)
     run_json(["solve", "--input", str(inst)], tmp_path / "sol.json")
@@ -465,7 +476,7 @@ def test_experiment_records_replay_bitwise():
 
 def test_experiment_matches_solve_then_round(tmp_path):
     inst = gen(tmp_path, n=12, extra=8, seed=7)
-    sol = run_json(["solve", "--input", str(inst), "--alpha", "0.2", "--seed", "3"],
+    sol = run_json(["solve", "--input", str(inst), "--alpha", "0.2"],
                    tmp_path / "sol.json")["record"]
     rnd = run_json(["round", "--input", str(inst), "--solution", str(tmp_path / "sol.json"),
                     "--repeats", "3", "--seed", "3"], tmp_path / "round.json")["record"]

@@ -185,7 +185,6 @@ DENSE_ONLY = {
     "algebraic_connectivity": lambda g, s, d: graphs.algebraic_connectivity(g, s),
     "exact_gradient": theory.exact_gradient,
     "hessian_dense": theory.hessian_dense,
-    "enumerate_optimal": lambda g, s, d: enumeration.enumerate_optimal(g, d, g.m),
 }
 
 

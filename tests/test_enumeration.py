@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
+import reswitch
 from reswitch import cli, enumeration, graphs, solver
 from reswitch.errors import CapExceededError, InvalidInputError
 
@@ -93,15 +98,18 @@ def test_evaluated_count_is_budget_filtered():
 
 
 def test_demand_is_checked_once_per_search(monkeypatch):
-    # enumerate_optimal checks d once; its node solves take it as checked.
+    # enumerate_optimal checks d once and congestion.phi, for best_phi, once
+    # more; the node solves take it as checked, so the count does not grow
+    # with the nodes.
     calls = []
     checked = solver._checked_demand
     monkeypatch.setattr(solver, "_checked_demand",
                         lambda d, n: calls.append(n) or checked(d, n))
-    g, d = instance(8, n=8, extra=7, demand="gauss")
-    res = enumeration.enumerate_optimal(g, d, g.n + 2)
-    assert res.evaluated_count > 1
-    assert len(calls) == 1
+    for g, d in (instance(8, n=8, extra=7, demand="gauss"), cli.generate_instance(30, 16, 1)):
+        calls.clear()
+        res = enumeration.enumerate_optimal(g, d, g.n + 2)
+        assert res.evaluated_count > 1
+        assert len(calls) == 2
 
 
 def test_best_phi_is_monotone_in_budget():
@@ -297,17 +305,114 @@ def test_overflowed_best_phi_is_inf():
     assert_array_equal(res.best_config.sbin, [1.0, 1.0, 1.0])
 
 
-def test_two_dense_solves_per_search(monkeypatch):
-    # The backbone's solve on [d, U] and the best configuration's phi are
-    # the only n x n solves; every node solve is F x F.
-    shapes = []
-    grounded = solver._grounded_solve
+def test_no_n_by_n_solve_above_the_dense_threshold(monkeypatch):
+    # The backbone's solve is the tree's and every node solve is F x F, so
+    # the one n x n solve is best_phi's on the dense path (n <= 64); above
+    # it best_phi is certified CG, and nothing n x n is assembled or solved.
+    shapes, dense = [], []
+    grounded, assemble = solver._grounded_solve, graphs.assemble_laplacian_dense
     monkeypatch.setattr(solver, "_grounded_solve",
                         lambda L, D: shapes.append(L.shape) or grounded(L, D))
-    g, d = cli.generate_instance(30, 16, 1)
+    monkeypatch.setattr(graphs, "assemble_laplacian_dense",
+                        lambda g, s: dense.append(g.n) or assemble(g, s))
+    for n, solves in ((30, 1), (100, 0)):
+        shapes.clear()
+        dense.clear()
+        g, d = cli.generate_instance(n, 16, 1)
+        res = enumeration.enumerate_optimal(g, d, cli.default_budget(g))
+        assert res.evaluated_count > 10
+        assert shapes == [(n, n)] * solves
+        assert dense == [n] * solves
+
+
+def test_search_ignores_the_dense_cap(monkeypatch):
+    # Nothing in the search is dense-only: with DENSE_CAP below n it returns
+    # what it returns at the default cap, on the dense path and above it.
+    for n in (30, 100):
+        g, d = cli.generate_instance(n, 16, 2, demand="gauss")
+        q = cli.default_budget(g)
+        ref = enumeration.enumerate_optimal(g, d, q)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "DENSE_CAP", g.n - 1)
+            res = enumeration.enumerate_optimal(g, d, q)
+        assert_array_equal(res.best_config.sbin, ref.best_config.sbin)
+        assert res.best_phi == ref.best_phi
+        assert res.evaluated_count == ref.evaluated_count
+
+
+def off_tree_count(g):
+    """Backbone edges off the spanning tree TreeFactor solves."""
+    bb = g.backbone_mask
+    bi, bj = g.ei[bb], g.ej[bb]
+    pred = solver.TreeFactor(g.n, bi, bj, g.w[bb]).pred
+    return int(np.count_nonzero((pred[bi] != bj) & (pred[bj] != bi)))
+
+
+def backbone_variant(rng, kind):
+    """A random instance whose backbone is a tree and, by kind, one more edge
+    that closes a cycle ("cycle"), a parallel copy of a tree edge
+    ("tree-copy"), or a light parallel pair that closes a cycle, which the
+    maximum-weight spanning tree leaves out ("pair-off-tree")."""
+    n = int(rng.integers(4, 9))
+    g, d = oracles.random_instance(rng, n, int(rng.integers(1, 9)), multigraph=True,
+                                   demand=("pair", "gauss")[int(rng.integers(2))])
+    edges = list(g.edges)
+    tree = {(i, j) for i, j, _ in edges[:n - 1]}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+    i, j = pairs[int(rng.integers(len(pairs)))]
+    w = float(rng.uniform(0.5, 2.0))
+    extra = {"cycle": [(i, j, w)],
+             "tree-copy": [edges[int(rng.integers(n - 1))][:2] + (w,)],
+             "pair-off-tree": [(i, j, 0.1), (i, j, 0.2)]}[kind]
+    # Shuffled, so backbone and free edges interleave in edge order.
+    order = rng.permutation(len(edges) + len(extra))
+    backbone = np.argsort(order)[np.r_[:n - 1, len(edges):len(edges) + len(extra)]]
+    return graphs.make_graph(n, [(edges + extra)[k] for k in order], backbone), d
+
+
+@pytest.mark.parametrize("kind, off", [("cycle", 1), ("tree-copy", 0), ("pair-off-tree", 2)])
+def test_matches_oracle_on_backbones_beyond_a_tree(kind, off):
+    # The backbone solve folds its edges off the tree in by Woodbury and sums
+    # parallel copies of a tree edge into the tree; every budget from |B| to
+    # m picks the reference's configuration and phi.
+    rng = np.random.default_rng({"cycle": 1, "tree-copy": 2, "pair-off-tree": 3}[kind])
+    for k in range(40):
+        g, d = backbone_variant(rng, kind)
+        assert off_tree_count(g) == off
+        free = int(np.count_nonzero(~g.backbone_mask))
+        values = oracles.brute_force(g, d, g.m).all_values
+        b_size = g.m - free
+        for q in range(b_size, g.m + 1):
+            res = enumeration.enumerate_optimal(g, d, q)
+            mask, low = oracle_choice(values, free, q - b_size)
+            assert oracles.mask_of(g, res.best_config.sbin) == mask, (k, q)
+            assert abs(res.best_phi - low) <= 1e-12 * low, (k, q)
+
+
+THREADS_SCRIPT = """
+from reswitch import cli, enumeration
+for n, seed in ((200, 2), (400, 3)):
+    g, d = cli.generate_instance(n, 30, seed)
     res = enumeration.enumerate_optimal(g, d, cli.default_budget(g))
-    assert res.evaluated_count > 10
-    assert shapes == [(g.n, g.n)] * 2
+    print(res.best_config.sbin.nonzero()[0].tolist(), repr(res.best_phi), res.evaluated_count)
+"""
+
+
+def test_records_do_not_depend_on_the_blas_thread_count():
+    # The same searches under one and two OpenBLAS threads: CLI instances
+    # of 200 and 400 nodes with 30 free edges, where a dense n x n start
+    # split its sums by thread count and moved best_phi and the node count.
+    src = str(Path(reswitch.__file__).resolve().parent.parent)
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert len(out[0].splitlines()) == 2
+    assert out[0] == out[1]
 
 
 def test_matches_the_dense_node_search(monkeypatch):

@@ -281,6 +281,27 @@ def test_tree_factor_bounds_a_backbone_with_a_cycle():
     assert cert.phi_value == pytest.approx(oracles.phi(g, s, d), rel=1e-8)
 
 
+@pytest.mark.parametrize("kind", ["tree", "multigraph", "cycles"])
+def test_tree_factor_block_apply_is_columnwise(kind):
+    # An n x k block solves as its k columns do one at a time, bit for bit,
+    # in either memory order: a tree backbone, one with parallel copies of
+    # tree edges, and a backbone with cycles (its maximum-weight tree).
+    g, _ = cli.generate_instance(300, 120, 4, multigraph=True)
+    bb = g.backbone_mask
+    ei, ej, w = {"tree": (g.ei[bb], g.ej[bb], g.w[bb]),
+                 "multigraph": (np.tile(g.ei[bb], 2), np.tile(g.ej[bb], 2),
+                                np.concatenate([g.w[bb], 2 * g.w[bb]])),
+                 "cycles": (g.ei, g.ej, g.w)}[kind]
+    tf = solver.TreeFactor(g.n, ei, ej, w)
+    R = np.random.default_rng(5).normal(size=(g.n, 6))
+    R -= R.mean(axis=0)
+    cols = np.column_stack([tf.apply(R[:, k].copy()) for k in range(R.shape[1])])
+    for block in (R, np.asfortranarray(R)):
+        X = tf.apply(block)
+        assert X.shape == R.shape
+        assert_array_equal(X, cols)
+
+
 def test_tree_factor_rejects_disconnected():
     with pytest.raises(StructuralError):
         solver.TreeFactor(4, np.array([0, 2]), np.array([1, 3]), np.array([1.0, 1.0]))
