@@ -59,7 +59,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
-        """Read a flat JSON object; unknown keys and mistyped values are invalid.
+        """Read a flat JSON object; unknown keys and mistyped values are
+        invalid, and so are the keys of a generated instance beside input_path.
 
         A value must have its field's JSON type; integers are accepted
         for float fields, and booleans only for boolean fields.
@@ -80,6 +81,14 @@ class ExperimentConfig:
                     or not isinstance(value, allowed)):
                 raise InvalidInputError(
                     f"config key {key!r} has {type(value).__name__} value {value!r}")
+        # An instance file fixes the graph and the demand; seed still seeds
+        # the draws and q overrides the file's budget.
+        if raw.get("input_path"):
+            generating = set(raw) & {"n", "extra", "weight_lo", "weight_hi", "demand",
+                                     "multigraph"}
+            if generating:
+                raise InvalidInputError(f"config keys {sorted(generating)} describe a "
+                                        "generated instance, but input_path reads one")
         return ExperimentConfig(**raw)
 
 
@@ -437,8 +446,10 @@ def _add_common(p: argparse.ArgumentParser, *names) -> None:
         "alpha": lambda: p.add_argument("--alpha", type=float),
         "delta": lambda: p.add_argument("--delta", type=float),
         "repeats": lambda: p.add_argument("--repeats", type=int),
-        "solver": lambda: (p.add_argument("--epsilon", type=float, help=EPSILON_HELP),
-                           p.add_argument("--max-iterations", dest="max_iterations", type=int)),
+        "epsilon": lambda: p.add_argument("--epsilon", type=float, help=EPSILON_HELP),
+        # Frank-Wolfe's iteration cap, for the subcommand that runs it.
+        "max_iterations": lambda: p.add_argument("--max-iterations", dest="max_iterations",
+                                                 type=int),
     }
     for name in names:
         opts[name]()
@@ -461,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("solve", help="optimize and certify a fractional solution")
-    _add_common(p, "input", "output", "format", "q", "alpha", "solver")
+    _add_common(p, "input", "output", "format", "q", "alpha", "epsilon", "max_iterations")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("round", help="round a fractional solution")
@@ -470,12 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-min-constant", dest="p_min_constant", type=float)
     p.add_argument("--max-resamples", dest="max_resamples", type=int)
     _add_common(p, "input", "output", "format", "seed", "q", "delta", "repeats",
-                "solver")
+                "epsilon")
     p.set_defaults(func=_cmd_round)
 
     p = sub.add_parser("certify", help="evaluate the gap certificate at a point")
     p.add_argument("--solution", help="JSON record with switch_vector")
-    _add_common(p, "input", "output", "format", "q", "alpha", "solver")
+    _add_common(p, "input", "output", "format", "q", "alpha", "epsilon")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("enumerate", help="exact baseline by branch and bound")
@@ -490,8 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="per-iteration timing across sizes")
     p.add_argument("--sizes", required=True, help="comma list of n:m pairs")
     p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--epsilon", type=float, help=EPSILON_HELP)
-    _add_common(p, "output", "format", "seed", "alpha")
+    _add_common(p, "output", "format", "seed", "alpha", "epsilon")
     p.set_defaults(func=_cmd_bench)
     return ap
 

@@ -85,9 +85,9 @@ class Graph:
 
         Its CSR pattern holds every position an edge touches, so every
         switch vector, zeros included, assembles into it; slot maps the 4m
-        terms of dense_index's order to their data positions. Its fill
-        verdict is the solver's probe on that pattern, with a budget for each
-        of the m edges, and when it is direct, the plan also holds the
+        terms of dense_index's order to their data positions. The plan
+        probes its own fill on that pattern, with a budget for each of the
+        m edges, and when it is low-fill, the plan also holds the
         grounded minimum-degree order that every direct factor on the graph
         reuses (solver.LaplacianPlan). It is built on first use.
         """
@@ -95,8 +95,7 @@ class Graph:
         flat, slot = np.unique(_flat_positions(self), return_inverse=True)
         indptr = np.searchsorted(flat, np.arange(n + 1) * n).astype(np.int32)
         indices = (flat % n).astype(np.int32)
-        return solver.LaplacianPlan(n, indptr, indices,
-                                    solver._low_fill(indptr, indices, self.m), slot)
+        return solver.LaplacianPlan(n, indptr, indices, self.m, slot)
 
     @cached_property
     def context(self) -> solver.SolveContext:

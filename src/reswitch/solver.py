@@ -22,14 +22,15 @@ accuracy it wants.
 
 solve runs preconditioned CG at every size, at most
 SolverConfig.max_iterations (5000) iterations, and requires a solve
-context, which fixes the preconditioner when it is built: direct (a sparse
-LU of the grounded L_s itself, built once per solve) when a fill probe
-finds the widest pattern the context will solve low-fill, and jacobi
-otherwise. No option overrides the choice: epsilon is the only setting.
-The probe compares the envelope of a reverse Cuthill-McKee order of the
-plan's own pattern with FILL_BUDGET nonzeros per edge; a graph's own
-context (graphs.Graph.context) takes the verdict of its plan, probed once
-per graph. Planar, grid-like and ring-like graphs pass it and their factor
+context, which alone picks the preconditioner (SolveContext.preconditioner).
+Its mode is fixed when it is built: direct (a sparse LU of the grounded
+L_s itself, built once per solve) when the widest pattern the context will
+solve is low-fill, and jacobi otherwise. No option overrides the choice:
+epsilon is the only setting. A LaplacianPlan probes its own pattern when
+it is built, comparing the envelope of a reverse Cuthill-McKee order of it
+with FILL_BUDGET nonzeros per edge; a graph's own context
+(graphs.Graph.context) takes the verdict of its plan, probed once per
+graph. Planar, grid-like and ring-like graphs pass it and their factor
 is cheap; expander-like graphs fail it, and there Jacobi needs only tens
 of iterations. The symbolic work of a direct factor is done once per
 pattern, not per solve: a LaplacianPlan keeps the grounded block's
@@ -43,16 +44,17 @@ takes one iteration, and the solution still has to pass the stopping bound
 below, so a poor factor can cost time but never accuracy.
 
 Every solve starts from x = 0 and only reads its context, so no solve
-depends on the ones before it. Under the tree solve the bound
-r^T L_T^+ r is the CG quantity r^T z and costs nothing. Under any other
-preconditioner it costs one pass over the tree. A direct solve evaluates
-it at the end of every iteration, before the factor is applied again,
-since one iteration mostly certifies there. Jacobi evaluates it only
-when it can fire: its next value is predicted from the last measured ratio
-bound / r^T z (1 at the start), and it is evaluated when the prediction
-meets the target or BOUND_INTERVAL iterations have passed since the last
-evaluation. Convergence is declared only on an evaluated bound, and a
-solve that runs out of iterations evaluates it before it raises.
+depends on the ones before it. solve knows only whether its
+preconditioner is exact, and keeps one bound rule for each kind; the
+bound r^T L_T^+ r costs one pass over the tree either way. Under an exact
+M, the tree solve or a direct factor, one iteration mostly certifies, so
+the bound is read at the end of every iteration, before M is applied
+again. Jacobi evaluates it only when it can fire: its next value is
+predicted from the last measured ratio bound / r^T z (1 at the start), and
+it is evaluated when the prediction meets the target or BOUND_INTERVAL
+iterations have passed since the last evaluation. Convergence is declared
+only on an evaluated bound, and a solve that runs out of iterations
+evaluates it before it raises.
 """
 from __future__ import annotations
 
@@ -69,12 +71,13 @@ from scipy.sparse.csgraph import (breadth_first_order, minimum_spanning_tree,
 
 from .errors import CapExceededError, InvalidInputError, NumericalError, StructuralError
 
-# Reverse Cuthill-McKee envelope per edge up to which a context solves directly.
-# Grids of 80 x 80 to 300 x 300 come to 27-101 (their factors, in the
-# minimum-degree order each graph's LaplacianPlan keeps, to 17.5-28 nonzeros
-# per edge), chord rings of 1500 nodes to 62-76; CLI expanders with 2n extra
-# edges pass below about 1450. A graph that passes pays for its order once,
-# when its plan is built.
+# Reverse Cuthill-McKee envelope per edge up to which a context solves
+# directly; a LaplacianPlan probes its own pattern against it. Grids of
+# 80 x 80 to 300 x 300 come to 27-101 (their factors, in the minimum-degree
+# order each graph's LaplacianPlan keeps, to 17.5-28 nonzeros per edge),
+# chord rings of 1500 nodes to 62-76; CLI expanders with 2n extra edges pass
+# below about 1450. A graph pays for its probe, and if it passes for its
+# order, once, when its plan is built.
 FILL_BUDGET = 128
 BOUND_INTERVAL = 16
 # Largest node count for the dense-only operations (lambda_2 and the
@@ -254,23 +257,26 @@ class LaplacianPlan:
     Laplacian assembled on the plan shares. slot, when the plan is a
     graph's, gives the data position of each summed term (graphs.Graph.plan).
 
-    When low_fill holds, the plan also orders the grounded block L[1:, 1:]
-    for direct factors. order is SuperLU's own MMD_AT_PLUS_A column order,
-    the inverse of its perm_c (permuting by perm_c itself multiplies the
-    fill many times over), and gather picks the permuted block's CSC data
-    out of L.data. Each factor is then one gather and one splu in the
-    NATURAL order, with the fill of SuperLU's own ordered factor. scipy has
-    no call that only orders, so the order comes from an incomplete factor
-    that drops every entry, which computes the same perm_c as splu.
+    The plan probes its own fill when it is built: low_fill holds when the
+    envelope of a reverse Cuthill-McKee order of the pattern (_envelope) is
+    at most FILL_BUDGET per edge, edges counting the graph's edges. Then
+    the plan also orders the grounded block L[1:, 1:] for direct factors.
+    order is SuperLU's own MMD_AT_PLUS_A column order, the inverse of its
+    perm_c (permuting by perm_c itself multiplies the fill many times
+    over), and gather picks the permuted block's CSC data out of L.data.
+    Each factor is then one gather and one splu in the NATURAL order, with
+    the fill of SuperLU's own ordered factor. scipy has no call that only
+    orders, so the order comes from an incomplete factor that drops every
+    entry, which computes the same perm_c as splu.
     """
 
-    def __init__(self, n: int, indptr, indices, low_fill: bool, slot=None):
+    def __init__(self, n: int, indptr, indices, edges: int, slot=None):
         self.n = n
         self.indptr = _frozen(indptr, np.int32)
         self.indices = _frozen(indices, np.int32)
-        self.low_fill = low_fill
+        self.low_fill = _envelope(self.indptr, self.indices) <= FILL_BUDGET * edges
         self.slot = None if slot is None else _frozen(slot, np.intp)
-        if low_fill and n > 1:
+        if self.low_fill and n > 1:
             self._order()
 
     def _order(self):
@@ -335,16 +341,6 @@ class LaplacianPlan:
             x[1:][order] = lu.solve(r[1:].take(order))
             return project_zero_mean(x)
         return apply
-
-
-def _low_fill(indptr, indices, m: int) -> bool:
-    """O(nnz) fill probe: is a pattern's Cuthill-McKee envelope within
-    FILL_BUDGET per edge?
-
-    The pattern is a canonical CSR pattern of an n-node Laplacian
-    (LaplacianPlan's) and m counts the graph's edges, the budget's unit.
-    """
-    return _envelope(indptr, indices) <= FILL_BUDGET * m
 
 
 def _envelope(indptr, indices) -> int:
@@ -472,17 +468,18 @@ class TreeFactor:
 
 
 class SolveContext:
-    """Backbone tree solve and preconditioner mode, shared by CG solves on one graph.
+    """Backbone tree solve and preconditioner, shared by CG solves on one graph.
 
     A solve keeps no state here, so the order of solves changes no result.
     tree is the TreeFactor of the backbone; a graph keeps one context
     (graphs.Graph.context), so its tree is built once per graph. plan is
-    the LaplacianPlan of the widest Laplacian the context will solve; its
-    fill verdict fixes mode when the context is built: direct if it holds,
-    jacobi otherwise or without a plan (module docstring). A direct solve
-    on an L without the plan's pattern is refused. A Laplacian with the
-    tree's sparsity pattern is preconditioned by the tree solve whatever
-    the mode, since it is exact there.
+    the LaplacianPlan of the widest Laplacian the context will solve, which
+    probed its own fill when it was built; its verdict fixes mode: direct
+    if it holds, jacobi otherwise or without a plan (module docstring).
+    preconditioner is the one place a solve's M is picked. A Laplacian with
+    the tree's sparsity pattern is preconditioned by the tree solve whatever
+    the mode, since it is exact there. A direct solve on an L without the
+    plan's pattern is refused.
     """
 
     def __init__(self, tree: TreeFactor, plan: LaplacianPlan | None = None):
@@ -496,13 +493,18 @@ class SolveContext:
         return np.count_nonzero(L.data if sp.issparse(L) else L) == self.tree.nnz
 
     def preconditioner(self, L):
-        """r -> M^-1 r for a solve on L off the tree (see on_tree)."""
+        """(M, exact) for a solve on L: r -> M^-1 r, and whether M is exact,
+        which fixes the solve's bound rule (module docstring). M is the tree
+        solve on the tree (see on_tree), else the plan's direct factor in
+        direct mode, both exact, else Jacobi."""
+        if self.on_tree(L):
+            return self.tree.apply, True
         if self.mode == "direct":
-            return self.plan.factor(L)
+            return self.plan.factor(L), True
         diag = L.diagonal() if sp.issparse(L) else np.diag(L).copy()
         if np.any(diag <= 0):
             raise StructuralError("Laplacian has an isolated node")
-        return lambda r: r / diag
+        return (lambda r: r / diag), False
 
 
 def context_from_edges(n: int, ei, ej, w, plan: LaplacianPlan | None = None) -> SolveContext:
@@ -519,16 +521,16 @@ def context_from_edges(n: int, ei, ej, w, plan: LaplacianPlan | None = None) -> 
 def context_from_laplacian(L) -> SolveContext:
     """Build a solve context from L alone: a TreeFactor over L's off-diagonal
     edges (a maximum-weight spanning tree of them) for the stopping bound,
-    and the plan of L's own canonical CSR pattern, fill probe included, with
-    one edge per entry below the diagonal."""
+    and the plan of L's own canonical CSR pattern, which probes its fill
+    with one edge per entry below the diagonal."""
     Ls = _canonical_csr(L)
     n = Ls.shape[0]
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(Ls.indptr))
     below = rows > Ls.indices
     edge = below & (Ls.data < 0)
     tree = TreeFactor(n, Ls.indices[edge], rows[edge], -Ls.data[edge])
-    low_fill = _low_fill(Ls.indptr, Ls.indices, int(np.count_nonzero(below)))
-    return SolveContext(tree, LaplacianPlan(n, Ls.indptr, Ls.indices, low_fill))
+    return SolveContext(tree, LaplacianPlan(n, Ls.indptr, Ls.indices,
+                                            int(np.count_nonzero(below))))
 
 
 def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
@@ -556,12 +558,7 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
     d, exponent = _unit_scaled(d)
 
     tree = context.tree
-    tree_is_M = context.on_tree(L)
-    M = tree.apply if tree_is_M else context.preconditioner(L)
-    # A direct factor is near exact, so CG on it mostly stops after one
-    # iteration: there the bound is read at the end of every iteration,
-    # before M is applied again.
-    bound_first = context.mode == "direct" and not tree_is_M
+    M, exact = context.preconditioner(L)
     eps2 = cfg.epsilon ** 2
 
     def stops(phi_lb, bound):
@@ -597,16 +594,18 @@ def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,
         r -= alpha * q
         r -= r.mean()
         phi_lb = 2.0 * float(d @ x) - float(x @ Lx)
-        bound = tree.quadform(r) if bound_first else None
+        # An exact M mostly stops CG after one iteration, so under it the
+        # bound is read at the end of every iteration, before M is applied again.
+        bound = tree.quadform(r) if exact else None
         if bound is not None and stops(phi_lb, bound):
             return result(it, phi_lb, bound)
         z = project_zero_mean(M(r))
         rz_new = float(r @ z)
         since += 1
         last = it == cfg.max_iterations or rz_new <= 0.0
-        if bound is None and (last or tree_is_M or since >= BOUND_INTERVAL
+        if bound is None and (last or since >= BOUND_INTERVAL
                               or ratio * rz_new <= eps2 * phi_lb):
-            bound = rz_new if tree_is_M else tree.quadform(r)
+            bound = tree.quadform(r)
             if stops(phi_lb, bound):
                 return result(it, phi_lb, bound)
         if bound is not None:

@@ -207,6 +207,18 @@ def test_solve_takes_no_seed(tmp_path, capsys):
                                   tmp_path / "sol.json")["record"]
 
 
+@pytest.mark.parametrize("cmd", ["round", "certify"])
+def test_round_and_certify_take_no_iteration_cap(tmp_path, capsys, cmd):
+    # --max-iterations caps Frank-Wolfe, which neither of them runs.
+    inst = gen(tmp_path, n=8, extra=4, seed=1)
+    sol = tmp_path / "sol.json"
+    run_json(["solve", "--input", str(inst), "--max-iterations", "7"], sol)
+    with pytest.raises(SystemExit) as info:
+        cli.main([cmd, "--input", str(inst), "--solution", str(sol), "--max-iterations", "7"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --max-iterations 7" in capsys.readouterr().err
+
+
 def test_round_respects_budget_with_custom_q(tmp_path):
     inst = gen(tmp_path, n=10, extra=8, seed=4)
     run_json(["solve", "--input", str(inst)], tmp_path / "sol.json")
@@ -489,6 +501,24 @@ def test_experiment_matches_solve_then_round(tmp_path):
     for key in ("rounded_phi_mean", "rounded_phi_min", "rounded_phi_max"):
         assert exp[key] == rnd[key]
     assert exp["repairs_total"] == sum(dr["repairs"] for dr in rnd["draws"])
+
+
+def test_experiment_refuses_generation_keys_beside_an_instance_file(tmp_path, capsys):
+    # The file fixes the graph and the demand, so a key that would generate
+    # them is refused rather than ignored; seed and q still apply.
+    inst = gen(tmp_path, n=12, extra=8, seed=7)
+    cfg_path = tmp_path / "cfg.json"
+    generating = {"n": 50, "extra": 7, "weight_lo": 3.0, "weight_hi": 4.0,
+                  "demand": "gauss", "multigraph": True}
+    for keys in [[key] for key in generating] + [sorted(generating)]:
+        cfg_path.write_text(json.dumps({"input_path": str(inst),
+                                        **{key: generating[key] for key in keys}}))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2, keys
+        assert f"config keys {keys} describe a generated instance" in \
+            capsys.readouterr().err, keys
+    cfg_path.write_text(json.dumps({"input_path": str(inst), "seed": 3, "q": 13}))
+    rec = run_json(["experiment", "--config", str(cfg_path)], tmp_path / "exp.json")["record"]
+    assert rec["seed"] == 3 and rec["q"] == 13
 
 
 def test_experiment_command_end_to_end(tmp_path):

@@ -231,8 +231,8 @@ def test_no_context_solves_on_the_backbone_factor(monkeypatch):
 
 def test_fill_probe_runs_once_per_graph(monkeypatch):
     calls = []
-    probe = solver._low_fill
-    monkeypatch.setattr(solver, "_low_fill", lambda *args: calls.append(1) or probe(*args))
+    probe = solver._envelope
+    monkeypatch.setattr(solver, "_envelope", lambda *args: calls.append(1) or probe(*args))
     g, d = oracles.chord_ring(300, seed=2)
     s, q = solved_instance(g, d, 20)
     draws = cli._draw(g, d, q, s, cli.ExperimentConfig(repeats=3, seed=4))

@@ -476,19 +476,24 @@ def test_solve_interval_holds_phi_and_scales_with_the_demand():
     assert solver.solve(L, np.ldexp(d, 520), cfg, context=ctx).phi_lb == np.inf
 
 
+def weak_backbone_context(g, seed):
+    """A backbone factor with unevenly lowered weights: inexact at the
+    backbone indicator, where it still preconditions (its pattern is the
+    backbone's), and L_T stays below L in the PSD order."""
+    bb = g.backbone_mask
+    low = np.random.default_rng(seed).uniform(0.2, 1.0, size=int(bb.sum()))
+    return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb] * low)
+
+
 def test_solve_raises_when_budget_exhausted(monkeypatch):
     g, s, d = instance(9, n=50, extra=40)
     monkeypatch.setattr(solver.SolverConfig, "max_iterations", 1)
     cfg = solver.SolverConfig(epsilon=1e-10)
-    bb = g.backbone_mask
-    # A backbone factor with unevenly lowered weights is inexact at the
-    # backbone indicator, where it still preconditions (its pattern is the
-    # backbone's), and L_T stays below L in the PSD order.
-    low = np.random.default_rng(9).uniform(0.2, 1.0, size=int(bb.sum()))
-    weak = solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb] * low)
+    weak = weak_backbone_context(g, 9)
     # The residual reported is the bound at the last iterate, one CG step
-    # from zero along z = M^-1 d. Under the backbone factor the bound is
-    # CG's own r^T z; under Jacobi it is evaluated even if it was not due.
+    # from zero along z = M^-1 d. Under the backbone factor, an exact M, it
+    # is read before M is applied again; under Jacobi it is evaluated even
+    # if it was not due.
     for point, ctx, on_tree in ((g.backbone_indicator(), weak, True),
                                 (s, backbone_context(g), False)):
         L = graphs.assemble_laplacian(g, point)
@@ -496,12 +501,55 @@ def test_solve_raises_when_budget_exhausted(monkeypatch):
         with pytest.raises(NumericalError) as info:
             solver.solve(L, d, cfg, context=ctx)
         assert 0.0 < info.value.achieved_residual < np.inf
-        M = ctx.tree.apply if on_tree else ctx.preconditioner(L)
+        M, exact = ctx.preconditioner(L)
+        assert exact == on_tree
         z = solver.project_zero_mean(M(d))
         x = (d @ z) / (z @ (L @ z)) * z
         r = solver.project_zero_mean(d - L @ x)
         expected = np.sqrt(ctx.tree.quadform(r) / (2.0 * d @ x - x @ (L @ x)))
         assert info.value.achieved_residual == pytest.approx(expected, rel=1e-9), on_tree
+
+
+def test_inexact_tree_solve_reads_the_bound_every_iteration(monkeypatch):
+    # The tree solve counts as exact on the tree's pattern, so its bound is
+    # read at the end of every iteration. Under the lowered weights above
+    # CG needs several, and still meets the energy contract.
+    g, _, d = instance(9, n=50, extra=40)
+    weak = weak_backbone_context(g, 9)
+    at = g.backbone_indicator()
+    L = graphs.assemble_laplacian(g, at)
+    assert weak.on_tree(L)
+    reads = []
+    quadform = weak.tree.quadform
+    monkeypatch.setattr(weak.tree, "quadform", lambda r: reads.append(1) or quadform(r))
+    cfg = solver.SolverConfig()
+    res = solver.solve(L, d, cfg, context=weak)
+    x_star = oracles.pinv(oracles.laplacian(g.n, g.edges, at)) @ d
+    err = rel_energy_error(L.toarray(), res.x, x_star)
+    assert res.iterations > 3 and len(reads) == res.iterations
+    assert err <= cfg.epsilon
+    assert res.achieved_residual >= err - 1e-12
+
+
+@pytest.mark.parametrize("mode", ["direct", "jacobi"])
+def test_backbone_indicator_applies_the_tree_solve_once(monkeypatch, mode):
+    # On a tree backbone L_s = L_T at the backbone indicator, whatever the
+    # graph's mode: one apply of the tree solve starts CG, one bound read
+    # after its one step stops it.
+    if mode == "direct":
+        g, d = oracles.grid_comb(20, 20, seed=2)
+    else:
+        g, d = cli.generate_instance(3000, 6000, seed=1, demand="gauss", multigraph=True)
+    ctx = g.context
+    assert ctx.mode == mode and np.count_nonzero(g.backbone_mask) == g.n - 1
+    applies, reads = [], []
+    apply, quadform = ctx.tree.apply, ctx.tree.quadform
+    monkeypatch.setattr(ctx.tree, "apply", lambda r: applies.append(1) or apply(r))
+    monkeypatch.setattr(ctx.tree, "quadform", lambda r: reads.append(1) or quadform(r))
+    L = graphs.assemble_laplacian(g, g.backbone_indicator())
+    res = solver.solve(L, d, solver.SolverConfig(), context=ctx)
+    assert res.iterations == 1 and len(applies) == 1 and len(reads) == 1
+    assert res.bound <= solver.SolverConfig().epsilon ** 2 * res.phi_lb
 
 
 def test_solve_rejects_bad_demand():
@@ -605,7 +653,7 @@ def test_dense_path_never_runs_the_fill_probe(monkeypatch):
     def refuse(*args):
         raise AssertionError("a solve context was built")
     monkeypatch.setattr(solver, "TreeFactor", refuse)
-    monkeypatch.setattr(solver, "_low_fill", refuse)
+    monkeypatch.setattr(solver, "_envelope", refuse)
     g, _, d = instance(13, n=30, extra=16)
     q = int(g.backbone_mask.sum()) + 8
     _, cert, _ = frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05))
@@ -700,7 +748,9 @@ def test_direct_factor_takes_superlu_own_order(family):
         assert np.array_equal(plan.order, np.argsort(own.perm_c))
         lu = plan.lu(L)
         assert lu.L.nnz + lu.U.nnz == own.L.nnz + own.U.nnz
-        x = g.context.preconditioner(L)(d)
+        M, exact = g.context.preconditioner(L)
+        assert exact
+        x = M(d)
         ref = np.concatenate([[0.0], own.solve(d[1:])])
         ref -= ref.mean()
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -777,7 +827,7 @@ def test_direct_rejects_disconnected_laplacian():
     tree = solver.TreeFactor(4, *path, np.ones(3))
     two_pieces = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0], [-1.0, 1.0, 0, 0],
                                          [0, 0, 1.0, -1.0], [0, 0, -1.0, 1.0]]))
-    plan = solver.LaplacianPlan(4, two_pieces.indptr, two_pieces.indices, True)
+    plan = solver.LaplacianPlan(4, two_pieces.indptr, two_pieces.indices, 2)
     ctx = solver.SolveContext(tree, plan=plan)
     assert ctx.mode == "direct"
     with pytest.raises(StructuralError):
