@@ -160,7 +160,12 @@ def generate_instance(n: int, extra: int, seed: int,
 
 
 def instance_digest(g: graphs.Graph, d: np.ndarray, q: int) -> str:
-    return hashlib.sha256(graphs.instance_text(g, d, q).encode("ascii")).hexdigest()
+    return _text_digest(graphs.instance_text(g, d, q))
+
+
+def _text_digest(text: str) -> str:
+    """The SHA-256 of an instance_text, as instance_digest gives it."""
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def default_budget(g: graphs.Graph) -> int:
@@ -320,9 +325,8 @@ def _flatten(obj, prefix="") -> dict:
 def _cmd_generate(args) -> int:
     g, d, q = _load(_config_from_args(args))
     graphs.check_budget(g, q)
-    graphs.write_instance(args.output, g, d, q)
-    print(f"wrote {args.output}: n={g.n} m={g.m} q={q} "
-          f"digest={instance_digest(g, d, q)}")
+    text = graphs.write_instance(args.output, g, d, q)
+    print(f"wrote {args.output}: n={g.n} m={g.m} q={q} digest={_text_digest(text)}")
     return 0
 
 

@@ -69,10 +69,16 @@ def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
                 cfg: solver.SolverConfig | None = None) -> DiffResult:
     """Value, voltage differences, gradient and phi's interval from one solve.
 
-    A phi or gradient entry beyond the float range comes out as inf.
+    A phi or gradient entry beyond the float range comes out as inf. The
+    gradient squares delta scaled by a power of two (solver._unit_scaled)
+    and scales back, so it is w * delta^2 bit for bit wherever that is in
+    range, and no square under- or overflows when every weight is far
+    from 1.
     """
     res = _voltages(g, s, d, cfg)
     delta = res.x[g.ei] - res.x[g.ej]
+    unit, exponent = solver._unit_scaled(delta)
     with np.errstate(over="ignore"):
-        return DiffResult(grad=-g.w * delta ** 2, delta=delta, phi=res.phi_lb,
-                          bound=res.bound, cg_iterations=res.iterations)
+        grad = np.ldexp(-g.w * unit ** 2, 2 * exponent)
+    return DiffResult(grad=grad, delta=delta, phi=res.phi_lb,
+                      bound=res.bound, cg_iterations=res.iterations)

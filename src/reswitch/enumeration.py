@@ -40,10 +40,12 @@ solve on [d, U] with the backbone's spanning tree T (solver.TreeFactor,
 O(n) per column). Backbone edges off T, when it has cycles, are folded in
 by the same identity, once: L_B = L_T + V W V^T is one P x P solve for
 their P incidence vectors V and weights W. The search runs on d scaled by
-a power of two (solver._unit_scaled): every phi, gradient and bound is then
-scaled by one power of four, exactly, so no comparison changes and none
-overflows. best_phi is congestion.phi of the chosen configuration, exact
-at n <= 64 and certified within epsilon above; no step is n x n.
+a power of two (solver._unit_scaled) and on the weights scaled by an even
+one, to max w in [1/2, 2): every phi, gradient and bound is then scaled by
+one power of four, exactly, so no comparison changes, and no square under-
+or overflows when every weight is far from 1. best_phi is congestion.phi
+of the chosen configuration, exact at n <= 64 and certified within epsilon
+above; no step is n x n.
 """
 from __future__ import annotations
 
@@ -79,20 +81,22 @@ class _Search:
     """Incumbent, node count and exact solves of one branch and bound.
 
     Switch values and masks here are indexed by free edge, not by edge.
-    d is the demand scaled by a power of two, and every phi and gradient
-    here is d's (module docstring).
+    d and w are the demand and the weights scaled by powers of two, and
+    every phi and gradient here is theirs (module docstring).
     """
 
     def __init__(self, g: graphs.Graph, d: np.ndarray, head: int):
         self.free = free_edges(g)
         # Edges every configuration searched closes: phi never rises as one closes.
         self.k = min(head, len(self.free))
-        self.w = g.w[self.free]
+        # An even power of two, so that sqrt(s w) scales exactly.
+        w = np.ldexp(g.w, -2 * (solver._unit_scaled(g.w)[1] // 2))
+        self.w = w[self.free]
         self.d = solver._unit_scaled(d)[0]
         # Q = [d, U, V]^T L_T^+ [d, U, V] by one block tree solve, V the
         # backbone edges off the tree, which Woodbury then folds into L_B.
         bb = np.flatnonzero(g.backbone_mask)
-        tree = solver.TreeFactor(g.n, g.ei[bb], g.ej[bb], g.w[bb])
+        tree = solver.TreeFactor(g.n, g.ei[bb], g.ej[bb], w[bb])
         off = bb[(tree.pred[g.ei[bb]] != g.ej[bb]) & (tree.pred[g.ej[bb]] != g.ei[bb])]
         edges = np.concatenate([self.free, off])
         ei, ej, cols = g.ei[edges], g.ej[edges], np.arange(1, len(edges) + 1)
@@ -103,7 +107,7 @@ class _Search:
         F = len(self.free)
         if len(off):
             Q = Q[:F + 1, :F + 1] - Q[:F + 1, F + 1:] @ np.linalg.solve(
-                np.diag(1.0 / g.w[off]) + Q[F + 1:, F + 1:], Q[F + 1:, :F + 1])
+                np.diag(1.0 / w[off]) + Q[F + 1:, F + 1:], Q[F + 1:, :F + 1])
         self.phi_B, self.b = float(Q[0, 0]), Q[1:, 0]
         self.G = 0.5 * (Q[1:, 1:] + Q[1:, 1:].T)
         self.best_phi = np.inf

@@ -86,16 +86,17 @@ class Graph:
         Its CSR pattern holds every position an edge touches, so every
         switch vector, zeros included, assembles into it; slot maps the 4m
         terms of dense_index's order to their data positions. The plan
-        probes its own fill on that pattern, with a budget for each of the
-        m edges, and when it is low-fill, the plan also holds the
-        grounded minimum-degree order that every direct factor on the graph
-        reuses (solver.LaplacianPlan). It is built on first use.
+        probes its own fill on that pattern, with a budget for each of its
+        edges (parallel copies count once), and when it is low-fill, the
+        plan also holds the grounded minimum-degree order that every direct
+        factor on the graph reuses (solver.LaplacianPlan). It is built on
+        first use.
         """
         n = self.n
         flat, slot = np.unique(_flat_positions(self), return_inverse=True)
         indptr = np.searchsorted(flat, np.arange(n + 1) * n).astype(np.int32)
         indices = (flat % n).astype(np.int32)
-        return solver.LaplacianPlan(n, indptr, indices, self.m, slot)
+        return solver.LaplacianPlan(indptr, indices, slot)
 
     @cached_property
     def context(self) -> solver.SolveContext:
@@ -316,9 +317,12 @@ def _backbone_flags(col: list[str]) -> np.ndarray:
     return np.frombuffer(flags.encode("ascii"), dtype=np.uint8) == ord("1")
 
 
-def write_instance(path, g: Graph, d: np.ndarray, q: int) -> None:
+def write_instance(path, g: Graph, d: np.ndarray, q: int) -> str:
+    """Write the instance's instance_text to path, and return that text."""
+    text = instance_text(g, d, q)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(instance_text(g, d, q))
+        fh.write(text)
+    return text
 
 
 def instance_text(g: Graph, d: np.ndarray, q: int) -> str:

@@ -28,7 +28,8 @@ L_s itself, built once per solve) when the widest pattern the context will
 solve is low-fill, and jacobi otherwise. No option overrides the choice:
 epsilon is the only setting. A LaplacianPlan probes its own pattern when
 it is built, comparing the envelope of a reverse Cuthill-McKee order of it
-with FILL_BUDGET nonzeros per edge; a graph's own context
+with FILL_BUDGET nonzeros per edge of the pattern, its entries below the
+diagonal, so parallel edges count once; a graph's own context
 (graphs.Graph.context) takes the verdict of its plan, probed once per
 graph. Planar, grid-like and ring-like graphs pass it and their factor
 is cheap; expander-like graphs fail it, and there Jacobi needs only tens
@@ -71,13 +72,14 @@ from scipy.sparse.csgraph import (breadth_first_order, minimum_spanning_tree,
 
 from .errors import CapExceededError, InvalidInputError, NumericalError, StructuralError
 
-# Reverse Cuthill-McKee envelope per edge up to which a context solves
-# directly; a LaplacianPlan probes its own pattern against it. Grids of
-# 80 x 80 to 300 x 300 come to 27-101 (their factors, in the minimum-degree
-# order each graph's LaplacianPlan keeps, to 17.5-28 nonzeros per edge),
-# chord rings of 1500 nodes to 62-76; CLI expanders with 2n extra edges pass
-# below about 1450. A graph pays for its probe, and if it passes for its
-# order, once, when its plan is built.
+# Reverse Cuthill-McKee envelope per edge of the pattern (parallel copies
+# count once) up to which a context solves directly; a LaplacianPlan
+# probes its own pattern against it. Grids of 80 x 80 to 300 x 300 come
+# to 27-101 (their factors, in the minimum-degree order each graph's
+# LaplacianPlan keeps, to 17.5-28 nonzeros per edge), chord rings of 1500
+# nodes to 62-76; CLI expanders with 2n extra edges pass below about 1450.
+# A graph pays for its probe, and if it passes for its order, once, when
+# its plan is built.
 FILL_BUDGET = 128
 BOUND_INTERVAL = 16
 # Largest node count for the dense-only operations (lambda_2 and the
@@ -190,13 +192,13 @@ def _checked_demand(d, n: int) -> np.ndarray:
 
 def _unit_scaled(d: np.ndarray) -> tuple[np.ndarray, int]:
     """d scaled by a power of two to max|d| in [1/2, 1), and the exponent k
-    with d = 2^k * scaled (k = 0 for d = 0).
+    with d = 2^k * scaled (k = 0 for d = 0 or empty).
 
     Scaling by a power of two is exact, so a linear solve on the scaled d
     gives the solution of d's own scaled back, bit for bit, but no square
-    of d overflows on the way.
+    of d over- or underflows on the way.
     """
-    exponent = int(np.frexp(np.abs(d).max())[1])
+    exponent = int(np.frexp(np.abs(d).max(initial=0.0))[1])
     return np.ldexp(d, -exponent), exponent
 
 
@@ -259,21 +261,24 @@ class LaplacianPlan:
 
     The plan probes its own fill when it is built: low_fill holds when the
     envelope of a reverse Cuthill-McKee order of the pattern (_envelope) is
-    at most FILL_BUDGET per edge, edges counting the graph's edges. Then
-    the plan also orders the grounded block L[1:, 1:] for direct factors.
-    order is SuperLU's own MMD_AT_PLUS_A column order, the inverse of its
-    perm_c (permuting by perm_c itself multiplies the fill many times
-    over), and gather picks the permuted block's CSC data out of L.data.
-    Each factor is then one gather and one splu in the NATURAL order, with
-    the fill of SuperLU's own ordered factor. scipy has no call that only
-    orders, so the order comes from an incomplete factor that drops every
-    entry, which computes the same perm_c as splu.
+    at most FILL_BUDGET per edge of the pattern, its entries below the
+    diagonal. Then the plan also orders the grounded block L[1:, 1:] for
+    direct factors. order is SuperLU's own MMD_AT_PLUS_A column order, the
+    inverse of its perm_c (permuting by perm_c itself multiplies the fill
+    many times over), and block is the ordered block's read-only CSC
+    pattern, each entry holding its position in L.data. Each factor is then
+    one gather and one splu in the NATURAL order, with the fill of
+    SuperLU's own ordered factor. scipy has no call that only orders, so
+    the order comes from an incomplete factor that drops every entry, which
+    computes the same perm_c as splu.
     """
 
-    def __init__(self, n: int, indptr, indices, edges: int, slot=None):
-        self.n = n
+    def __init__(self, indptr, indices, slot=None):
         self.indptr = _frozen(indptr, np.int32)
         self.indices = _frozen(indices, np.int32)
+        self.n = n = len(self.indptr) - 1
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
+        edges = np.count_nonzero(self.indices < rows)
         self.low_fill = _envelope(self.indptr, self.indices) <= FILL_BUDGET * edges
         self.slot = None if slot is None else _frozen(slot, np.intp)
         if self.low_fill and n > 1:
@@ -281,27 +286,23 @@ class LaplacianPlan:
 
     def _order(self):
         n = self.n
-        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
-        keep = np.flatnonzero((rows > 0) & (self.indices > 0))
-        gr, gc = rows[keep] - 1, self.indices[keep] - 1
-        gptr = np.concatenate([[0], np.cumsum(np.bincount(gr, minlength=n - 1))])
+        block = sp.csr_matrix((np.arange(len(self.indices)), self.indices, self.indptr),
+                              shape=(n, n))[1:, 1:]
         # The order depends on the pattern alone, so any values will do:
         # these make the grounded block strictly diagonally dominant.
-        vals = np.where(gr == gc, np.diff(gptr)[gr], -1.0)
+        degree = np.diff(block.indptr)
+        rows = np.repeat(np.arange(n - 1), degree)
+        vals = np.where(rows == block.indices, degree[rows], -1.0)
         try:
-            perm_c = spla.spilu(sp.csc_matrix((vals, gc, gptr), shape=(n - 1, n - 1)),
+            perm_c = spla.spilu(sp.csc_matrix((vals, block.indices, block.indptr), block.shape),
                                 drop_tol=1e300, fill_factor=1,
                                 permc_spec="MMD_AT_PLUS_A", **_SPLU_OPTIONS).perm_c
         except RuntimeError as exc:
             raise StructuralError("pattern is not a connected graph Laplacian's") from exc
-        # Grounded node k sits at position perm_c[k] of the ordered block.
-        pr, pc = perm_c[gr], perm_c[gc]
-        by_column = np.argsort(pc.astype(np.int64) * (n - 1) + pr)
         self.order = _frozen(np.argsort(perm_c), np.int32)
-        self.gather = _frozen(keep[by_column], np.int32)
-        self.block_indices = _frozen(pr[by_column], np.int32)
-        self.block_indptr = _frozen(
-            np.concatenate([[0], np.cumsum(np.bincount(pc, minlength=n - 1))]), np.int32)
+        self.block = block[self.order][:, self.order].tocsc()
+        for a in (self.block.data, self.block.indices, self.block.indptr):
+            a.setflags(write=False)
 
     def _carries(self, L) -> bool:
         return (sp.issparse(L) and L.format == "csr" and L.shape == (self.n, self.n)
@@ -320,11 +321,11 @@ class LaplacianPlan:
             if not self._carries(L):
                 raise InvalidInputError("Laplacian does not carry the solve context's "
                                         "sparsity pattern")
-        n = self.n
-        block = sp.csc_matrix((L.data.take(self.gather), self.block_indices,
-                               self.block_indptr), shape=(n - 1, n - 1))
+        block = self.block
         try:
-            return spla.splu(block, permc_spec="NATURAL", **_SPLU_OPTIONS)
+            return spla.splu(sp.csc_matrix((L.data.take(block.data), block.indices,
+                                            block.indptr), shape=block.shape),
+                             permc_spec="NATURAL", **_SPLU_OPTIONS)
         except RuntimeError as exc:
             raise StructuralError("matrix is not a connected graph Laplacian") from exc
 
@@ -522,15 +523,13 @@ def context_from_laplacian(L) -> SolveContext:
     """Build a solve context from L alone: a TreeFactor over L's off-diagonal
     edges (a maximum-weight spanning tree of them) for the stopping bound,
     and the plan of L's own canonical CSR pattern, which probes its fill
-    with one edge per entry below the diagonal."""
+    as every plan does."""
     Ls = _canonical_csr(L)
     n = Ls.shape[0]
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(Ls.indptr))
-    below = rows > Ls.indices
-    edge = below & (Ls.data < 0)
+    edge = (rows > Ls.indices) & (Ls.data < 0)
     tree = TreeFactor(n, Ls.indices[edge], rows[edge], -Ls.data[edge])
-    return SolveContext(tree, LaplacianPlan(n, Ls.indptr, Ls.indices,
-                                            int(np.count_nonzero(below))))
+    return SolveContext(tree, LaplacianPlan(Ls.indptr, Ls.indices))
 
 
 def solve(L, d: np.ndarray, cfg: SolverConfig | None = None,

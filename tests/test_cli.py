@@ -41,6 +41,18 @@ def test_generate_is_deterministic(tmp_path):
     assert c != a
 
 
+def test_generate_renders_the_instance_once(tmp_path, monkeypatch, capsys):
+    # One instance_text call gives both the file and the printed digest,
+    # which is the digest of the instance read back.
+    calls = []
+    render = graphs.instance_text
+    monkeypatch.setattr(graphs, "instance_text", lambda *args: calls.append(1) or render(*args))
+    path = gen(tmp_path, n=15, extra=9)
+    assert len(calls) == 1
+    printed = capsys.readouterr().out.split("digest=")[1].strip()
+    assert printed == cli.instance_digest(*graphs.read_instance(path))
+
+
 def test_generated_instance_is_valid(tmp_path):
     g, d, q = graphs.read_instance(gen(tmp_path, n=15, extra=9))
     assert graphs.validate(g) == []
@@ -362,6 +374,61 @@ def test_small_conductances_certify_in_their_own_units(tmp_path):
         graphs.write_instance(inst, graphs.Graph(g.n, g.ei, g.ej, scale * g.w,
                                                  g.backbone_mask), d, q)
         assert_allclose(phis(inst, scale) * scale, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n, extra", [(40, 30), (200, 120)])
+@pytest.mark.parametrize("scale", [1e200, 1e-155])
+def test_weights_far_from_one_certify_the_unit_scale_phi(tmp_path, capsys, n, extra, scale):
+    # Every weight times 1e200 or 1e-155, where w * delta^2 computed as it
+    # reads under- or overflows: the gradient squares delta scaled by a
+    # power of two, and the search scales its weights, so solve and
+    # certify reach the unit-scale phi, scaled back, with no warning, and
+    # no interval excludes the oracle's phi at the solution. Each run
+    # certifies or exits 3.
+    base = gen(tmp_path, "base.txt", n=n, extra=extra, seed=3, demand="gauss")
+    g, d, q = graphs.read_instance(base)
+    inst = tmp_path / "scaled.txt"
+    scaled = graphs.Graph(g.n, g.ei, g.ej, scale * g.w, g.backbone_mask)
+    graphs.write_instance(inst, scaled, d, q)
+    unit = run_json(["solve", "--input", str(base)], tmp_path / "unit.json")["record"]
+    capsys.readouterr()
+    sol = tmp_path / "sol.json"
+    runs = [["solve", "--input", str(inst), "--output", str(sol)],
+            ["certify", "--input", str(inst), "--solution", str(sol),
+             "--output", str(tmp_path / "cert.json")]]
+    if n == 40:
+        runs.append(["enumerate", "--input", str(inst), "--output", str(tmp_path / "enum.json")])
+    for argv in runs:
+        rc = cli.main(argv)
+        assert rc in (0, 3), argv
+        assert "Warning" not in capsys.readouterr().err, argv
+        if rc == 3:
+            continue
+        record = json.loads(Path(argv[-1]).read_text())["record"]
+        if argv[0] == "enumerate":
+            best = record["best_phi"]
+            s = np.asarray(record["best_switch_vector"])
+            assert_allclose(best, oracles.phi(scaled, s, d), rtol=1e-9)
+            continue
+        cert = record["certificate"]
+        assert cert["certified"] is True, argv
+        truth = oracles.phi(scaled, np.asarray(json.loads(sol.read_text())["record"]
+                                               ["switch_vector"]), d)
+        assert cert["lower_bound"] * (1 - 1e-9) <= truth <= cert["upper_bound"] * (1 + 1e-9)
+        assert_allclose(cert["phi_value"] * scale, unit["certificate"]["phi_value"],
+                        rtol=1e-8)
+
+
+def test_enumerate_on_tiny_weights_warns_of_nothing(tmp_path, capsys):
+    # A triangle of 1e-300 weights: the search's squares stay in range, so
+    # enumerate finishes without a warning, at the oracle's phi, 2e300 / 3.
+    path = tmp_path / "triangle.txt"
+    path.write_text("3 3 3\n1 2 1e-300 1\n2 3 1e-300 1\n1 3 1e-300 0\n1\n0\n-1\n")
+    record = run_json(["enumerate", "--input", str(path)], tmp_path / "enum.json")["record"]
+    assert "Warning" not in capsys.readouterr().err
+    g, d, _ = graphs.read_instance(path)
+    assert_allclose(record["best_phi"], oracles.phi(g, np.ones(3), d), rtol=1e-9)
+    assert_allclose(record["best_phi"], 2e300 / 3, rtol=1e-12)
 
 
 def test_conductances_beyond_double_precision_exit_3(tmp_path, capsys):

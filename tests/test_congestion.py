@@ -89,6 +89,21 @@ def test_gradient_is_nonpositive():
     assert np.all(congestion.approx_diff(g, s, d).grad <= 0.0)
 
 
+@pytest.mark.parametrize("n", [10, 200])
+def test_gradient_is_w_delta_squared_and_stays_in_range(n):
+    # In range the gradient is -w * delta^2 bit for bit, on the dense kernel
+    # and on CG. With every weight times 1e200 or 1e-155 that product under-
+    # or overflows, but the gradient, scaled back, is the unit-scale one.
+    g, s, d = instance(14, n=n, extra=n, demand="gauss")
+    ref = congestion.approx_diff(g, s, d)
+    assert np.array_equal(ref.grad, -g.w * ref.delta ** 2)
+    for scale in (1e200, 1e-155):
+        big = graphs.Graph(g.n, g.ei, g.ej, scale * g.w, g.backbone_mask)
+        grad = congestion.approx_diff(big, s, d).grad
+        assert np.isfinite(grad).all() and (grad < 0).all()
+        assert_allclose(grad * scale, ref.grad, rtol=1e-6, atol=0)
+
+
 def test_zero_demand_diff():
     g, s, _ = instance(5)
     diff = congestion.approx_diff(g, s, np.zeros(g.n))

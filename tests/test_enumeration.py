@@ -239,11 +239,15 @@ def test_matches_oracle_on_random_instances():
 
 def dense_node_solve(g, search, sf):
     """phi and free-edge gradient at free-edge values sf on the search's
-    demand, from one n x n solve of the dense kernel: the node solve the
-    search made before it solved in the free-edge space."""
+    demand and weights, from one n x n solve of the dense kernel: the node
+    solve the search made before it solved in the free-edge space. The
+    search scales every weight by one power of four, read off its first
+    free edge."""
     s = g.backbone_indicator()
     s[search.free] = sf
-    x = solver._grounded_solve(graphs.assemble_laplacian_dense(g, s), search.d[:, None])[:, 0]
+    scale = search.w[0] / g.w[search.free[0]]
+    L = graphs.assemble_laplacian_dense(g, s) * scale
+    x = solver._grounded_solve(L, search.d[:, None])[:, 0]
     delta = x[g.ei[search.free]] - x[g.ej[search.free]]
     return float(search.d @ x), -search.w * delta ** 2
 

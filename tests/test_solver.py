@@ -628,6 +628,7 @@ PROBE_GRAPHS = (
 def test_fill_probe_on_the_plan_pattern_matches_the_edge_list(family, size, seed):
     # The probe reads the plan's CSR pattern, diagonal included; the
     # oracle builds the adjacency of the edge list, parallel edges summed.
+    # The budget counts the pattern's edges: distinct pairs, not g.m.
     if family == "grid-comb":
         g, _ = oracles.grid_comb(size, size, seed)
     elif family == "chord-ring":
@@ -636,7 +637,8 @@ def test_fill_probe_on_the_plan_pattern_matches_the_edge_list(family, size, seed
         g, _ = cli.generate_instance(size, 2 * size, seed, demand="gauss", multigraph=True)
     envelope = oracles.edge_envelope(g.n, g.ei, g.ej)
     assert solver._envelope(g.plan.indptr, g.plan.indices) == envelope
-    assert g.plan.low_fill == (envelope <= solver.FILL_BUDGET * g.m)
+    pairs = len(np.unique(g.ei * g.n + g.ej))
+    assert g.plan.low_fill == (envelope <= solver.FILL_BUDGET * pairs)
 
 
 def test_fill_probe_graphs_cross_the_budget():
@@ -645,6 +647,65 @@ def test_fill_probe_graphs_cross_the_budget():
     verdicts = {cli.generate_instance(n, 2 * n, seed, demand="gauss", multigraph=True)[0]
                 .plan.low_fill for family, n, seed in PROBE_GRAPHS if family == "expander"}
     assert verdicts == {True, False}
+
+
+def test_fill_budget_counts_the_pattern_edges_not_parallel_copies():
+    # Parallel copies of one edge add to m but not to the pattern, so they
+    # cannot buy a graph a direct verdict: this expander's envelope is over
+    # FILL_BUDGET per pattern edge and under it per edge of m.
+    base, _ = cli.generate_instance(1450, 2900, 1, demand="gauss", multigraph=True)
+    envelope = oracles.edge_envelope(base.n, base.ei, base.ej)
+    copies = max(0, -(-envelope // solver.FILL_BUDGET) - base.m)
+    free = int(np.flatnonzero(~base.backbone_mask)[0])
+    g = graphs.make_graph(base.n, list(base.edges) + [base.edges[free]] * copies,
+                          base.backbone)
+    pairs = len(np.unique(g.ei * g.n + g.ej))
+    assert solver.FILL_BUDGET * pairs < envelope <= solver.FILL_BUDGET * g.m
+    assert not g.plan.low_fill
+    assert g.context.mode == "jacobi"
+
+
+def _cyclic_backbone_multigraph():
+    # Parallel copies of tree edges, and two backbone edges beyond the tree:
+    # one closes a cycle, one runs parallel to a tree edge.
+    base, d = cli.generate_instance(300, 120, 4, demand="gauss", multigraph=True)
+    edges = list(base.edges)
+    i, j, _ = edges[40]
+    g = graphs.make_graph(base.n, edges + [(0, base.n - 1, 0.7), (i, j, 1.3)],
+                          list(base.backbone) + [len(edges), len(edges) + 1])
+    return g, d
+
+
+@pytest.mark.parametrize("family", ["grid-comb", "chord-ring", "multigraph", "laplacian"])
+def test_direct_factor_receives_the_ordered_grounded_block(family, monkeypatch):
+    # Each direct factor is handed L's grounded block in the plan's order,
+    # entry for entry, stored zeros included: L.tocsc()[1:, 1:][order][:, order].
+    if family == "chord-ring":
+        g, d = oracles.chord_ring(300, seed=7)
+    elif family == "multigraph":
+        g, d = _cyclic_backbone_multigraph()
+    else:
+        g, d = oracles.grid_comb(20, 20, seed=7)
+    received = []
+    splu = spla.splu
+    monkeypatch.setattr(solver.spla, "splu",
+                        lambda A, **kwargs: received.append(A.copy()) or splu(A, **kwargs))
+    half_open = np.ones(g.m)
+    half_open[np.flatnonzero(~g.backbone_mask)[::2]] = 0.0
+    for s in (half_open, oracles.random_fractional(np.random.default_rng(7), g)):
+        L = graphs.assemble_laplacian(g, s)
+        ctx = solver.context_from_laplacian(L) if family == "laplacian" else g.context
+        assert ctx.mode == "direct"
+        order = ctx.plan.order
+        assert not ctx.plan.block.data.flags.writeable
+        solver.solve(L, d, solver.SolverConfig(), context=ctx)
+        want = L.tocsc()[1:, 1:][order][:, order]
+        want.sort_indices()
+        got = received.pop()
+        assert not received
+        assert got.format == "csc" and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_dense_path_never_runs_the_fill_probe(monkeypatch):
@@ -827,7 +888,7 @@ def test_direct_rejects_disconnected_laplacian():
     tree = solver.TreeFactor(4, *path, np.ones(3))
     two_pieces = sp.csr_matrix(np.array([[1.0, -1.0, 0, 0], [-1.0, 1.0, 0, 0],
                                          [0, 0, 1.0, -1.0], [0, 0, -1.0, 1.0]]))
-    plan = solver.LaplacianPlan(4, two_pieces.indptr, two_pieces.indices, 2)
+    plan = solver.LaplacianPlan(two_pieces.indptr, two_pieces.indices)
     ctx = solver.SolveContext(tree, plan=plan)
     assert ctx.mode == "direct"
     with pytest.raises(StructuralError):
