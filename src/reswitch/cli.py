@@ -145,7 +145,7 @@ def generate_instance(n: int, extra: int, seed: int,
         chosen = np.concatenate([chosen, u * n + v])
         ei, ej = np.concatenate([ei, u]), np.concatenate([ej, v])
     w = rng.uniform(weight_lo, weight_hi, len(ei))
-    g = graphs.make_graph(n, np.column_stack([ei, ej, w]), backbone=range(n - 1))
+    g = graphs.from_arrays(n, ei, ej, w, np.arange(len(ei)) < n - 1)
     if demand == "pair":
         a, b = rng.choice(n, size=2, replace=False)
         d = np.zeros(n)

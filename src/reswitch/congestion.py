@@ -8,11 +8,20 @@ accuracy sqrt(epsilon) gives phi_lb <= phi <= phi_lb + bound <= (1 +
 epsilon) phi_lb, and phi_lb is the one value reported. The exact gradient
 and Hessian that check the analysis live beside the tests
 (tests/theory.py).
+
+Above the dense threshold the solve runs on the graph's switching core
+(graphs.Graph.core): the demand is folded onto the kept nodes, CG solves
+the core's Laplacian, phi is the eliminated nodes' constant energy plus
+the core's phi, and every edge's voltage drop is read back from the
+core's voltages. The core's residual is the whole graph's, so its
+interval [phi_lb, phi_lb + bound] and certificate hold for the graph's
+phi unchanged.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -38,31 +47,45 @@ class DiffResult:
 
 def make_context(g: graphs.Graph,
                  cfg: solver.SolverConfig | None = None) -> solver.SolveContext:
-    """The graph's solve context (graphs.Graph.context), which every CG
-    solve on g reads; cfg is accepted, for the benchmark's call, and not used."""
-    return g.context
+    """The solve context every CG solve of congestion on g reads: that of
+    g's core (graphs.Graph.core), which is g's own when no node goes; cfg
+    is accepted, for the benchmark's call, and not used."""
+    return g.core.context
 
 
-def _voltages(g, s, d, cfg) -> solver.SolveResult:
+def _voltages(g, s, d, cfg) -> tuple[float, float, int, Callable[[], np.ndarray]]:
+    """(phi_lb, bound, CG iterations, delta) of one solve, delta() giving
+    the voltage drop on every edge."""
     # The one place a kernel is picked, by size. At or below the threshold
     # one dense Cholesky solve is exact and cheaper than CG; assembly
     # checks s, then d is checked. Above it, certified CG runs on the
-    # graph's context, which is built only there, to energy accuracy
-    # sqrt(epsilon): that puts phi itself within relative epsilon.
+    # graph's core, which is built only there, to energy accuracy
+    # sqrt(epsilon): that puts phi itself within relative epsilon. The
+    # core runs on d scaled by a power of two (solver._unit_scaled), so
+    # that no flow's square over- or underflows, and scales back.
     if g.n <= solver.SolverConfig.dense_threshold:
-        return solver._exact_solve(graphs.assemble_laplacian_dense(g, s),
+        res = solver._exact_solve(graphs.assemble_laplacian_dense(g, s),
                                   graphs.check_demand(g, d))
+        return res.phi_lb, res.bound, 0, lambda: res.x[g.ei] - res.x[g.ej]
     cfg = cfg or solver.SolverConfig()
-    L = graphs.assemble_laplacian(g, s)
-    return solver.solve(L, d, replace(cfg, epsilon=math.sqrt(cfg.epsilon)),
-                        context=g.context)
+    core = g.core
+    s = graphs.check_switch(g, s)
+    d, exponent = solver._unit_scaled(graphs.check_demand(g, d))
+    d_core, energy, local = core.fold(d)
+    L = graphs.assemble_laplacian(core.graph, core.switch(s))
+    res = solver.solve(L, d_core, replace(cfg, epsilon=math.sqrt(cfg.epsilon)),
+                       context=core.context)
+    with np.errstate(over="ignore"):
+        phi_lb, bound = np.ldexp([energy + res.phi_lb, res.bound], 2 * exponent)
+    return (float(phi_lb), float(bound), res.iterations,
+            lambda: core.delta(np.ldexp(res.x, exponent), np.ldexp(local, exponent)))
 
 
 def phi(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
         cfg: solver.SolverConfig | None = None) -> float:
     """Congestion d^T L_s^+ d of the switched graph, within relative
     epsilon, from one solve; a phi beyond the float range comes out as inf."""
-    return _voltages(g, s, d, cfg).phi_lb
+    return _voltages(g, s, d, cfg)[0]
 
 
 def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
@@ -73,12 +96,14 @@ def approx_diff(g: graphs.Graph, s: np.ndarray, d: np.ndarray,
     gradient squares delta scaled by a power of two (solver._unit_scaled)
     and scales back, so it is w * delta^2 bit for bit wherever that is in
     range, and no square under- or overflows when every weight is far
-    from 1.
+    from 1. Above the dense threshold delta comes from the core's solve,
+    on a kept edge as a difference of the core's voltages and on an
+    eliminated one as its resistance times its flow (graphs.Core.delta).
     """
-    res = _voltages(g, s, d, cfg)
-    delta = res.x[g.ei] - res.x[g.ej]
+    phi_lb, bound, iterations, drops = _voltages(g, s, d, cfg)
+    delta = drops()
     unit, exponent = solver._unit_scaled(delta)
     with np.errstate(over="ignore"):
         grad = np.ldexp(-g.w * unit ** 2, 2 * exponent)
-    return DiffResult(grad=grad, delta=delta, phi=res.phi_lb,
-                      bound=res.bound, cg_iterations=res.iterations)
+    return DiffResult(grad=grad, delta=delta, phi=phi_lb, bound=bound,
+                      cg_iterations=iterations)

@@ -134,8 +134,8 @@ def certificate(g: graphs.Graph, s: np.ndarray, d: np.ndarray, cfg: FWConfig) ->
     """Evaluate the gap certificate at an arbitrary feasible point.
 
     One solve gives it: the exact dense kernel at or below the dense
-    threshold, certified CG on the graph's solve context
-    (graphs.Graph.context) above it. A point that closes more than q
+    threshold, certified CG on the graph's switching core
+    (graphs.Graph.core) above it. A point that closes more than q
     edges is not feasible, and its gap bounds nothing, so it raises
     InvalidInputError.
     """
@@ -172,8 +172,8 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
     overflowed at both the iterate and its tried step. The budget
     ||s_t||_1 <= q and backbone pinning hold at every iterate. Every solve
     is congestion's: the exact dense kernel at or below the dense
-    threshold, certified CG on the graph's solve context
-    (graphs.Graph.context) above it.
+    threshold, certified CG on the graph's switching core
+    (graphs.Graph.core) above it.
 
     The start is solved to cfg.solver's phi accuracy epsilon, each tried
     step more loosely (module docstring). When an iterate read loosely,

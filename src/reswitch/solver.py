@@ -30,10 +30,10 @@ epsilon is the only setting. A LaplacianPlan probes its own pattern when
 it is built, comparing the envelope of a reverse Cuthill-McKee order of it
 with FILL_BUDGET nonzeros per edge of the pattern, its entries below the
 diagonal, so parallel edges count once; a graph's own context
-(graphs.Graph.context) takes the verdict of its plan, probed once per
-graph. Planar, grid-like and ring-like graphs pass it and their factor
-is cheap; expander-like graphs fail it, and there Jacobi needs only tens
-of iterations. The symbolic work of a direct factor is done once per
+(graphs.Graph.context) and its core's (graphs.Core) take the verdict of
+their plans, each probed once per graph. Planar, grid-like and ring-like
+graphs pass it and their factor is cheap; expander-like graphs fail it,
+and there Jacobi needs only tens of iterations. The symbolic work of a direct factor is done once per
 pattern, not per solve: a LaplacianPlan keeps the grounded block's
 minimum-degree order, so each factor is one gather of L_s's values and one
 LU in that order, and a direct solve refuses an L_s that does not carry
@@ -286,8 +286,8 @@ class LaplacianPlan:
 
     def _order(self):
         n = self.n
-        block = sp.csr_matrix((np.arange(len(self.indices)), self.indices, self.indptr),
-                              shape=(n, n))[1:, 1:]
+        block = sp.csr_matrix((np.arange(len(self.indices), dtype=np.int32), self.indices,
+                               self.indptr), shape=(n, n))[1:, 1:]
         # The order depends on the pattern alone, so any values will do:
         # these make the grounded block strictly diagonally dominant.
         degree = np.diff(block.indptr)
@@ -393,12 +393,13 @@ class TreeFactor:
     node the sum of S_u / w_u over its path to the root, projected to zero
     mean, for r orthogonal to 1. nnz counts the nonzeros of L_T, which
     SolveContext.on_tree compares: L_T is the Laplacian solved exactly.
-    pred[v] is v's parent on T (negative at the root, node 0).
+    pred[v] is v's parent on T (negative at the root, node 0); order[p] is
+    the node at preorder position p, end[p] the position just past its
+    subtree and inv_w[p] the resistance 1/w of its edge to its parent (0 at
+    the root). from_preorder builds a factor from these arrays alone.
     """
 
     def __init__(self, n: int, ei: np.ndarray, ej: np.ndarray, w: np.ndarray):
-        self.n = n
-        self.nnz = 3 * n - 2 if n > 1 else 0
         # The CSR conversion sums parallel edges.
         T = sp.csr_matrix((w, (np.minimum(ei, ej), np.maximum(ei, ej))), shape=(n, n))
         if T.nnz > n - 1:
@@ -413,7 +414,6 @@ class TreeFactor:
         bfs, pred = breadth_first_order(T, 0, directed=False, return_predecessors=True)
         if len(bfs) != n:
             raise StructuralError("edge set is not connected")
-        self.pred = pred
         parent = np.append(pred, n)
         parent[0] = n
         size = np.ones(n)
@@ -430,22 +430,36 @@ class TreeFactor:
         for anc in _ancestor_levels(parent):
             pos = pos + pos[anc]
         pos = pos[:n]
-        self._order = np.empty(n, dtype=np.intp)
-        self._order[pos] = np.arange(n)
-        self._end = np.empty(n, dtype=np.intp)
-        self._end[pos] = pos + size
+        order = np.empty(n, dtype=np.intp)
+        order[pos] = np.arange(n)
+        end = np.empty(n, dtype=np.intp)
+        end[pos] = pos + size
         row = np.repeat(np.arange(n), np.diff(T.indptr))
         child = np.where(pred[T.indices] == row, T.indices, row)
-        self._inv_w = np.zeros(n)
-        self._inv_w[pos[child]] = 1.0 / T.data
+        inv_w = np.zeros(n)
+        inv_w[pos[child]] = 1.0 / T.data
+        self._set(pred, order, end, inv_w)
+
+    def _set(self, pred, order, end, inv_w):
+        self.n = n = len(order)
+        self.nnz = 3 * n - 2 if n > 1 else 0
+        self.pred, self.order, self.end, self.inv_w = pred, order, end, inv_w
+
+    @classmethod
+    def from_preorder(cls, pred, order, end, inv_w) -> "TreeFactor":
+        """The factor of a tree given by the arrays a factor keeps (pred,
+        order, end and inv_w, class docstring), with no search and no sum."""
+        tree = cls.__new__(cls)
+        tree._set(pred, order, end, inv_w)
+        return tree
 
     def _subtree_sums(self, r: np.ndarray) -> np.ndarray:
         """The sum of r over the subtree at each preorder position, along
         r's last axis."""
         c = np.empty(r.shape[:-1] + (self.n + 1,))
         c[..., 0] = 0.0
-        np.cumsum(r.take(self._order, axis=-1), axis=-1, out=c[..., 1:])
-        return c.take(self._end, axis=-1) - c[..., :-1]
+        np.cumsum(r.take(self.order, axis=-1), axis=-1, out=c[..., 1:])
+        return c.take(self.end, axis=-1) - c[..., :-1]
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """L_T^+ r for r orthogonal to 1. r may also be an n x k block; each
@@ -453,30 +467,31 @@ class TreeFactor:
         n = self.n
         # The node axis last, so a block's columns are contiguous rows.
         rows = np.atleast_2d(r.T)
-        drop = self._subtree_sums(rows) * self._inv_w
+        drop = self._subtree_sums(rows) * self.inv_w
         # Each drop adds to its whole subtree: a difference array, summed.
-        at = self._end + (n + 1) * np.arange(len(rows))[:, None]
+        at = self.end + (n + 1) * np.arange(len(rows))[:, None]
         ends = np.bincount(at.ravel(), weights=drop.ravel(), minlength=(n + 1) * len(rows))
         x = np.empty_like(drop)
-        x[:, self._order] = np.cumsum(drop - ends.reshape(-1, n + 1)[:, :n], axis=1)
+        x[:, self.order] = np.cumsum(drop - ends.reshape(-1, n + 1)[:, :n], axis=1)
         x -= x.mean(axis=1, keepdims=True)
         return x.T if r.ndim == 2 else x[0]
 
     def quadform(self, r: np.ndarray) -> float:
         """r^T L_T^+ r, the stopping-bound numerator, for r orthogonal to 1."""
         flow = self._subtree_sums(r)
-        return float(flow @ (flow * self._inv_w))
+        return float(flow @ (flow * self.inv_w))
 
 
 class SolveContext:
     """Backbone tree solve and preconditioner, shared by CG solves on one graph.
 
     A solve keeps no state here, so the order of solves changes no result.
-    tree is the TreeFactor of the backbone; a graph keeps one context
-    (graphs.Graph.context), so its tree is built once per graph. plan is
-    the LaplacianPlan of the widest Laplacian the context will solve, which
-    probed its own fill when it was built; its verdict fixes mode: direct
-    if it holds, jacobi otherwise or without a plan (module docstring).
+    tree is the TreeFactor of the backbone; a graph keeps its core's
+    context (graphs.Core), whose tree is derived from the backbone's, so
+    the solves of a graph build one tree. plan is the LaplacianPlan of the
+    widest Laplacian the context will solve, which probed its own fill when
+    it was built; its verdict fixes mode: direct if it holds, jacobi
+    otherwise or without a plan (module docstring).
     preconditioner is the one place a solve's M is picked. A Laplacian with
     the tree's sparsity pattern is preconditioned by the tree solve whatever
     the mode, since it is exact there. A direct solve on an L without the

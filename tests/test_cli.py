@@ -386,6 +386,22 @@ def test_weights_far_from_one_certify_the_unit_scale_phi(tmp_path, capsys, n, ex
     # no interval excludes the oracle's phi at the solution. Each run
     # certifies or exits 3.
     base = gen(tmp_path, "base.txt", n=n, extra=extra, seed=3, demand="gauss")
+    far_weights_certify(tmp_path, capsys, base, scale, search=n == 40)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-155])
+def test_weights_far_from_one_certify_on_a_chord_ring(tmp_path, capsys, scale):
+    # The same on a chord ring, where the core eliminates most nodes: the
+    # eliminated edges' flows and resistances, and the chain conductances
+    # 1/sum(1/w), scale with the weights too.
+    g, d = oracles.chord_ring(300, seed=3)
+    base = tmp_path / "base.txt"
+    graphs.write_instance(base, g, d, cli.default_budget(g))
+    assert g.core.graph.n < g.n
+    far_weights_certify(tmp_path, capsys, base, scale, search=False)
+
+
+def far_weights_certify(tmp_path, capsys, base, scale, search):
     g, d, q = graphs.read_instance(base)
     inst = tmp_path / "scaled.txt"
     scaled = graphs.Graph(g.n, g.ei, g.ej, scale * g.w, g.backbone_mask)
@@ -396,7 +412,7 @@ def test_weights_far_from_one_certify_the_unit_scale_phi(tmp_path, capsys, n, ex
     runs = [["solve", "--input", str(inst), "--output", str(sol)],
             ["certify", "--input", str(inst), "--solution", str(sol),
              "--output", str(tmp_path / "cert.json")]]
-    if n == 40:
+    if search:
         runs.append(["enumerate", "--input", str(inst), "--output", str(tmp_path / "enum.json")])
     for argv in runs:
         rc = cli.main(argv)

@@ -260,7 +260,8 @@ def test_fill_probe_runs_once_per_graph(monkeypatch):
 
 def test_backbone_tree_is_built_once_per_graph(monkeypatch):
     # Frank-Wolfe, every draw's phi and a certificate all solve on the
-    # graph's one context, so the backbone's tree solve is built once.
+    # graph's one core context, whose tree is derived from the backbone's,
+    # so the backbone's tree solve is built once.
     built = []
 
     class Counted(solver.TreeFactor):
@@ -273,7 +274,9 @@ def test_backbone_tree_is_built_once_per_graph(monkeypatch):
     draws = cli._draw(g, d, q, s, cli.ExperimentConfig(repeats=3, seed=4))
     cert = frankwolfe.certificate(g, s, d, frankwolfe.FWConfig(q=q, alpha=0.05))
     assert len(draws) == 3 and cert.certified
-    assert len(built) == 1 and isinstance(g.context.tree, Counted)
+    ctx = congestion.make_context(g)
+    assert g.core.graph is not g and ctx is g.core.context
+    assert len(built) == 1 and isinstance(ctx.tree, Counted)
 
 
 def test_phi_does_not_depend_on_earlier_calls():
@@ -318,3 +321,101 @@ def test_draw_phi_matches_a_spanning_tree_solve(family):
         L = graphs.assemble_laplacian(g, sbin)
         ref = float(d @ solver.solve(L, d, cfg, solver.context_from_laplacian(L)).x)
         assert abs(congestion.phi(g, sbin, d, cfg) - ref) <= cfg.epsilon * ref
+
+
+# --- the switching core -----------------------------------------------------------
+
+def path_graph(order, w, free):
+    """Backbone path through the nodes in order, plus switchable edges free."""
+    edges = [(int(a), int(b), wk) for a, b, wk in zip(order, order[1:], w)]
+    edges += [(a, b, 1.0) for a, b in free]
+    return graphs.make_graph(len(order), edges, range(len(order) - 1))
+
+
+def core_cases():
+    """(name, graph, demand) of each core shape: most nodes on chains, pendant
+    trees, a backbone with parallel edges and a cycle, node 0 between two
+    chains, no switch at all, and no node to eliminate."""
+    rng = np.random.default_rng(41)
+
+    def gauss(n):
+        d = rng.standard_normal(n)
+        d -= d.mean()
+        return d / np.linalg.norm(d)
+    cases = [("chord-ring", *oracles.chord_ring(300, seed=2)),
+             ("cli-pendants", *cli.generate_instance(400, 12, seed=5, demand="gauss"))]
+    base, _ = cli.generate_instance(300, 8, seed=6)
+    tree = np.flatnonzero(base.backbone_mask)
+    extra = [base.edges[k] for k in tree[[3, 3, 50, 120]]]  # parallel backbone copies
+    extra += [(5, 200, 0.7), (17, 250, 1.3)]  # backbone edges off the tree: cycles
+    g = graphs.make_graph(300, [*base.edges, *extra],
+                          [*tree.tolist(), *range(base.m, base.m + len(extra))])
+    cases.append(("multigraph-backbone", g, gauss(300)))
+    order = [*range(150, 0, -1), 0, *range(151, 300)]
+    g = path_graph(order, rng.uniform(0.5, 2.0, 299), [(140, 145), (120, 149), (200, 290),
+                                                        (160, 299)])
+    cases.append(("node-0-series", g, gauss(300)))
+    cases.append(("no-switch", *cli.generate_instance(300, 0, seed=1, demand="gauss")))
+    g = path_graph(list(range(100)), rng.uniform(0.5, 2.0, 99),
+                   [(k, k + 2) for k in range(98)] + [(0, 99)])
+    cases.append(("nothing-goes", g, gauss(100)))
+    return cases
+
+
+CORE_CASES = {name: (g, d) for name, g, d in core_cases()}
+
+
+@pytest.mark.parametrize("name", list(CORE_CASES))
+def test_core_solve_matches_the_full_graph(name):
+    # Above the dense threshold every solve runs on the core. At fractional,
+    # all-open and binary switches, phi is the full graph's within 1e-12,
+    # the gradient matches on every edge, eliminated backbone edges
+    # included, and the certificate's interval holds the full graph's phi.
+    # The reference is a refined dense solve: pinv (oracles.phi) is itself
+    # off by up to 3e-12 on the long paths here.
+    g, d = CORE_CASES[name]
+    assert g.n > solver.SolverConfig.dense_threshold
+    core = g.core
+    assert (core.graph is g) == (name == "nothing-goes")
+    if name == "no-switch":
+        assert core.graph.n == 1 and core.graph.m == 0
+    rng = np.random.default_rng(7)
+    off = ~g.backbone_mask
+    cfg = frankwolfe.FWConfig(q=g.m, alpha=0.05)
+    for sf in (rng.uniform(0.05, 1.0, off.sum()), np.zeros(off.sum()),
+               (rng.random(off.sum()) < 0.5).astype(float)):
+        s = g.backbone_indicator()
+        s[off] = sf
+        x = oracles.refined_voltages(g, s, d)
+        want = float(d @ x)
+        assert abs(oracles.phi(g, s, d) - want) <= 1e-11 * want
+        diff = congestion.approx_diff(g, s, d)
+        assert abs(congestion.phi(g, s, d) - want) <= 1e-12 * want
+        assert abs(diff.phi - want) <= 1e-12 * want
+        ref = -g.w * (x[g.ei] - x[g.ej]) ** 2
+        assert_allclose(diff.grad, ref, rtol=1e-9, atol=1e-12 * np.abs(ref).max())
+        assert np.array_equal(diff.grad, -g.w * diff.delta ** 2)
+        cert = frankwolfe.certificate(g, s, d, cfg)
+        assert cert.phi_value * (1 - 1e-12) <= want <= cert.upper_bound * (1 + 1e-12)
+
+
+def test_core_demand_inside_a_pendant_tree_is_its_energy():
+    # A demand from a pendant leaf to its parent moves nothing in the core:
+    # phi is the energy of the one eliminated edge, w^-1, and every other
+    # edge carries no drop.
+    g, _ = cli.generate_instance(400, 12, seed=5)
+    core = g.core
+    par = g.context.tree.pred
+    leaves = np.setdiff1d(np.arange(1, g.n), par[1:])
+    leaf = int(leaves[np.flatnonzero(np.bincount(np.concatenate([g.ei, g.ej]),
+                                                 minlength=g.n)[leaves] == 1)[0]])
+    d = np.zeros(g.n)
+    d[leaf], d[par[leaf]] = 1.0, -1.0
+    assert not core.fold(d)[0].any()
+    edge = int(np.flatnonzero(((g.ei == leaf) & (g.ej == par[leaf]))
+                              | ((g.ej == leaf) & (g.ei == par[leaf])))[0])
+    s = g.backbone_indicator()
+    diff = congestion.approx_diff(g, s, d)
+    assert_allclose(diff.phi, 1.0 / g.w[edge], rtol=1e-15)
+    assert diff.bound == 0.0 and diff.cg_iterations == 0
+    assert np.count_nonzero(diff.delta) == 1 and diff.delta[edge] != 0.0

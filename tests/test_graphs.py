@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 import theory
-from reswitch import graphs
+from reswitch import cli, graphs
 from reswitch.errors import InvalidInputError
 
 
@@ -439,3 +439,104 @@ def test_instance_text_is_deterministic():
     rng = np.random.default_rng(13)
     g, d = oracles.random_instance(rng, 6, 4)
     assert graphs.instance_text(g, d, 7) == graphs.instance_text(g, d, 7)
+
+
+# --- the plan's pattern and the switching core -----------------------------------
+
+def unique_plan_arrays(g):
+    """indptr, indices and slot of the plan by one np.unique over the 4m flat
+    positions of Graph.dense_index."""
+    flat, slot = np.unique(g.dense_index, return_inverse=True)
+    indptr = np.searchsorted(flat, np.arange(g.n + 1) * g.n)
+    return indptr, flat % g.n, slot
+
+
+def test_plan_matches_the_unique_construction():
+    # Sorting the pair keys places every entry where a sort of all 4m
+    # positions does, on multigraphs with parallel edges of both kinds.
+    rng = np.random.default_rng(29)
+    for n, extra in ((2, 0), (3, 5), (9, 14), (90, 160), (400, 1200)):
+        base, _ = oracles.random_instance(rng, n, extra, multigraph=True)
+        copies = rng.integers(0, base.m, 4)
+        g = graphs.make_graph(n, [*base.edges, *(base.edges[k] for k in copies)],
+                              base.backbone)
+        for got, want in zip((g.plan.indptr, g.plan.indices, g.plan.slot),
+                             unique_plan_arrays(g)):
+            assert_array_equal(got, want)
+    g = graphs.Graph(1, [], [], [], [])
+    assert_array_equal(g.plan.indptr, [0, 0])
+    assert g.plan.indices.size == g.plan.slot.size == 0
+
+
+def kept_reference(g):
+    """The core's kept nodes by a walk over the backbone tree, one node at a
+    time: node 0, the ends of every edge off the tree, and every node with
+    two child subtrees that hold a kept node."""
+    tree = g.context.tree
+    par = tree.pred
+    keep = {0}
+    for i, j in zip(g.ei.tolist(), g.ej.tolist()):
+        if par[i] != j and par[j] != i:
+            keep |= {i, j}
+    for i, j, b in zip(g.ei.tolist(), g.ej.tolist(), g.backbone_mask.tolist()):
+        if not b:
+            keep |= {i, j}
+    # Children before parents: the reverse of the tree's preorder.
+    holds, branches = [False] * g.n, [0] * g.n
+    for v in tree.order[::-1].tolist():
+        holds[v] = holds[v] or v in keep
+        if v:
+            holds[par[v]] = holds[par[v]] or holds[v]
+            branches[par[v]] += holds[v]
+    return keep | {v for v in range(g.n) if branches[v] >= 2}
+
+
+def test_core_is_the_schur_complement_on_the_kept_nodes():
+    # The core's Laplacian at any switch vector is L_KK - L_KE L_EE^-1 L_EK
+    # of the graph's, on the kept nodes the rule names.
+    rng = np.random.default_rng(31)
+    for n, extra, multi in ((12, 2, False), (40, 3, False), (60, 8, True), (70, 0, False)):
+        g, _ = oracles.random_instance(rng, n, extra, multigraph=multi)
+        if multi:
+            bb = np.flatnonzero(g.backbone_mask)
+            more = [g.edges[bb[2]], (3, 40, 0.9)]
+            g = graphs.make_graph(n, [*g.edges, *more], [*bb.tolist(), g.m, g.m + 1])
+        core = g.core
+        keep = np.array(sorted(kept_reference(g)))
+        assert core.graph.n == len(keep) < n
+        drop = np.setdiff1d(np.arange(n), keep)
+        for s in (g.backbone_indicator(), oracles.random_fractional(rng, g, lo=0.0)):
+            L = graphs.assemble_laplacian_dense(g, s)
+            schur = L[np.ix_(keep, keep)] - L[np.ix_(keep, drop)] @ np.linalg.solve(
+                L[np.ix_(drop, drop)], L[np.ix_(drop, keep)])
+            got = graphs.assemble_laplacian_dense(core.graph, core.switch(s))
+            assert_allclose(got, schur, rtol=0, atol=1e-12 * np.abs(schur).max())
+        # The derived core tree solves the core backbone's tree exactly.
+        tree = core.context.tree
+        r = rng.standard_normal(core.graph.n)
+        r -= r.mean()
+        ref = oracles.pinv(oracles.laplacian(core.graph.n, core.graph.edges,
+                                             core.graph.backbone_indicator()))
+        if not multi:
+            assert_allclose(tree.apply(r), ref @ r, rtol=0, atol=1e-10 * np.abs(ref @ r).max())
+
+
+def test_core_node_counts():
+    # The share of nodes eliminated, on the first instance of each seed-1
+    # benchmark pool and on CLI trees with 30 extra edges; a graph where
+    # every node ends a switchable edge keeps them all, as itself.
+    cases = [(oracles.chord_ring(1500, seed=1000)[0], 280),
+             (cli.generate_instance(5000, 10000, 1000, demand="gauss", multigraph=True)[0], 4933),
+             (oracles.grid_comb(80, 80, seed=1000)[0], 6399),
+             (cli.generate_instance(20000, 30, 1)[0], 104)]
+    for g, kept in cases:
+        core = g.core.graph
+        assert core.n == kept, g.n
+        # Kept edges keep their order, then one backbone edge per chain.
+        keep = np.array(sorted(kept_reference(g)))
+        both = np.isin(g.ei, keep) & np.isin(g.ej, keep)
+        assert_array_equal(core.w[:both.sum()], g.w[both])
+        assert core.backbone_mask[both.sum():].all()
+    g = graphs.make_graph(6, [(k, k + 1, 1.0) for k in range(5)]
+                          + [(k, k + 2, 1.0) for k in range(4)], range(5))
+    assert g.core.graph is g and g.core.context.plan is g.plan

@@ -746,24 +746,29 @@ def test_amg_is_an_unknown_preconditioner(tmp_path, capsys):
 def test_auto_mode_resolves_by_fill_probe(monkeypatch):
     # A grid factors with little fill and the library default solves it
     # directly, except at the backbone's own pattern; an expander of the
-    # CLI family does not, and stays on Jacobi.
+    # CLI family does not, and stays on Jacobi. Both hold on the graph's
+    # own context and on its core's, which congestion solves on.
     g, d = oracles.grid_comb(80, 80, seed=1)
-    ctx = g.context
-    L = graphs.assemble_laplacian(g, np.ones(g.m))
-    assert ctx.mode == "direct" and not ctx.on_tree(L)
-    assert ctx.on_tree(graphs.assemble_laplacian(g, g.backbone_indicator()))
-    assert solver.context_from_laplacian(L).mode == "direct"
+    ctx = congestion.make_context(g)
+    core = g.core.graph
+    for h, c in ((g, g.context), (core, ctx)):
+        L = graphs.assemble_laplacian(h, np.ones(h.m))
+        assert c.mode == "direct" and not c.on_tree(L)
+        assert c.on_tree(graphs.assemble_laplacian(h, h.backbone_indicator()))
+        assert solver.context_from_laplacian(L).mode == "direct"
     # frankwolfe.run with default settings solves on that same context and
-    # builds no other.
+    # builds no other: no context, no tree and no plan.
     def refuse(*args, **kwargs):
         raise AssertionError("a second context was built")
     monkeypatch.setattr(solver, "context_from_edges", refuse)
+    monkeypatch.setattr(solver, "TreeFactor", refuse)
+    monkeypatch.setattr(solver, "LaplacianPlan", refuse)
     q = int(g.backbone_mask.sum()) + 1
     frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05, max_iterations=1))
-    assert g.context is ctx
+    assert congestion.make_context(g) is ctx and g.core.graph is core
     monkeypatch.undo()
     g, _ = cli.generate_instance(3000, 6000, seed=1, demand="gauss", multigraph=True)
-    assert g.context.mode == "jacobi"
+    assert g.context.mode == "jacobi" and congestion.make_context(g).mode == "jacobi"
     L = graphs.assemble_laplacian(g, np.ones(g.m))
     assert solver.context_from_laplacian(L).mode == "jacobi"
 
