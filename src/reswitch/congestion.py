@@ -48,8 +48,8 @@ class DiffResult:
 def make_context(g: graphs.Graph,
                  cfg: solver.SolverConfig | None = None) -> solver.SolveContext:
     """The solve context every CG solve of congestion on g reads: that of
-    g's core (graphs.Graph.core), which is g's own when no node goes; cfg
-    is accepted, for the benchmark's call, and not used."""
+    g's core (graphs.Graph.core); cfg is accepted, for the benchmark's
+    call, and not used."""
     return g.core.context
 
 
@@ -62,7 +62,8 @@ def _voltages(g, s, d, cfg) -> tuple[float, float, int, Callable[[], np.ndarray]
     # graph's core, which is built only there, to energy accuracy
     # sqrt(epsilon): that puts phi itself within relative epsilon. The
     # core runs on d scaled by a power of two (solver._unit_scaled), so
-    # that no flow's square over- or underflows, and scales back.
+    # that no flow's square over- or underflows, and scales back. s is
+    # checked once, on g; the core's vector is a part of it.
     if g.n <= solver.SolverConfig.dense_threshold:
         res = solver._exact_solve(graphs.assemble_laplacian_dense(g, s),
                                   graphs.check_demand(g, d))
@@ -72,7 +73,7 @@ def _voltages(g, s, d, cfg) -> tuple[float, float, int, Callable[[], np.ndarray]
     s = graphs.check_switch(g, s)
     d, exponent = solver._unit_scaled(graphs.check_demand(g, d))
     d_core, energy, local = core.fold(d)
-    L = graphs.assemble_laplacian(core.graph, core.switch(s))
+    L = graphs._assemble(core.graph, core.switch(s))
     res = solver.solve(L, d_core, replace(cfg, epsilon=math.sqrt(cfg.epsilon)),
                        context=core.context)
     with np.errstate(over="ignore"):

@@ -27,25 +27,31 @@ branches on the unfixed edge whose value is nearest 1/2, nearer side
 first.
 
 Only the free edges change between solves, so each is exact in the
-free-edge space. With L_B the backbone's Laplacian, U the free edges'
-incidence vectors (n x F) and C = diag(s_F w_F), L_s = L_B + U C U^T. Let
-b = U^T L_B^+ d, G = U^T L_B^+ U and phi_B = d^T L_B^+ d. Then M = I +
-C^1/2 G C^1/2 is positive definite with eigenvalues at least 1, and by the
-Woodbury identity (Hager, 1989), with z = M^-1 C^1/2 b,
+free-edge space. The search runs on the graph's switching core
+(graphs.Graph.core), whose free edges are the graph's in the same order:
+d is folded onto the core's nodes, and phi is the fold's constant energy
+plus the core's phi. With L_B the core backbone's Laplacian, U the free
+edges' incidence vectors (n_core x F) and C = diag(s_F w_F), L_s = L_B +
+U C U^T. Let b = U^T L_B^+ d, G = U^T L_B^+ U and phi_B = energy + d^T
+L_B^+ d, for the folded d. Then M = I + C^1/2 G C^1/2 is positive definite
+with eigenvalues at least 1, and by the Woodbury identity (Hager, 1989),
+with z = M^-1 C^1/2 b,
 
     phi(s) = phi_B - (C^1/2 b)^T z,    U^T L_s^+ d = b - G C^1/2 z,
 
 so a node solve is one F x F Cholesky. b, G and phi_B come from one block
-solve on [d, U] with the backbone's spanning tree T (solver.TreeFactor,
-O(n) per column). Backbone edges off T, when it has cycles, are folded in
-by the same identity, once: L_B = L_T + V W V^T is one P x P solve for
-their P incidence vectors V and weights W. The search runs on d scaled by
-a power of two (solver._unit_scaled) and on the weights scaled by an even
-one, to max w in [1/2, 2): every phi, gradient and bound is then scaled by
-one power of four, exactly, so no comparison changes, and no square under-
-or overflows when every weight is far from 1. best_phi is congestion.phi
-of the chosen configuration, exact at n <= 64 and certified within epsilon
-above; no step is n x n.
+solve on [d, U] with the core's tree T (graphs.Core.tree, O(n_core) per
+column), the graph's one tree. The core's backbone edges off T
+(graphs.Core.off_tree), when it has cycles, are folded in by the same
+identity, once: L_B = L_T + V W V^T is one P x P solve for their P
+incidence vectors V and weights W. The search runs on d scaled by a power
+of two (solver._unit_scaled) and on the weights scaled by an even one, to
+max w in [1/2, 2), and T's resistances and the energy by its inverse:
+every phi, gradient and bound is then scaled by one power of four,
+exactly, so no comparison changes, and no square under- or overflows when
+every weight is far from 1. best_phi is congestion.phi of the chosen
+configuration, exact at n <= 64 and certified within epsilon above; no
+step is n x n.
 """
 from __future__ import annotations
 
@@ -81,34 +87,39 @@ class _Search:
     """Incumbent, node count and exact solves of one branch and bound.
 
     Switch values and masks here are indexed by free edge, not by edge.
-    d and w are the demand and the weights scaled by powers of two, and
-    every phi and gradient here is theirs (module docstring).
+    w is the free edges' weights scaled by a power of four, and every phi
+    and gradient here is that of the demand scaled by a power of two on
+    those weights (module docstring).
     """
 
     def __init__(self, g: graphs.Graph, d: np.ndarray, head: int):
         self.free = free_edges(g)
         # Edges every configuration searched closes: phi never rises as one closes.
         self.k = min(head, len(self.free))
-        # An even power of two, so that sqrt(s w) scales exactly.
-        w = np.ldexp(g.w, -2 * (solver._unit_scaled(g.w)[1] // 2))
-        self.w = w[self.free]
-        self.d = solver._unit_scaled(d)[0]
-        # Q = [d, U, V]^T L_T^+ [d, U, V] by one block tree solve, V the
-        # backbone edges off the tree, which Woodbury then folds into L_B.
-        bb = np.flatnonzero(g.backbone_mask)
-        tree = solver.TreeFactor(g.n, g.ei[bb], g.ej[bb], w[bb])
-        off = bb[(tree.pred[g.ei[bb]] != g.ej[bb]) & (tree.pred[g.ej[bb]] != g.ei[bb])]
-        edges = np.concatenate([self.free, off])
-        ei, ej, cols = g.ei[edges], g.ej[edges], np.arange(1, len(edges) + 1)
-        rows = np.zeros((len(edges) + 1, g.n))
-        rows[0], rows[cols, ei], rows[cols, ej] = self.d, 1.0, -1.0
+        core, cg = g.core, g.core.graph
+        # An even power of two, so that sqrt(s w) scales exactly; resistances
+        # and the fold's energy scale by its inverse.
+        half = solver._unit_scaled(g.w)[1] // 2
+        w = np.ldexp(cg.w, -2 * half)
+        # The core's free edges are g's, in g's order.
+        cfree, off = free_edges(cg), core.off_tree
+        self.w = w[cfree]
+        d, energy, _ = core.fold(solver._unit_scaled(d)[0])
+        # Q = [d, U, V]^T L_T^+ [d, U, V] by one block solve on the core's
+        # tree, V its backbone edges off it, which Woodbury then folds into L_B.
+        t = core.tree
+        tree = solver.TreeFactor.from_preorder(t.pred, t.order, t.end, np.ldexp(t.inv_w, 2 * half))
+        edges = np.concatenate([cfree, off])
+        ei, ej, cols = cg.ei[edges], cg.ej[edges], np.arange(1, len(edges) + 1)
+        rows = np.zeros((len(edges) + 1, cg.n))
+        rows[0], rows[cols, ei], rows[cols, ej] = d, 1.0, -1.0
         X = tree.apply(rows.T)
-        Q = np.vstack([self.d @ X, X[ei] - X[ej]])
+        Q = np.vstack([d @ X, X[ei] - X[ej]])
         F = len(self.free)
         if len(off):
             Q = Q[:F + 1, :F + 1] - Q[:F + 1, F + 1:] @ np.linalg.solve(
                 np.diag(1.0 / w[off]) + Q[F + 1:, F + 1:], Q[F + 1:, :F + 1])
-        self.phi_B, self.b = float(Q[0, 0]), Q[1:, 0]
+        self.phi_B, self.b = float(np.ldexp(energy, 2 * half) + Q[0, 0]), Q[1:, 0]
         self.G = 0.5 * (Q[1:, 1:] + Q[1:, 1:].T)
         self.best_phi = np.inf
         self.best_mask = None

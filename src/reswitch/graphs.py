@@ -16,21 +16,21 @@ position an edge touches, the data position of each edge's four terms and,
 when the graph's fill verdict is direct, the minimum-degree order of the
 grounded Laplacian; so sparse assembly is one np.bincount, and no solve
 redoes symbolic work. The plan is built on first use and kept on the
-graph, and so is the solve context of a CG solve on the graph's own
-Laplacian (Graph.context): the backbone's tree solve beside the plan.
+graph.
 
-Every CG solve of congestion runs on the graph's switching core
+Every solve on a graph that is not dense, congestion's CG solves and the
+branch and bound's tree solve alike, runs on the graph's switching core
 (Graph.core, a Core): the graph with its switch-free pendant subtrees and
 series chains of the backbone tree eliminated once, exactly, by Kron
-reduction, and the maps that carry a demand into the core and the core's
-voltages back out. Where most nodes carry no switch, as in radial
-networks with a few ties, the core is a small fraction of the graph; where
-every node ends a switchable edge, it is the graph itself.
+reduction, the maps that carry a demand into the core and the core's
+voltages back out, and the core's tree, the graph's only one. Where most
+nodes carry no switch, as in radial networks with a few ties, the core is
+a small fraction of the graph; where every node ends a switchable edge,
+it holds the graph's own arrays.
 """
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,24 +108,11 @@ class Graph:
         return solver.LaplacianPlan(*_pattern(self))
 
     @cached_property
-    def context(self) -> solver.SolveContext:
-        """The solve context of a CG solve on the graph's own Laplacian: the
-        backbone's tree solve (solver.TreeFactor, 4n numbers) and the
-        graph's plan. It is built on first use. check_switch pins the
-        backbone closed, so every L_s on the graph dominates L_T and the
-        bound holds; solves only read the context, so sharing it changes no
-        result. congestion solves on the core's context instead
-        (Graph.core), which has a tree of its own."""
-        bb = self.backbone_mask
-        return solver.context_from_edges(self.n, self.ei[bb], self.ej[bb], self.w[bb],
-                                         plan=self.plan)
-
-    @cached_property
     def core(self) -> "Core":
-        """The graph with its switch-free pendant subtrees and series chains
-        eliminated, and the exact maps into and out of it (Core). It is
-        built on first use, with the backbone's tree solve, from which the
-        core's tree is derived."""
+        """The graph's one solve object, which congestion's CG solves and
+        the branch and bound both read: the graph with its switch-free
+        pendant subtrees and series chains eliminated, the exact maps into
+        and out of it, and the core's tree (Core). Built on first use."""
         return Core(self)
 
     def backbone_indicator(self) -> np.ndarray:
@@ -169,7 +156,7 @@ def _pattern(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 class Core:
     """A graph's switching core: the graph with every node eliminated, once
-    per graph, that no solve needs (Kron reduction).
+    per graph, that no solve needs (Kron reduction), and the core's tree.
 
     On the backbone's tree T (solver.TreeFactor, rooted at node 0) the core
     keeps node 0, every endpoint of a switchable edge or of a backbone edge
@@ -185,17 +172,22 @@ class Core:
         phi = energy + d_core^T L_core^+ d_core,    energy = d_E^T A^-1 d_E,
 
     and x_E = A^-1 (d_E - L_EK x_K). A residual of the core is the whole
-    graph's, zero on E, and its tree bound equals the core tree's, so a
-    certified solve on the core certifies phi. A is a forest, so both maps
-    are sums over T (fold, delta) that read d on E alone, in T's preorder:
-    each eliminated edge of T carries the flow of its subtree's demand,
-    less, on a chain, the resistance-weighted mean of those flows over the
-    chain, plus the chain's share of the core flow; a node's demand goes
-    to its nearest kept ancestor, less its chain's share. context is the
-    core's solve context: the core tree is derived from T, each kept node
-    keeping its preorder, and the plan is the core graph's. T is built
-    once, here, and only the core's tree is kept. When no node goes, graph
-    is the graph itself, its tree is T, and every map is the identity.
+    graph's, zero on E, and its tree bound is at most T's, so a certified
+    solve on the core certifies phi. A is a forest, so both maps are sums
+    over T (fold, delta) that read d on E alone, in T's preorder: each
+    eliminated edge of T carries the flow of its subtree's demand, less, on
+    a chain, the resistance-weighted mean of those flows over the chain,
+    plus the chain's share of the core flow; a node's demand goes to its
+    nearest kept ancestor, less its chain's share. When no node goes, graph
+    holds the graph's own arrays and every map is the identity, up to
+    round-off at node 0.
+
+    tree (a solver.TreeFactor) is derived from T, each kept node keeping its
+    preorder, and sums every backbone edge of the core that runs along it,
+    as TreeFactor sums parallel copies: a backbone edge off T that joins a
+    chain's two ends joins the chain's conductance. off_tree holds the
+    core's other backbone edges, by index into graph. T is built once,
+    here, and only the core's tree is kept: a graph's one tree.
     """
 
     def __init__(self, g: Graph):
@@ -209,12 +201,6 @@ class Core:
         before = np.concatenate([[0], np.cumsum(keep[order])])
         held = before[end] > before[:-1]
         keep |= np.bincount(par[order[1:][held[1:]]], minlength=n) >= 2
-        # The core holds no reference to g, which caches it, so that a
-        # graph and its core are freed together, without a cycle collection.
-        if keep.all():
-            self._graph, self._owner, self._ends = None, weakref.ref(g), (g.ei, g.ej)
-            self._core_tree = tree
-            return
         before = np.concatenate([[0], np.cumsum(keep[order])])
         nk = int(before[-1])
         kept = keep[order]
@@ -241,12 +227,23 @@ class Core:
         # Labels keep the node order, so a kept edge keeps i < j.
         li, lj = label[g.ei], label[g.ej]
         bottom, top = corder[chain], corder[up[chain]]
-        self._graph = Graph(nk, np.concatenate([li[both], np.minimum(bottom, top)]),
-                            np.concatenate([lj[both], np.maximum(bottom, top)]),
-                            np.concatenate([g.w[both], 1.0 / resist[chain]]),
-                            np.concatenate([g.backbone_mask[both], np.ones(len(chain), bool)]))
-        self._core_tree = type(tree).from_preorder(
-            pred, corder, before[end[kept]].astype(np.int32), resist[:nk])
+        self.graph = Graph(nk, np.concatenate([li[both], np.minimum(bottom, top)]),
+                           np.concatenate([lj[both], np.maximum(bottom, top)]),
+                           np.concatenate([g.w[both], 1.0 / resist[chain]]),
+                           np.concatenate([g.backbone_mask[both], np.ones(len(chain), bool)]))
+        # A backbone edge off T runs along the core tree only beside a
+        # chain; its conductance joins the chain's, at the chain's bottom,
+        # whose core position is the kept nodes before it in preorder.
+        off = np.flatnonzero(bb & ~on_tree)
+        oi, oj = li[off], lj[off]
+        along = (pred[oi] == oj) | (pred[oj] == oi)
+        bottom_of = np.where(pred[oi] == oj, g.ei[off], g.ej[off])[along]
+        folded, into = np.unique(before[pos[bottom_of]], return_inverse=True)
+        inv_w = resist[:nk].copy()
+        inv_w[folded] = 1.0 / (1.0 / inv_w[folded] + np.bincount(into, g.w[off[along]]))
+        self.tree = type(tree).from_preorder(pred, corder, before[end[kept]].astype(np.int32),
+                                             inv_w)
+        self.off_tree = (np.cumsum(both) - 1)[off[~along]]
 
         # The maps read E alone, in preorder. A sum of d over a run of
         # positions holding no kept node is a difference of its prefix
@@ -291,25 +288,13 @@ class Core:
 
     @cached_property
     def context(self) -> solver.SolveContext:
-        """The core's solve context: the core's tree, derived from the
-        backbone's (its own when no node goes), and the core graph's plan.
-        It is built on first use."""
-        return solver.SolveContext(self._core_tree, self.graph.plan)
-
-    @property
-    def graph(self) -> Graph:
-        """The core graph: the kept nodes, labelled in node order, and their
-        edges; the graph itself when no node goes."""
-        return self._owner() if self._graph is None else self._graph
+        """The core's solve context, its tree and plan, built on first use."""
+        return solver.SolveContext(self.tree, self.graph.plan)
 
     def switch(self, s: np.ndarray) -> np.ndarray:
-        """The core's switch vector of a checked switch vector s of the graph."""
-        if self._graph is None:
-            return s
-        out = np.ones(self._graph.m)
-        kept = s[self._kept]
-        out[:len(kept)] = kept
-        return out
+        """The core's switch vector of a checked switch vector s of the graph:
+        its kept edges' entries, then 1 on each chain."""
+        return np.concatenate([s[self._kept], np.ones(len(self._chain_ends[0]))])
 
     def fold(self, d: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         """(d_core, energy, local) for a checked demand d of the graph.
@@ -319,8 +304,6 @@ class Core:
         resistance-weighted mean flow. energy, that flow's energy, is
         d_E^T A^-1 d_E.
         """
-        if self._graph is None:
-            return d, 0.0, np.empty(0)
         dropped = d.take(self._drop_nodes)
         sums = np.concatenate([[0.0], np.cumsum(dropped)])
         a, b, c, e = (sums.take(k) for k in self._runs)
@@ -331,7 +314,7 @@ class Core:
         local = rel - share.take(self._chain)
         d_core = d.take(self._kept_nodes)
         d_core += np.bincount(self._owners, np.concatenate([dropped, share[:-1], -share[:-1]]),
-                              minlength=self._graph.n)
+                              minlength=self.graph.n)
         # Node 0 takes the rest, so d_core sums to zero as d does, though
         # nearly all of d may lie on E.
         d_core[0] = -d_core[1:].sum()
@@ -342,9 +325,6 @@ class Core:
         core's voltages x and fold's local flows: on an eliminated edge, its
         resistance times its flow, local plus its chain's share of the core
         flow."""
-        if self._graph is None:
-            ei, ej = self._ends
-            return x[ei] - x[ej]
         bottom, top = self._chain_ends
         flow = np.append((x.take(bottom) - x.take(top)) * self._inv_r[:-1], 0.0)
         drops = self._cut_r * (local.take(self._cut_edge) + flow.take(self._cut_chain))
@@ -461,7 +441,11 @@ def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
 def assemble_laplacian(g: Graph, s: np.ndarray) -> sp.csr_matrix:
     """Switched Laplacian L_s = sum_e s_e w_e a_e a_e^T as sparse CSR, on the
     graph's one pattern (Graph.plan), stored zeros included."""
-    s = check_switch(g, s)
+    return _assemble(g, check_switch(g, s))
+
+
+def _assemble(g: Graph, s: np.ndarray) -> sp.csr_matrix:
+    """assemble_laplacian of a switch vector already checked."""
     x = s * g.w
     # bincount adds each slot's terms in Graph.dense_index order, so the
     # values are the dense assembly's, bit for bit.

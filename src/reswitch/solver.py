@@ -29,20 +29,21 @@ solve is low-fill, and jacobi otherwise. No option overrides the choice:
 epsilon is the only setting. A LaplacianPlan probes its own pattern when
 it is built, comparing the envelope of a reverse Cuthill-McKee order of it
 with FILL_BUDGET nonzeros per edge of the pattern, its entries below the
-diagonal, so parallel edges count once; a graph's own context
-(graphs.Graph.context) and its core's (graphs.Core) take the verdict of
-their plans, each probed once per graph. Planar, grid-like and ring-like
-graphs pass it and their factor is cheap; expander-like graphs fail it,
-and there Jacobi needs only tens of iterations. The symbolic work of a direct factor is done once per
-pattern, not per solve: a LaplacianPlan keeps the grounded block's
-minimum-degree order, so each factor is one gather of L_s's values and one
-LU in that order, and a direct solve refuses an L_s that does not carry
-the plan's pattern. On a Laplacian with the tree's own sparsity pattern
-(the switch vector at the backbone indicator, where optimization starts,
-when the backbone is a tree) the tree solve is used whatever the mode,
-since it is exact there: L_s = L_T. Under direct or the tree solve CG
-takes one iteration, and the solution still has to pass the stopping bound
-below, so a poor factor can cost time but never accuracy.
+diagonal, so parallel edges count once; a graph's one context, its
+core's (graphs.Core), takes the verdict of the core graph's plan, probed
+once per graph. Planar, grid-like and ring-like graphs pass it and their
+factor is cheap; expander-like graphs fail it, and there Jacobi needs
+only tens of iterations. The symbolic work of a direct factor is done
+once per pattern, not per solve: a LaplacianPlan keeps the grounded
+block's minimum-degree order, so each factor is one gather of L_s's
+values and one LU in that order, and a direct solve refuses an L_s that
+does not carry the plan's pattern. On a Laplacian with the tree's own
+sparsity pattern (the switch vector at the backbone indicator, where
+optimization starts, when every backbone edge runs along the tree) the
+tree solve is used whatever the mode, since it is exact there: L_s =
+L_T. Under direct or the tree solve CG takes one iteration, and the
+solution still has to pass the stopping bound below, so a poor factor
+can cost time but never accuracy.
 
 Every solve starts from x = 0 and only reads its context, so no solve
 depends on the ones before it. solve knows only whether its
@@ -487,11 +488,12 @@ class SolveContext:
 
     A solve keeps no state here, so the order of solves changes no result.
     tree is the TreeFactor of the backbone; a graph keeps its core's
-    context (graphs.Core), whose tree is derived from the backbone's, so
-    the solves of a graph build one tree. plan is the LaplacianPlan of the
-    widest Laplacian the context will solve, which probed its own fill when
-    it was built; its verdict fixes mode: direct if it holds, jacobi
-    otherwise or without a plan (module docstring).
+    context (graphs.Core), whose tree, derived from the backbone's, is the
+    one tree every solve on the graph reads, the branch and bound's too.
+    plan is the LaplacianPlan of the widest Laplacian the context will
+    solve, which probed its own fill when it was built; its verdict fixes
+    mode: direct if it holds, jacobi otherwise or without a plan (module
+    docstring).
     preconditioner is the one place a solve's M is picked. A Laplacian with
     the tree's sparsity pattern is preconditioned by the tree solve whatever
     the mode, since it is exact there. A direct solve on an L without the

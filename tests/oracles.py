@@ -75,6 +75,14 @@ def laplacian_pattern(g: Graph):
     return indptr, np.array(indices, dtype=int)
 
 
+def graph_context(g: Graph) -> solver.SolveContext:
+    """The solve context of a CG solve on g's own Laplacian, through the
+    public solver.context_from_edges: the backbone's tree solve and g's
+    plan, whose fill verdict fixes the mode."""
+    bb = g.backbone_mask
+    return solver.context_from_edges(g.n, g.ei[bb], g.ej[bb], g.w[bb], plan=g.plan)
+
+
 def pinv(L):
     return np.linalg.pinv(L, hermitian=True)
 
@@ -303,6 +311,36 @@ def chord_ring(n: int, seed: int):
     w = rng.uniform(0.5, 2.0, len(pairs))
     g = make_graph(n, [(i, j, wk) for (i, j), wk in zip(pairs, w)], range(n - 1))
     d = rng.standard_normal(n)
+    d -= d.mean()
+    return g, d / np.linalg.norm(d)
+
+
+def chain_parallel(seed: int, cycle: bool = True):
+    """A 100-node graph of every core shape; returns (Graph, unit demand).
+
+    The backbone is the path 0-1-...-69 and three pendant trees of ten
+    nodes, hung from path nodes 15, 27 and 67; eight switchable edges join
+    path nodes, so the path between their ends is eliminated as chains and
+    its tail beyond node 65 as a pendant tree. Three backbone edges of
+    weight 0.1, below every other weight, so that the maximum-weight
+    spanning tree leaves them out, each join the two ends of a chain, to
+    which they run parallel in the core. With cycle, one more such edge
+    joins path node 25 to pendant node 75, which closes a cycle in the core.
+    Other weights are uniform on [0.5, 2] and the demand is Gaussian.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = [(k, k + 1) for k in range(69)]
+    for root, first in ((15, 90), (27, 70), (67, 80)):
+        pairs.append((root, first))
+        pairs += [(int(rng.integers(first, v)), v) for v in range(first + 1, first + 10)]
+    w = list(rng.uniform(0.5, 2.0, len(pairs)))
+    light = [(10, 20), (35, 45), (50, 60)] + [(25, 75)] * cycle
+    free = [(5, 30), (10, 45), (20, 60), (30, 50), (35, 65), (10, 20), (45, 65), (5, 50)]
+    edges = [(i, j, wk) for (i, j), wk in zip(pairs + light, w + [0.1] * len(light))]
+    g = make_graph(100, edges + [(i, j, float(wk)) for (i, j), wk in
+                                 zip(free, rng.uniform(0.5, 2.0, len(free)))],
+                   range(len(edges)))
+    d = rng.standard_normal(100)
     d -= d.mean()
     return g, d / np.linalg.norm(d)
 

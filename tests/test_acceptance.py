@@ -159,7 +159,7 @@ def test_criterion_06_certificate_soundness_on_cg(monkeypatch, mode):
         n = int(rng.integers(65, 121))
         free = int(rng.integers(6, 13))
         g, d = oracles.random_instance(rng, n, free, multigraph=True, demand="gauss")
-        assert g.context.mode == mode
+        assert oracles.graph_context(g).mode == mode
         q = (g.n - 1) + int(rng.integers(1, free + 1))
         best = enumeration.enumerate_optimal(g, d, q).best_phi
         for alpha in (0.05, 0.1, 0.5):
@@ -237,7 +237,7 @@ def test_criterion_06_certificate_interval_on_cg(monkeypatch, mode):
         cases.append((f"random-{n}", oracles.random_instance(
             rng, n, free, multigraph=True, demand="gauss")))
     for name, (g, d) in cases:
-        assert g.context.mode == mode, name
+        assert oracles.graph_context(g).mode == mode, name
         free = int((~g.backbone_mask).sum())
         q = int(g.backbone_mask.sum()) + free // 2
         best = enumeration.enumerate_optimal(g, d, q).best_phi if free <= 12 else None
@@ -426,14 +426,15 @@ def test_criterion_11_solver_contract_direct():
             g, d = oracles.chord_ring(int(rng.integers(65, 401)), seed=k)
         else:
             g, d = oracles.grid_comb(int(rng.integers(9, 21)), int(rng.integers(9, 21)), seed=k)
-        assert g.context.mode == "direct"
+        ctx = oracles.graph_context(g)
+        assert ctx.mode == "direct"
         s = oracles.random_fractional(rng, g)
         L = graphs.assemble_laplacian(g, s)
         Ld = L.toarray()
         x_star = solver.pinv_laplacian(Ld) @ d
         den = float(x_star @ (Ld @ x_star))
         for eps in (1e-2, 1e-6):
-            res = solver.solve(L, d, solver.SolverConfig(epsilon=eps), context=g.context)
+            res = solver.solve(L, d, solver.SolverConfig(epsilon=eps), context=ctx)
             e = res.x - x_star
             rel = np.sqrt(max(float(e @ (Ld @ e)), 0.0) / den)
             worst = max(worst, rel / eps)

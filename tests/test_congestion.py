@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 import oracles
 import theory
 from reswitch import cli, congestion, enumeration, frankwolfe, graphs, rounding, solver
-from reswitch.errors import CapExceededError
+from reswitch.errors import CapExceededError, InvalidInputError
 
 
 def triangle():
@@ -298,7 +298,7 @@ def test_phi_does_not_depend_on_earlier_calls():
         g, d = make()
         q = int(g.backbone_mask.sum()) + int((~g.backbone_mask).sum()) // 2
         s, _, _ = frankwolfe.run(g, d, frankwolfe.FWConfig(q=q, alpha=0.05))
-        assert g.context.mode == mode
+        assert oracles.graph_context(g).mode == mode
         congestion.approx_diff(g, s, d)
         sbin = draw(g, s, q, seed=0)
         fresh, _ = make()
@@ -376,7 +376,7 @@ def test_core_solve_matches_the_full_graph(name):
     g, d = CORE_CASES[name]
     assert g.n > solver.SolverConfig.dense_threshold
     core = g.core
-    assert (core.graph is g) == (name == "nothing-goes")
+    assert (core.graph.n == g.n) == (name == "nothing-goes")
     if name == "no-switch":
         assert core.graph.n == 1 and core.graph.m == 0
     rng = np.random.default_rng(7)
@@ -399,13 +399,54 @@ def test_core_solve_matches_the_full_graph(name):
         assert cert.phi_value * (1 - 1e-12) <= want <= cert.upper_bound * (1 + 1e-12)
 
 
+def test_backbone_edges_beside_a_chain_join_the_core_tree():
+    # A backbone edge off the tree that joins a chain's two ends runs
+    # parallel to the chain's core edge. The core tree sums it in, so its
+    # Laplacian is the core backbone's, and at the backbone indicator,
+    # where L has the tree's pattern, the tree solve is exact: CG takes
+    # one iteration.
+    rng = np.random.default_rng(17)
+    for seed in range(3):
+        g, d = oracles.chain_parallel(seed, cycle=False)
+        core = g.core
+        assert core.graph.n < g.n and len(core.off_tree) == 0
+        s = g.backbone_indicator()
+        L = graphs.assemble_laplacian(core.graph, core.switch(s))
+        assert core.context.on_tree(L)
+        r = rng.standard_normal(core.graph.n)
+        r -= r.mean()
+        ref = oracles.pinv(L.toarray()) @ r
+        assert_allclose(core.tree.apply(r), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        diff = congestion.approx_diff(g, s, d)
+        assert diff.cg_iterations == 1
+        want = float(d @ oracles.refined_voltages(g, s, d))
+        assert abs(diff.phi - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [40, 300])
+def test_switch_vector_is_checked_once_per_solve(monkeypatch, n):
+    # approx_diff checks s on the graph once, on the dense path and on the
+    # core, whose part of s it assembles unchecked; a bad s still fails.
+    calls = []
+    check = graphs.check_switch
+    monkeypatch.setattr(graphs, "check_switch", lambda g, s: calls.append(g.n) or check(g, s))
+    g, d = oracles.chord_ring(n, seed=2)
+    assert (g.n > solver.SolverConfig.dense_threshold) == (n == 300)
+    s = oracles.random_fractional(np.random.default_rng(3), g)
+    congestion.approx_diff(g, s, d)
+    assert calls == [n]
+    s[np.flatnonzero(~g.backbone_mask)[0]] = 1.5
+    with pytest.raises(InvalidInputError):
+        congestion.approx_diff(g, s, d)
+
+
 def test_core_demand_inside_a_pendant_tree_is_its_energy():
     # A demand from a pendant leaf to its parent moves nothing in the core:
     # phi is the energy of the one eliminated edge, w^-1, and every other
     # edge carries no drop.
     g, _ = cli.generate_instance(400, 12, seed=5)
     core = g.core
-    par = g.context.tree.pred
+    par = oracles.graph_context(g).tree.pred
     leaves = np.setdiff1d(np.arange(1, g.n), par[1:])
     leaf = int(leaves[np.flatnonzero(np.bincount(np.concatenate([g.ei, g.ej]),
                                                  minlength=g.n)[leaves] == 1)[0]])

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 import reswitch
-from reswitch import cli, enumeration, graphs, solver
+from reswitch import cli, enumeration, frankwolfe, graphs, solver
 from reswitch.errors import CapExceededError, InvalidInputError
 
 
@@ -237,19 +237,21 @@ def test_matches_oracle_on_random_instances():
     assert budgets > 1000
 
 
-def dense_node_solve(g, search, sf):
+def dense_node_solve(g, d, search, sf):
     """phi and free-edge gradient at free-edge values sf on the search's
-    demand and weights, from one n x n solve of the dense kernel: the node
-    solve the search made before it solved in the free-edge space. The
-    search scales every weight by one power of four, read off its first
+    demand and weights, from one n x n solve of the dense kernel on the
+    whole graph: the node solve the search made before it solved in the
+    free-edge space. The search scales d by a power of two to max|d| in
+    [1/2, 1), and every weight by one power of four, read off its first
     free edge."""
     s = g.backbone_indicator()
     s[search.free] = sf
     scale = search.w[0] / g.w[search.free[0]]
     L = graphs.assemble_laplacian_dense(g, s) * scale
-    x = solver._grounded_solve(L, search.d[:, None])[:, 0]
+    d = solver._unit_scaled(d)[0]
+    x = solver._grounded_solve(L, d[:, None])[:, 0]
     delta = x[g.ei[search.free]] - x[g.ej[search.free]]
-    return float(search.d @ x), -search.w * delta ** 2
+    return float(d @ x), -search.w * delta ** 2
 
 
 def test_free_edge_solve_matches_the_dense_kernel():
@@ -271,7 +273,7 @@ def test_free_edge_solve_matches_the_dense_kernel():
             sf[rng.random(F) < 0.3] = 0.0
             sf[rng.random(F) < 0.3] = 1.0
             phi, grad = search.solve(sf)
-            phi_ref, grad_ref = dense_node_solve(g, search, sf)
+            phi_ref, grad_ref = dense_node_solve(g, d, search, sf)
             assert phi == pytest.approx(phi_ref, rel=1e-12, abs=0), g.n
             assert_allclose(grad, grad_ref, rtol=0, atol=1e-12 * np.abs(grad_ref).max())
             ratios.append(search.phi_B / phi_ref)
@@ -393,6 +395,51 @@ def test_matches_oracle_on_backbones_beyond_a_tree(kind, off):
             assert abs(res.best_phi - low) <= 1e-12 * low, (k, q)
 
 
+@pytest.mark.parametrize("cycle", [False, True])
+def test_matches_oracle_on_every_core_shape(cycle):
+    # 100-node graphs with chains, pendant trees and backbone edges
+    # parallel to chains, and with or without a backbone cycle
+    # (oracles.chain_parallel): the search runs on a core of 10 or 13
+    # nodes and picks the reference's configuration and phi at every
+    # budget from |B| to m.
+    for seed in range(3):
+        g, d = oracles.chain_parallel(seed, cycle)
+        core = g.core
+        assert core.graph.n == (13 if cycle else 10) and len(core.off_tree) == cycle
+        free = int(np.count_nonzero(~g.backbone_mask))
+        values = oracles.brute_force(g, d, g.m).all_values
+        b_size = g.m - free
+        for q in range(b_size, g.m + 1):
+            res = enumeration.enumerate_optimal(g, d, q)
+            mask, low = oracle_choice(values, free, q - b_size)
+            assert oracles.mask_of(g, res.best_config.sbin) == mask, (seed, q)
+            assert abs(res.best_phi - low) <= 1e-12 * low, (seed, q)
+
+
+def test_one_tree_per_graph_for_frank_wolfe_and_the_search(monkeypatch):
+    # Frank-Wolfe's solves and the branch and bound both read the graph's
+    # core, so a graph above the dense threshold builds one TreeFactor, in
+    # its Core, whichever runs first.
+    built = []
+
+    class Counted(solver.TreeFactor):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+    monkeypatch.setattr(solver, "TreeFactor", Counted)
+    for search_first in (False, True):
+        built.clear()
+        g, d = cli.generate_instance(200, 16, 1)
+        q = cli.default_budget(g)
+        cfg = frankwolfe.FWConfig(q=q, alpha=0.05)
+        if search_first:
+            enumeration.enumerate_optimal(g, d, q)
+        s, cert, _ = frankwolfe.run(g, d, cfg)
+        res = enumeration.enumerate_optimal(g, d, q)
+        assert cert.certified and res.best_phi <= cert.upper_bound * (1 + cfg.alpha)
+        assert len(built) == 1, search_first
+
+
 THREADS_SCRIPT = """
 from reswitch import cli, enumeration
 for n, seed in ((200, 2), (400, 3)):
@@ -428,7 +475,7 @@ def test_matches_the_dense_node_search(monkeypatch):
         res = enumeration.enumerate_optimal(g, d, q)
         with monkeypatch.context() as m:
             m.setattr(enumeration._Search, "solve",
-                      lambda search, sf: dense_node_solve(g, search, sf))
+                      lambda search, sf: dense_node_solve(g, d, search, sf))
             ref = enumeration.enumerate_optimal(g, d, q)
         assert_array_equal(res.best_config.sbin, ref.best_config.sbin)
         assert res.best_phi == ref.best_phi

@@ -193,7 +193,7 @@ def test_monotone_guard_trace_never_increases(monkeypatch):
     g, d = instance(3, n=80, extra=40, demand="gauss")
     cfg = frankwolfe.FWConfig(q=g.n + 3, alpha=0.02, max_iterations=80)
     (_, cert, trace), calls = spied_run(monkeypatch, g, d, cfg)
-    assert g.context.mode == "jacobi" and cert.certified
+    assert not g.plan.low_fill and cert.certified
     eps = cfg.solver.epsilon
     recs = trace.records
     rises = [k for k in range(1, len(recs)) if recs[k].phi > recs[k - 1].phi]
@@ -251,7 +251,7 @@ def test_phi_value_lies_in_its_own_interval(monkeypatch, mode):
              "cli-tree-1": cli.generate_instance(3000, 0, seed=1),
              "cli-tree-2": cli.generate_instance(3000, 0, seed=2)}
     for name, (g, d) in cases.items():
-        assert g.context.mode == mode, name
+        assert oracles.graph_context(g).mode == mode, name
         cfg = frankwolfe.FWConfig(q=cli.default_budget(g), alpha=0.1)
         s, cert, _ = frankwolfe.run(g, d, cfg)
         assert cert.certified, name
@@ -291,11 +291,12 @@ def test_trace_counts_each_solve_cg_iterations():
     g, d = cli.generate_instance(2000, 4000, seed=1, demand="gauss", multigraph=True)
     cfg = frankwolfe.FWConfig(q=cli.default_budget(g), alpha=0.05)
     s, cert, trace = frankwolfe.run(g, d, cfg)
-    assert g.context.mode == "jacobi" and cert.certified
+    assert not g.plan.low_fill and cert.certified
     its = [rec.cg_iterations for rec in trace.records]
     assert its[0] == 1 and min(its[1:]) > 1
     step = congestion.approx_diff(g, s, d, cfg.solver).cg_iterations
-    full = solver.solve(graphs.assemble_laplacian(g, s), d, cfg.solver, context=g.context)
+    full = solver.solve(graphs.assemble_laplacian(g, s), d, cfg.solver,
+                        context=oracles.graph_context(g))
     assert 0.35 * full.iterations <= step <= 0.7 * full.iterations
     # The dense kernel runs no CG.
     g, d = instance(3)
@@ -313,7 +314,7 @@ def test_loose_steps_certify_at_epsilon_on_jacobi(monkeypatch):
     g, d = cli.generate_instance(2000, 4000, seed=1, demand="gauss", multigraph=True)
     cfg = frankwolfe.FWConfig(q=cli.default_budget(g), alpha=0.05)
     (s, cert, trace), calls = spied_run(monkeypatch, g, d, cfg)
-    assert g.context.mode == "jacobi" and cert.certified
+    assert not g.plan.low_fill and cert.certified
     assert cert == frankwolfe.certificate(g, s, d, cfg)
     ref = congestion.phi(g, s, d, solver.SolverConfig(epsilon=1e-11))
     assert abs(cert.phi_value - ref) <= cfg.solver.epsilon * ref
@@ -339,7 +340,7 @@ def test_exact_solves_read_each_record_once(monkeypatch, case):
     # the records those of a run whose every solve asks for epsilon.
     if case == "grid-comb":
         g, d = oracles.grid_comb(30, 30, seed=1)
-        assert g.context.mode == "direct"
+        assert g.plan.low_fill
     else:
         g, d = cli.generate_instance(40, 60, seed=5, demand="gauss")
         assert g.n <= solver.SolverConfig.dense_threshold

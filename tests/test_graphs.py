@@ -206,7 +206,7 @@ def test_sparse_assembly_keeps_one_pattern_per_graph():
             assert_array_equal(L.toarray(), graphs.assemble_laplacian_dense(g, s))
         at_backbone = graphs.assemble_laplacian(g, g.backbone_indicator())
         assert np.count_nonzero(at_backbone.data == 0.0) > 0
-        ctx = g.context
+        ctx = oracles.graph_context(g)
         assert ctx.on_tree(at_backbone)
         assert not ctx.on_tree(graphs.assemble_laplacian(g, off))
 
@@ -472,7 +472,7 @@ def kept_reference(g):
     """The core's kept nodes by a walk over the backbone tree, one node at a
     time: node 0, the ends of every edge off the tree, and every node with
     two child subtrees that hold a kept node."""
-    tree = g.context.tree
+    tree = oracles.graph_context(g).tree
     par = tree.pred
     keep = {0}
     for i, j in zip(g.ei.tolist(), g.ej.tolist()):
@@ -523,8 +523,7 @@ def test_core_is_the_schur_complement_on_the_kept_nodes():
 
 def test_core_node_counts():
     # The share of nodes eliminated, on the first instance of each seed-1
-    # benchmark pool and on CLI trees with 30 extra edges; a graph where
-    # every node ends a switchable edge keeps them all, as itself.
+    # benchmark pool and on CLI trees with 30 extra edges.
     cases = [(oracles.chord_ring(1500, seed=1000)[0], 280),
              (cli.generate_instance(5000, 10000, 1000, demand="gauss", multigraph=True)[0], 4933),
              (oracles.grid_comb(80, 80, seed=1000)[0], 6399),
@@ -537,6 +536,40 @@ def test_core_node_counts():
         both = np.isin(g.ei, keep) & np.isin(g.ej, keep)
         assert_array_equal(core.w[:both.sum()], g.w[both])
         assert core.backbone_mask[both.sum():].all()
-    g = graphs.make_graph(6, [(k, k + 1, 1.0) for k in range(5)]
-                          + [(k, k + 2, 1.0) for k in range(4)], range(5))
-    assert g.core.graph is g and g.core.context.plan is g.plan
+
+
+def test_core_where_no_node_goes_holds_the_graph():
+    # A graph where every node ends a switchable edge keeps them all: the
+    # core holds the graph's own arrays and tree, its switch vector is the
+    # graph's, fold and delta are identities up to node 0's round-off, and
+    # its backbone edges off the tree are the graph's.
+    rng = np.random.default_rng(43)
+    chain = [(k, k + 1, 1.0) for k in range(5)] + [(k, k + 2, 1.0) for k in range(4)]
+    base, _ = oracles.random_instance(rng, 90, 300, multigraph=True)
+    bb = np.flatnonzero(base.backbone_mask)
+    cyclic = graphs.make_graph(90, [*base.edges, (3, 70, 0.8)], [*bb.tolist(), base.m])
+    for g in (graphs.make_graph(6, chain, range(5)), cyclic):
+        core = g.core
+        for name in ("ei", "ej", "w", "backbone_mask"):
+            assert_array_equal(getattr(core.graph, name), getattr(g, name))
+        assert core.graph.n == g.n
+        whole = oracles.graph_context(g).tree
+        for name in ("order", "end", "inv_w"):
+            assert_array_equal(getattr(core.tree, name), getattr(whole, name))
+        # The root's parent is negative, -1 or scipy's -9999.
+        assert_array_equal(core.tree.pred[1:], whole.pred[1:])
+        assert core.tree.pred[0] < 0
+        bi, bj = g.ei[g.backbone_mask], g.ej[g.backbone_mask]
+        off = (whole.pred[bi] != bj) & (whole.pred[bj] != bi)
+        assert_array_equal(core.off_tree, np.flatnonzero(g.backbone_mask)[off])
+        assert len(core.off_tree) == (g is cyclic)
+        s = oracles.random_fractional(rng, g)
+        assert_array_equal(core.switch(s), s)
+        d = rng.standard_normal(g.n)
+        d -= d.mean()
+        d_core, energy, local = core.fold(d)
+        assert energy == 0.0 and local.size == 0
+        assert_array_equal(d_core[1:], d[1:])
+        assert abs(d_core[0] - d[0]) <= 1e-15 * np.abs(d).sum()
+        x = rng.standard_normal(g.n)
+        assert_array_equal(core.delta(x, local), x[g.ei] - x[g.ej])

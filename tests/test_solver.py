@@ -174,7 +174,8 @@ def unit_cases():
         if path == "dense":
             assert g.n <= solver.SolverConfig.dense_threshold
         else:
-            assert g.n > solver.SolverConfig.dense_threshold and g.context.mode == path
+            assert g.n > solver.SolverConfig.dense_threshold
+            assert oracles.graph_context(g).mode == path
         solves.append((g, oracles.random_fractional(rng, g), d))
     searches = [cli.generate_instance(30, 16, 1), cli.generate_instance(100, 16, 1)]
     return solves, searches, unit_phis(solves, searches, 1.0)
@@ -265,7 +266,7 @@ def test_tree_factor_bounds_a_backbone_with_a_cycle():
     extra = [(0, 149, 0.7), (i, j, 1.3)]
     backbone = list(base.backbone) + [len(edges), len(edges) + 1]
     g = graphs.make_graph(base.n, edges + extra, backbone)
-    ctx = g.context
+    ctx = oracles.graph_context(g)
     L_T = graphs.assemble_laplacian_dense(g, g.backbone_indicator())
     Lp = oracles.pinv(L_T)
     # The tree is not the whole backbone, so a backbone solve is not on it.
@@ -364,7 +365,8 @@ def test_solve_zero_demand():
     for n, extra in ((10, 4), (80, 40)):
         g, s, _ = instance(5, n=n, extra=extra)
         L = graphs.assemble_laplacian(g, s)
-        res = solver.solve(L, np.zeros(g.n), solver.SolverConfig(), context=g.context)
+        res = solver.solve(L, np.zeros(g.n), solver.SolverConfig(),
+                           context=oracles.graph_context(g))
         assert res.iterations == 0 and not res.x.any(), n
 
 
@@ -385,7 +387,7 @@ def test_solve_contract_per_preconditioner(monkeypatch, mode):
         g, d = make()
         s = oracles.random_fractional(np.random.default_rng(6), g)
         L = graphs.assemble_laplacian(g, s)
-        ctx = g.context
+        ctx = oracles.graph_context(g)
         assert ctx.mode == mode, family
         assert not ctx.on_tree(L), family
         res = solver.solve(L, d, cfg, context=ctx)
@@ -436,7 +438,7 @@ def test_cold_direct_solve_evaluates_the_bound_once():
     # At x = 0 the bound cannot fire, so it is first evaluated after the
     # single CG step that the direct factor needs.
     g, d = oracles.chord_ring(1500, 1)
-    ctx = g.context
+    ctx = oracles.graph_context(g)
     assert ctx.mode == "direct"
     calls = []
     quadform = ctx.tree.quadform
@@ -452,9 +454,10 @@ def test_solve_energy_identity():
     g, s, d = instance(7, n=30, extra=20)
     L = graphs.assemble_laplacian(g, s)
     xs = [solver.exact_pinv_apply(L, d)]
-    for ctx in (g.context, backbone_context(g)):
+    own = oracles.graph_context(g)
+    for ctx in (own, backbone_context(g)):
         xs.append(solver.solve(L, d, solver.SolverConfig(), context=ctx).x)
-    for x, mode in zip(xs, ("dense", g.context.mode, "jacobi")):
+    for x, mode in zip(xs, ("dense", own.mode, "jacobi")):
         assert abs(float(d @ x) - float(x @ (L @ x))) < 1e-10 * abs(d @ x), mode
 
 
@@ -540,7 +543,7 @@ def test_backbone_indicator_applies_the_tree_solve_once(monkeypatch, mode):
         g, d = oracles.grid_comb(20, 20, seed=2)
     else:
         g, d = cli.generate_instance(3000, 6000, seed=1, demand="gauss", multigraph=True)
-    ctx = g.context
+    ctx = oracles.graph_context(g)
     assert ctx.mode == mode and np.count_nonzero(g.backbone_mask) == g.n - 1
     applies, reads = [], []
     apply, quadform = ctx.tree.apply, ctx.tree.quadform
@@ -570,7 +573,7 @@ def test_solve_rejects_bad_demand():
             with pytest.raises(InvalidInputError):
                 solver.exact_pinv_apply(L, bad)
             with pytest.raises(InvalidInputError):
-                solver.solve(L, bad, solver.SolverConfig(), context=g.context)
+                solver.solve(L, bad, solver.SolverConfig(), context=oracles.graph_context(g))
             with pytest.raises(InvalidInputError):
                 congestion.phi(g, s, bad)
 
@@ -610,9 +613,9 @@ def test_fill_probe_picks_the_mode_at_every_size():
     # No size rule comes before the probe: a chord ring of 1500 nodes
     # factors with little fill, an expander of 2000 nodes does not.
     g, _ = oracles.chord_ring(1500, 1)
-    assert g.context.mode == "direct"
+    assert g.plan.low_fill
     g, _ = cli.generate_instance(2000, 4000, seed=1, demand="gauss", multigraph=True)
-    assert g.context.mode == "jacobi"
+    assert not g.plan.low_fill
 
 
 PROBE_GRAPHS = (
@@ -662,7 +665,7 @@ def test_fill_budget_counts_the_pattern_edges_not_parallel_copies():
     pairs = len(np.unique(g.ei * g.n + g.ej))
     assert solver.FILL_BUDGET * pairs < envelope <= solver.FILL_BUDGET * g.m
     assert not g.plan.low_fill
-    assert g.context.mode == "jacobi"
+    assert oracles.graph_context(g).mode == "jacobi"
 
 
 def _cyclic_backbone_multigraph():
@@ -694,7 +697,8 @@ def test_direct_factor_receives_the_ordered_grounded_block(family, monkeypatch):
     half_open[np.flatnonzero(~g.backbone_mask)[::2]] = 0.0
     for s in (half_open, oracles.random_fractional(np.random.default_rng(7), g)):
         L = graphs.assemble_laplacian(g, s)
-        ctx = solver.context_from_laplacian(L) if family == "laplacian" else g.context
+        ctx = (solver.context_from_laplacian(L) if family == "laplacian"
+               else oracles.graph_context(g))
         assert ctx.mode == "direct"
         order = ctx.plan.order
         assert not ctx.plan.block.data.flags.writeable
@@ -751,7 +755,7 @@ def test_auto_mode_resolves_by_fill_probe(monkeypatch):
     g, d = oracles.grid_comb(80, 80, seed=1)
     ctx = congestion.make_context(g)
     core = g.core.graph
-    for h, c in ((g, g.context), (core, ctx)):
+    for h, c in ((g, oracles.graph_context(g)), (core, ctx)):
         L = graphs.assemble_laplacian(h, np.ones(h.m))
         assert c.mode == "direct" and not c.on_tree(L)
         assert c.on_tree(graphs.assemble_laplacian(h, h.backbone_indicator()))
@@ -768,7 +772,7 @@ def test_auto_mode_resolves_by_fill_probe(monkeypatch):
     assert congestion.make_context(g) is ctx and g.core.graph is core
     monkeypatch.undo()
     g, _ = cli.generate_instance(3000, 6000, seed=1, demand="gauss", multigraph=True)
-    assert g.context.mode == "jacobi" and congestion.make_context(g).mode == "jacobi"
+    assert not g.plan.low_fill and congestion.make_context(g).mode == "jacobi"
     L = graphs.assemble_laplacian(g, np.ones(g.m))
     assert solver.context_from_laplacian(L).mode == "jacobi"
 
@@ -781,7 +785,7 @@ def test_auto_direct_certifies_a_300_by_300_grid():
     q = int(g.backbone_mask.sum()) + int((~g.backbone_mask).sum()) // 2
     cfg = frankwolfe.FWConfig(q=q, alpha=0.05)
     s, cert, _ = frankwolfe.run(g, d, cfg)
-    ctx = g.context
+    ctx = oracles.graph_context(g)
     assert ctx.mode == "direct" and cert.certified
     L = graphs.assemble_laplacian(g, s)
     res = solver.solve(L, d, cfg.solver, context=ctx)
@@ -814,7 +818,7 @@ def test_direct_factor_takes_superlu_own_order(family):
         assert np.array_equal(plan.order, np.argsort(own.perm_c))
         lu = plan.lu(L)
         assert lu.L.nnz + lu.U.nnz == own.L.nnz + own.U.nnz
-        M, exact = g.context.preconditioner(L)
+        M, exact = oracles.graph_context(g).preconditioner(L)
         assert exact
         x = M(d)
         ref = np.concatenate([[0.0], own.solve(d[1:])])
@@ -827,7 +831,7 @@ def test_direct_solve_refuses_a_foreign_pattern(monkeypatch):
     # carries its graph's pattern: another format of the same entries is
     # solved alike, and any other L is refused before a gather or a factor.
     g, d = oracles.chord_ring(300, seed=4)
-    ctx = g.context
+    ctx = oracles.graph_context(g)
     assert ctx.mode == "direct"
     s = np.ones(g.m)
     s[np.flatnonzero(~g.backbone_mask)[::2]] = 0.0
@@ -875,7 +879,7 @@ def test_context_from_laplacian_solves_its_own_l_directly(form):
     assert ctx.mode == "direct"
     res = solver.solve(L, d, solver.SolverConfig(), ctx)
     assert res.iterations <= 1
-    ref = solver.solve(A, d, solver.SolverConfig(), g.context)
+    ref = solver.solve(A, d, solver.SolverConfig(), oracles.graph_context(g))
     assert_allclose(res.x, ref.x, rtol=0, atol=1e-12 * np.linalg.norm(ref.x))
 
 
