@@ -2,12 +2,13 @@
 
 Subcommands: generate, solve, round, certify, enumerate, experiment,
 bench. Each composes the same pipeline stages (load, optimize or certify,
-draw and evaluate, enumerate) and one record header. Records
-are JSON documents with a deterministic "record" payload (byte-identical
-across replays of the same config and seeds) plus volatile "timing" and
-"timestamp" fields kept outside it; a CSV summary mirrors the scalar
-fields. Exit codes: 0 success, 2 invalid input, 3 numerical failure,
-4 branch-and-bound node cap exceeded.
+draw and evaluate, enumerate); all but generate and bench write one
+record by one path (_record). Records are JSON documents with a
+deterministic "record" payload (byte-identical across replays of the same
+config and seeds) plus volatile "timing" and "timestamp" fields kept
+outside it; a CSV summary mirrors the scalar fields. Exit codes: 0
+success, 2 invalid input, 3 numerical failure, 4 branch-and-bound node cap
+exceeded.
 """
 from __future__ import annotations
 
@@ -175,7 +176,7 @@ def default_budget(g: graphs.Graph) -> int:
 
 # --- pipeline stages ----------------------------------------------------------
 # Every subcommand composes these: load, optimize (or certify a given
-# point), draw and evaluate, enumerate, then one record header.
+# point), draw and evaluate, enumerate, then one record header (_record).
 
 def _load(cfg: ExperimentConfig) -> tuple[graphs.Graph, np.ndarray, int]:
     if cfg.input_path:
@@ -253,27 +254,32 @@ def _rounded_fields(draws: list[dict]) -> dict:
             "rng_algorithm": rounding.RNG_ALGORITHM}
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Full pipeline: optimize, certify, round with repeats, optional baseline."""
+def _record(kind: str, cfg: ExperimentConfig, fields) -> dict:
+    """One record of cfg's instance: the header, then fields(g, d, q,
+    timing), which runs the subcommand's stages and times each in timing."""
     g, d, q = _load(cfg)
     timing = {}
-    s_frac, cert, trace = _timed(timing, "optimize_s", frankwolfe.run, g, d,
+    body = fields(g, d, q, timing)
+    return _wrap({**_header(kind, g, q, d), **body}, timing)
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Full pipeline: optimize, certify, round with repeats, optional baseline."""
+    def fields(g, d, q, timing):
+        s_frac, cert, trace = _timed(timing, "optimize_s", frankwolfe.run, g, d,
                                      _fw_config(cfg, q))
-    draws = _timed(timing, "round_s", _draw, g, d, q, s_frac, cfg)
-    record = {
-        **_header("experiment", g, q, d),
-        "alpha": cfg.alpha, "delta": cfg.delta, "seed": cfg.seed,
-        "repeats": cfg.repeats,
-        **_solution_fields(cert, trace),
-        **_rounded_fields(draws),
-        "repairs_total": sum(dr["repairs"] for dr in draws),
-    }
-    if cfg.enumerate_baseline:
-        best = _timed(timing, "enumerate_s", enumeration.enumerate_optimal, g, d, q)
-        record["best_phi"] = best.best_phi
-        record["fractional_over_best"] = cert.phi_value / best.best_phi
-        record["rounded_min_over_best"] = record["rounded_phi_min"] / best.best_phi
-    return _wrap(record, timing)
+        draws = _timed(timing, "round_s", _draw, g, d, q, s_frac, cfg)
+        body = {"alpha": cfg.alpha, "delta": cfg.delta, "seed": cfg.seed,
+                "repeats": cfg.repeats, **_solution_fields(cert, trace),
+                **_rounded_fields(draws),
+                "repairs_total": sum(dr["repairs"] for dr in draws)}
+        if cfg.enumerate_baseline:
+            best = _timed(timing, "enumerate_s", enumeration.enumerate_optimal, g, d, q)
+            body["best_phi"] = best.best_phi
+            body["fractional_over_best"] = cert.phi_value / best.best_phi
+            body["rounded_min_over_best"] = body["rounded_phi_min"] / best.best_phi
+        return body
+    return _record("experiment", cfg, fields)
 
 
 def _wrap(record: dict, timing: dict) -> dict:
@@ -332,14 +338,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = _config_from_args(args)
-    g, d, q = _load(cfg)
-    timing = {}
-    s_frac, cert, trace = _timed(timing, "optimize_s", frankwolfe.run, g, d,
+
+    def fields(g, d, q, timing):
+        s_frac, cert, trace = _timed(timing, "optimize_s", frankwolfe.run, g, d,
                                      _fw_config(cfg, q))
-    record = {**_header("solve", g, q, d), "alpha": cfg.alpha,
-              **_solution_fields(cert, trace),
-              "switch_vector": [float(v) for v in s_frac]}
-    _write_output(_wrap(record, timing), cfg.output, cfg.format)
+        return {"alpha": cfg.alpha, **_solution_fields(cert, trace),
+                "switch_vector": [float(v) for v in s_frac]}
+    _write_output(_record("solve", cfg, fields), cfg.output, cfg.format)
     return 0
 
 
@@ -357,38 +362,35 @@ def _read_solution(path) -> np.ndarray:
 
 def _cmd_round(args) -> int:
     cfg = _config_from_args(args)
-    g, d, q = _load(cfg)
-    s = _read_solution(args.solution)
-    timing = {}
-    draws = _timed(timing, "round_s", _draw, g, d, q, s, cfg)
-    record = {**_header("round", g, q, d), "delta": cfg.delta, "seed": cfg.seed,
-              "repeats": cfg.repeats, "repair": cfg.repair,
-              **_rounded_fields(draws), "draws": draws}
-    _write_output(_wrap(record, timing), cfg.output, cfg.format)
+
+    def fields(g, d, q, timing):
+        s = _read_solution(args.solution)
+        draws = _timed(timing, "round_s", _draw, g, d, q, s, cfg)
+        return {"delta": cfg.delta, "seed": cfg.seed, "repeats": cfg.repeats,
+                "repair": cfg.repair, **_rounded_fields(draws), "draws": draws}
+    _write_output(_record("round", cfg, fields), cfg.output, cfg.format)
     return 0
 
 
 def _cmd_certify(args) -> int:
     cfg = _config_from_args(args)
-    g, d, q = _load(cfg)
-    s = _read_solution(args.solution) if args.solution else g.backbone_indicator()
-    timing = {}
-    cert = _timed(timing, "certify_s", frankwolfe.certificate, g, s, d, _fw_config(cfg, q))
-    record = {**_header("certify", g, q, d), "alpha": cfg.alpha,
-              "certificate": asdict(cert)}
-    _write_output(_wrap(record, timing), cfg.output, cfg.format)
+
+    def fields(g, d, q, timing):
+        s = _read_solution(args.solution) if args.solution else g.backbone_indicator()
+        cert = _timed(timing, "certify_s", frankwolfe.certificate, g, s, d, _fw_config(cfg, q))
+        return {"alpha": cfg.alpha, "certificate": asdict(cert)}
+    _write_output(_record("certify", cfg, fields), cfg.output, cfg.format)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     cfg = _config_from_args(args)
-    g, d, q = _load(cfg)
-    timing = {}
-    result = _timed(timing, "enumerate_s", enumeration.enumerate_optimal, g, d, q)
-    record = {**_header("enumerate", g, q, d), "best_phi": result.best_phi,
-              "evaluated_count": result.evaluated_count,
-              "best_switch_vector": [float(v) for v in result.best_config.sbin]}
-    _write_output(_wrap(record, timing), cfg.output, cfg.format)
+
+    def fields(g, d, q, timing):
+        result = _timed(timing, "enumerate_s", enumeration.enumerate_optimal, g, d, q)
+        return {"best_phi": result.best_phi, "evaluated_count": result.evaluated_count,
+                "best_switch_vector": [float(v) for v in result.best_config.sbin]}
+    _write_output(_record("enumerate", cfg, fields), cfg.output, cfg.format)
     return 0
 
 
@@ -396,8 +398,7 @@ def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.output:
         cfg = replace(cfg, output=args.output)
-    doc = run_experiment(cfg)
-    _write_output(doc, cfg.output, cfg.format)
+    _write_output(run_experiment(cfg), cfg.output, cfg.format)
     return 0
 
 

@@ -44,14 +44,14 @@ solve on [d, U] with the core's tree T (graphs.Core.tree, O(n_core) per
 column), the graph's one tree. The core's backbone edges off T
 (graphs.Core.off_tree), when it has cycles, are folded in by the same
 identity, once: L_B = L_T + V W V^T is one P x P solve for their P
-incidence vectors V and weights W. The search runs on d scaled by a power
-of two (solver._unit_scaled) and on the weights scaled by an even one, to
-max w in [1/2, 2), and T's resistances and the energy by its inverse:
-every phi, gradient and bound is then scaled by one power of four,
-exactly, so no comparison changes, and no square under- or overflows when
-every weight is far from 1. best_phi is congestion.phi of the chosen
-configuration, exact at n <= 64 and certified within epsilon above; no
-step is n x n.
+incidence vectors V and weights W. The search reads the core's weights,
+tree and energy as they are, and folds d scaled by a power of two: to
+max|d| in [1/2, 1) (solver._unit_scaled), then by 2^h, with max w / 4^h in
+[1/2, 2). Every phi, gradient and bound is then that of d scaled by one
+power of four, exactly, so no comparison changes, and each lies near 1,
+so no square under- or overflows when every weight is far from 1.
+best_phi is congestion.phi of the chosen configuration, exact at n <= 64
+and certified within epsilon above; no step is n x n.
 """
 from __future__ import annotations
 
@@ -78,48 +78,37 @@ class EnumerationResult:
     evaluated_count: int
 
 
-def free_edges(g: graphs.Graph) -> np.ndarray:
-    """Non-backbone edge indices in edge order (bitmask bit order)."""
-    return np.flatnonzero(~g.backbone_mask)
-
-
 class _Search:
     """Incumbent, node count and exact solves of one branch and bound.
 
     Switch values and masks here are indexed by free edge, not by edge.
-    w is the free edges' weights scaled by a power of four, and every phi
-    and gradient here is that of the demand scaled by a power of two on
-    those weights (module docstring).
+    w is the free edges' weights, and every phi and gradient here is that
+    of the demand scaled by a power of two (module docstring).
     """
 
     def __init__(self, g: graphs.Graph, d: np.ndarray, head: int):
-        self.free = free_edges(g)
+        self.free = graphs.free_edges(g)
         # Edges every configuration searched closes: phi never rises as one closes.
         self.k = min(head, len(self.free))
         core, cg = g.core, g.core.graph
-        # An even power of two, so that sqrt(s w) scales exactly; resistances
-        # and the fold's energy scale by its inverse.
-        half = solver._unit_scaled(g.w)[1] // 2
-        w = np.ldexp(cg.w, -2 * half)
         # The core's free edges are g's, in g's order.
-        cfree, off = free_edges(cg), core.off_tree
-        self.w = w[cfree]
-        d, energy, _ = core.fold(solver._unit_scaled(d)[0])
+        cfree, off = graphs.free_edges(cg), core.off_tree
+        self.w = cg.w[cfree]
+        half = solver._unit_scaled(g.w)[1] // 2
+        d, energy, _ = core.fold(np.ldexp(solver._unit_scaled(d)[0], half))
         # Q = [d, U, V]^T L_T^+ [d, U, V] by one block solve on the core's
         # tree, V its backbone edges off it, which Woodbury then folds into L_B.
-        t = core.tree
-        tree = solver.TreeFactor.from_preorder(t.pred, t.order, t.end, np.ldexp(t.inv_w, 2 * half))
         edges = np.concatenate([cfree, off])
         ei, ej, cols = cg.ei[edges], cg.ej[edges], np.arange(1, len(edges) + 1)
         rows = np.zeros((len(edges) + 1, cg.n))
         rows[0], rows[cols, ei], rows[cols, ej] = d, 1.0, -1.0
-        X = tree.apply(rows.T)
+        X = core.tree.apply(rows.T)
         Q = np.vstack([d @ X, X[ei] - X[ej]])
         F = len(self.free)
         if len(off):
             Q = Q[:F + 1, :F + 1] - Q[:F + 1, F + 1:] @ np.linalg.solve(
-                np.diag(1.0 / w[off]) + Q[F + 1:, F + 1:], Q[F + 1:, :F + 1])
-        self.phi_B, self.b = float(np.ldexp(energy, 2 * half) + Q[0, 0]), Q[1:, 0]
+                np.diag(1.0 / cg.w[off]) + Q[F + 1:, F + 1:], Q[F + 1:, :F + 1])
+        self.phi_B, self.b = float(energy + Q[0, 0]), Q[1:, 0]
         self.G = 0.5 * (Q[1:, 1:] + Q[1:, 1:].T)
         self.best_phi = np.inf
         self.best_mask = None

@@ -113,7 +113,7 @@ def lmo_top_q(grad: np.ndarray, g: graphs.Graph, q: int) -> np.ndarray:
     """
     t_size = graphs.check_budget(g, q)
     grad = np.asarray(grad, dtype=float)
-    off = np.flatnonzero(~g.backbone_mask)
+    off = graphs.free_edges(g)
     k = min(q, g.m) - t_size
     v = np.zeros(g.m)
     v[g.backbone_mask] = 1.0

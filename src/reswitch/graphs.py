@@ -421,6 +421,11 @@ def check_budget(g: Graph, q: int) -> int:
     return t_size
 
 
+def free_edges(g: Graph) -> np.ndarray:
+    """Switchable (non-backbone) edge indices in edge order."""
+    return np.flatnonzero(~g.backbone_mask)
+
+
 def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k smallest entries of values, ties toward lower position.
 

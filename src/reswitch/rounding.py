@@ -100,30 +100,21 @@ def sample(sbar: np.ndarray, g: graphs.Graph, q: int,
     sbar = graphs.check_switch(g, sbar)
     graphs.check_budget(g, q)
     rng = np.random.default_rng(params.rng_seed)
-    probs = sbar
-    if params.repair == "shrinkage":
-        probs = shrinkage(sbar, g, q, params.delta)
-
-    draw = rng.random(g.m) < probs
-    draw[g.backbone_mask] = True
-    resamples = 0
+    probs = shrinkage(sbar, g, q, params.delta) if params.repair == "shrinkage" else sbar
+    # One draw, redrawn under resample while it is over budget.
+    for resamples in range(params.max_resamples + 1):
+        draw = rng.random(g.m) < probs
+        draw[g.backbone_mask] = True
+        if params.repair != "resample" or draw.sum() <= q:
+            break
+    else:
+        raise ResampleExhaustedError(f"budget still above q={q} after {resamples} resamples",
+                                     last_draw=draw.astype(float))
     repairs: list[tuple[int, str]] = []
-
     if params.repair == "trim_and_fill":
         draw, repairs = _trim_and_fill(draw, sbar, g, q)
-    elif params.repair == "resample":
-        while draw.sum() > q:
-            if resamples >= params.max_resamples:
-                raise ResampleExhaustedError(
-                    f"budget still above q={q} after {resamples} resamples",
-                    last_draw=draw.astype(float))
-            draw = rng.random(g.m) < probs
-            draw[g.backbone_mask] = True
-            resamples += 1
-
-    config = graphs.Configuration(sbin=draw.astype(float))
-    return RoundingReport(sampled=config, resamples_used=resamples,
-                          repairs=tuple(repairs))
+    return RoundingReport(sampled=graphs.Configuration(sbin=draw.astype(float)),
+                          resamples_used=resamples, repairs=tuple(repairs))
 
 
 def _trim_and_fill(draw: np.ndarray, sbar: np.ndarray, g: graphs.Graph,

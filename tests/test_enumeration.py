@@ -242,13 +242,12 @@ def dense_node_solve(g, d, search, sf):
     demand and weights, from one n x n solve of the dense kernel on the
     whole graph: the node solve the search made before it solved in the
     free-edge space. The search scales d by a power of two to max|d| in
-    [1/2, 1), and every weight by one power of four, read off its first
-    free edge."""
+    [1/2, 1), then by 2^h, with max w / 4^h in [1/2, 2), and reads the
+    weights as they are."""
     s = g.backbone_indicator()
     s[search.free] = sf
-    scale = search.w[0] / g.w[search.free[0]]
-    L = graphs.assemble_laplacian_dense(g, s) * scale
-    d = solver._unit_scaled(d)[0]
+    L = graphs.assemble_laplacian_dense(g, s)
+    d = np.ldexp(solver._unit_scaled(d)[0], solver._unit_scaled(g.w)[1] // 2)
     x = solver._grounded_solve(L, d[:, None])[:, 0]
     delta = x[g.ei[search.free]] - x[g.ej[search.free]]
     return float(d @ x), -search.w * delta ** 2
@@ -438,6 +437,47 @@ def test_one_tree_per_graph_for_frank_wolfe_and_the_search(monkeypatch):
         res = enumeration.enumerate_optimal(g, d, q)
         assert cert.certified and res.best_phi <= cert.upper_bound * (1 + cfg.alpha)
         assert len(built) == 1, search_first
+
+
+def test_search_reads_the_core_tree_as_it_is(monkeypatch):
+    # Only the core builds a tree from arrays: with the core built, a search
+    # makes no tree of its own, where a fresh graph's core makes one.
+    made = []
+    from_preorder = solver.TreeFactor.from_preorder
+    monkeypatch.setattr(solver.TreeFactor, "from_preorder", classmethod(
+        lambda cls, *arrays: made.append(1) or from_preorder(*arrays)))
+    g, d = cli.generate_instance(200, 16, 1)
+    g.core
+    assert len(made) == 1
+    enumeration.enumerate_optimal(g, d, cli.default_budget(g))
+    assert len(made) == 1
+
+
+def test_power_of_two_units_change_no_decision():
+    # Every weight times 4^k and the demand times 2^j scale phi by 4^(j-k):
+    # the search picks the same configuration in the same number of nodes,
+    # on a CLI instance, a backbone with cycles and a 200-node graph, at
+    # weights up to about 1e180 and down to 1e-180, where the search's
+    # products leave the float range unless it scales the demand to the weights.
+    g30, d30 = cli.generate_instance(30, 16, 4, demand="gauss")
+    cyclic, d_cyclic = cli.generate_instance(60, 20, 3)
+    bb = cyclic.backbone_mask.copy()
+    bb[59:65] = True
+    cases = [(g30, d30), (graphs.Graph(60, cyclic.ei, cyclic.ej, cyclic.w, bb), d_cyclic),
+             cli.generate_instance(200, 16, 2)]
+    assert len(cases[1][0].core.off_tree) > 0
+    for g, d in cases:
+        q = cli.default_budget(g)
+        ref = enumeration.enumerate_optimal(g, d, q)
+        assert ref.evaluated_count > 10
+        for k in (-300, -250, -100, 100, 250, 300):
+            scaled = graphs.Graph(g.n, g.ei, g.ej, np.ldexp(g.w, 2 * k), g.backbone_mask)
+            for j in (-50, 50):
+                res = enumeration.enumerate_optimal(scaled, np.ldexp(d, j), q)
+                assert_array_equal(res.best_config.sbin, ref.best_config.sbin)
+                assert res.evaluated_count == ref.evaluated_count
+                assert np.ldexp(res.best_phi, 2 * (k - j)) == pytest.approx(
+                    ref.best_phi, rel=1e-12, abs=0), (g.n, k, j)
 
 
 THREADS_SCRIPT = """
