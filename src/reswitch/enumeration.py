@@ -172,10 +172,9 @@ class _Search:
         for _ in range(NODE_STEPS):
             phi_s, grad_s = self.solve(sf)
             # Oracle vertex: the fixed-closed edges and the r most negative
-            # unfixed ones, ties toward the lower edge (graphs.smallest_k's
-            # set; a stable sort is cheaper on a few dozen entries).
+            # unfixed ones, ties toward the lower edge (graphs.smallest_k).
             v = on.copy()
-            v[unfixed[np.argsort(grad_s[unfixed], kind="stable")[:r]]] = True
+            v[unfixed[graphs.smallest_k(grad_s[unfixed], r)]] = True
             gap = float(grad_s @ (sf - v))
             grad_v = self.leaf(v)[1]
             lb = max(lb, phi_s - gap)

@@ -21,7 +21,8 @@ eta * gap that the step predicts, and at most a tenth of alpha, so that a
 loose interval still certifies with nine tenths of the slack. An iterate
 read loosely (bound > epsilon * phi) whose interval certifies is read again
 at epsilon before it is returned, and so is a loosely read last iterate of
-a run that ends on its budget.
+a run that ends on its budget. One function gives the oracle vertex, the
+gap and the certificate at a point from its solve, for run and certificate.
 
 Steps follow the 2/(t+2) schedule, but each step's lower end phi is
 evaluated first and a step that would raise it is skipped (the monotone
@@ -143,22 +144,23 @@ def certificate(g: graphs.Graph, s: np.ndarray, d: np.ndarray, cfg: FWConfig) ->
     if s.sum() > cfg.q + BUDGET_SLACK:
         raise InvalidInputError(
             f"switch vector closes {s.sum():.12g} edges, above the budget q={cfg.q}")
-    diff = congestion.approx_diff(g, s, d, cfg.solver)
+    return _oracle(g, s, congestion.approx_diff(g, s, d, cfg.solver), cfg)[2]
+
+
+def _oracle(g: graphs.Graph, s: np.ndarray, diff: congestion.DiffResult, cfg: FWConfig
+            ) -> tuple[np.ndarray, float, Certificate]:
+    """The oracle vertex v at s, the gap <grad, s - v> and the Certificate,
+    from diff, the solve at s: the one path to each, run's and certificate's."""
     v = lmo_top_q(diff.grad, g, cfg.q)
-    return _certificate(diff, fw_gap(diff.grad, s, v), cfg.alpha)
-
-
-def _certificate(diff: congestion.DiffResult, gap: float, alpha: float) -> Certificate:
+    gap = fw_gap(diff.grad, s, v)
     # phi* >= phi - gap over the budget polytope, and phi(s) <= phi + bound.
     # An overflowed bound bounds nothing (inf <= inf holds), and neither does NaN.
-    lower = diff.phi - gap
-    upper = diff.phi + diff.bound
+    lower, upper, alpha = diff.phi - gap, diff.phi + diff.bound, cfg.alpha
     certified = bool(math.isfinite(lower) and math.isfinite(upper)
                      and upper <= (1.0 + alpha) * lower)
-    return Certificate(gap=gap, tau=alpha / (1.0 + alpha), phi_value=diff.phi,
-                       certified=certified,
-                       bound_factor=(1.0 + alpha) if certified else None,
-                       lower_bound=lower, upper_bound=upper)
+    return v, gap, Certificate(
+        gap=gap, tau=alpha / (1.0 + alpha), phi_value=diff.phi, certified=certified,
+        bound_factor=(1.0 + alpha) if certified else None, lower_bound=lower, upper_bound=upper)
 
 
 def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
@@ -180,9 +182,8 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
     bound > epsilon * phi, certifies, the next pass reads the same point
     again at epsilon and records that solve, so each record still stands
     for one solve and one oracle call; a run that ends on a loose read
-    reads its iterate again at epsilon after the loop. The returned
-    certificate is thus always from a solve at epsilon, and equals the one
-    certificate gives at the returned point.
+    reads its iterate again at epsilon after the loop. So the certificate
+    returned is certificate's at the returned point, by the same function.
     """
     d = graphs.check_demand(g, d)
     graphs.check_budget(g, cfg.q)
@@ -199,14 +200,12 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
     spent = diff.cg_iterations
 
     for t in range(cfg.max_iterations):
-        v = lmo_top_q(diff.grad, g, cfg.q)
-        gap = fw_gap(diff.grad, s, v)
+        v, gap, cert = _oracle(g, s, diff, cfg)
         eta = 2.0 / (t + 2.0)
         records.append(IterationRecord(iteration=t, phi=diff.phi, gap=gap, eta=eta,
                                        l1=float(s.sum()),
                                        wall_time=time.perf_counter() - start,
                                        cg_iterations=spent, bound=diff.bound))
-        cert = _certificate(diff, gap, cfg.alpha)
         if cert.certified:
             if not loose(diff):
                 return s, cert, FWTrace(tuple(records))
@@ -239,5 +238,4 @@ def run(g: graphs.Graph, d: np.ndarray, cfg: FWConfig
     # iterate is the best one; certify it from a solve at epsilon.
     if loose(diff):
         diff = congestion.approx_diff(g, s, d, tight)
-    cert = _certificate(diff, fw_gap(diff.grad, s, lmo_top_q(diff.grad, g, cfg.q)), cfg.alpha)
-    return s, cert, FWTrace(tuple(records))
+    return s, _oracle(g, s, diff, cfg)[2], FWTrace(tuple(records))

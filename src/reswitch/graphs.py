@@ -429,13 +429,16 @@ def free_edges(g: Graph) -> np.ndarray:
 def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k smallest entries of values, ties toward lower position.
 
-    The same set as the first k of np.lexsort((positions, values)), found in
-    O(len) by a partition to the k-th value, and returned in ascending order.
+    The same set as the first k of np.lexsort((positions, values)), in no
+    promised order: every oracle vertex's rule. A stable sort finds it up to
+    256 entries, a few µs cheaper there; a partition, in O(len), above.
     """
     if k <= 0:
         return np.empty(0, dtype=np.intp)
     if k >= len(values):
         return np.arange(len(values))
+    if len(values) <= 256:
+        return np.argsort(values, kind="stable")[:k]
     kth = np.partition(values, k - 1)[k - 1]
     pick = values < kth
     ties = np.flatnonzero(values == kth)

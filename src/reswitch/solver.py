@@ -37,13 +37,13 @@ only tens of iterations. The symbolic work of a direct factor is done
 once per pattern, not per solve: a LaplacianPlan keeps the grounded
 block's minimum-degree order, so each factor is one gather of L_s's
 values and one LU in that order, and a direct solve refuses an L_s that
-does not carry the plan's pattern. On a Laplacian with the tree's own
-sparsity pattern (the switch vector at the backbone indicator, where
-optimization starts, when every backbone edge runs along the tree) the
-tree solve is used whatever the mode, since it is exact there: L_s =
-L_T. Under direct or the tree solve CG takes one iteration, and the
-solution still has to pass the stopping bound below, so a poor factor
-can cost time but never accuracy.
+does not carry the plan's pattern. A Laplacian with as many nonzeros as
+L_T gets the tree solve whatever the mode (SolveContext.on_tree): exact at
+L_s = L_T (the backbone indicator, where optimization starts, when every
+backbone edge runs along the tree), but not when the closed switchable
+edges all run parallel to tree edges. CG takes one iteration under an
+exact M and a few more there; each solution still has to pass the
+stopping bound below, so M can cost time but never accuracy.
 
 Every solve starts from x = 0 and only reads its context, so no solve
 depends on the ones before it. solve knows only whether its
@@ -494,10 +494,10 @@ class SolveContext:
     solve, which probed its own fill when it was built; its verdict fixes
     mode: direct if it holds, jacobi otherwise or without a plan (module
     docstring).
-    preconditioner is the one place a solve's M is picked. A Laplacian with
-    the tree's sparsity pattern is preconditioned by the tree solve whatever
-    the mode, since it is exact there. A direct solve on an L without the
-    plan's pattern is refused.
+    preconditioner is the one place a solve's M is picked. L with as many
+    nonzeros as L_T gets the tree solve whatever the mode, inexact where
+    closed switchable edges run parallel to tree edges (module docstring).
+    A direct solve on an L without the plan's pattern is refused.
     """
 
     def __init__(self, tree: TreeFactor, plan: LaplacianPlan | None = None):
